@@ -21,6 +21,7 @@ and homomorphism sweeps in the test suite.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -573,7 +574,13 @@ def singular_locus_certificates(
     bound: int = 8, retry: int = 12
 ) -> Dict[str, MembershipCertificate]:
     """Cofactor certificates putting every partial of f in the ideal of
-    the five relations."""
+    the five relations.
+
+    They prove only that V(t1, t2, t3, z1, z2) lies in Sing(f).  The
+    reverse inclusion comes from the reverse certificates in the test
+    suite (the cube of each relation lies in the Jacobian ideal), so the
+    two sets are equal.  That set is larger than the vertex: it contains
+    (a, b, c, p, q, r, s) = (-2/3, -1, -2, 0, 1/3, 1, 2)."""
     f = g2_hypersurface()
     rel = slice_relations(VARS7)
     gens = [rel[k] for k in ("t1", "t2", "t3", "z1", "z2")]
@@ -636,24 +643,32 @@ def _poly_kernel(polys: Sequence[MPoly]) -> List[List[Scalar]]:
     return [list(v) for v in nullspace(matrix)]
 
 
+def _integer_root(m: int, n: int) -> Optional[int]:
+    """The integer k >= 0 with k^n == m for an integer m >= 0, or None.
+    Exact: isqrt for n = 2, otherwise integer Newton from above, which
+    descends to floor(m^(1/n))."""
+    if m == 0:
+        return 0
+    if n == 2:
+        k = math.isqrt(m)
+    else:
+        k = 1 << -(-m.bit_length() // n)  # 2^ceil(bits/n) > m^(1/n)
+        while True:
+            nxt = ((n - 1) * k + m // k ** (n - 1)) // n
+            if nxt >= k:
+                break
+            k = nxt
+    return k if k ** n == m else None
+
+
 def _fraction_root(x: Fraction, n: int) -> Optional[Fraction]:
+    """The rational n-th root of x when it exists, else None."""
     if x < 0:
         if n % 2 == 0:
             return None
         r = _fraction_root(-x, n)
         return None if r is None else -r
-    num, den = x.numerator, x.denominator
-
-    def iroot(m: int) -> Optional[int]:
-        if m == 0:
-            return 0
-        k = round(m ** (1.0 / n))
-        for cand in (k - 1, k, k + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
-
-    a, b = iroot(num), iroot(den)
+    a, b = _integer_root(x.numerator, n), _integer_root(x.denominator, n)
     if a is None or b is None:
         return None
     return Fraction(a, b)

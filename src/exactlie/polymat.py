@@ -5,7 +5,9 @@ ring arithmetic and truthiness).  Characteristic polynomials come from the
 Faddeev-LeVerrier recurrence, which divides only by integers and is
 therefore exact over Q; the cofactor determinant is kept as an independent
 cross-check for small sizes.  Row reduction, kernels and linear solving are
-implemented for Scalar entries only.
+implemented for Scalar entries only: rref works on sparse rows (column ->
+nonzero entry), and rank, nullspace, solve_linear and invert each run one
+rref.
 """
 
 from __future__ import annotations
@@ -360,32 +362,44 @@ def exp_nilpotent(matrix: PolyMatrix) -> PolyMatrix:
 
 def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
     """Reduced row echelon form over Q(sqrt2) with the pivot columns.
-    Deterministic: first nonzero entry in column order is the pivot."""
-    rows = [list(r) for r in matrix.rows]
+    Deterministic: first nonzero entry in column order is the pivot.
+
+    Rows are held sparse, as column -> nonzero Scalar dicts.  Each pivot
+    step touches only the rows with an entry in the pivot column, and only
+    at the pivot row's nonzero columns; entries that cancel are dropped.
+    The reduced form is unique, so the result equals the dense one."""
+    rows = [{j: x for j, x in enumerate(r) if x} for r in matrix.rows]
     n = len(rows)
-    m = len(rows[0]) if rows else 0
+    m = matrix.ncols
     pivots: List[int] = []
     r = 0
     for c in range(m):
-        pivot_row = None
-        for i in range(r, n):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, n) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r] = {j: x * inv for j, x in rows[r].items()}
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, x in prow.items():
+                v = row.get(j)
+                if v is None:
+                    row[j] = -(f * x)
+                else:
+                    v = v - f * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
         pivots.append(c)
         r += 1
         if r == n:
             break
-    return PolyMatrix(rows), pivots
+    zero = Scalar(0)
+    return PolyMatrix([[row.get(j, zero) for j in range(m)] for row in rows]), pivots
 
 
 def rank(matrix: PolyMatrix) -> int:
@@ -393,20 +407,28 @@ def rank(matrix: PolyMatrix) -> int:
     return len(pivots)
 
 
-def nullspace(matrix: PolyMatrix) -> List[List[Scalar]]:
-    """Basis of the right kernel, one vector per free column, in column
-    order (deterministic)."""
-    R, pivots = rref(matrix)
-    m = matrix.ncols
-    free = [c for c in range(m) if c not in pivots]
+def _kernel_basis(R: PolyMatrix, pivots: List[int], m: int) -> List[List[Scalar]]:
+    """Kernel basis of the first m columns read off a reduced row echelon
+    form whose pivots all lie in those columns: one vector per free column,
+    in column order."""
+    pivot_set = set(pivots)
     basis: List[List[Scalar]] = []
-    for fc in free:
+    for fc in range(m):
+        if fc in pivot_set:
+            continue
         v = [Scalar(0)] * m
         v[fc] = Scalar(1)
         for r_i, pc in enumerate(pivots):
             v[pc] = -R.rows[r_i][fc]
         basis.append(v)
     return basis
+
+
+def nullspace(matrix: PolyMatrix) -> List[List[Scalar]]:
+    """Basis of the right kernel, one vector per free column, in column
+    order (deterministic)."""
+    R, pivots = rref(matrix)
+    return _kernel_basis(R, pivots, matrix.ncols)
 
 
 @dataclass
@@ -418,7 +440,12 @@ class LinearSolution:
 def solve_linear(matrix: PolyMatrix, rhs: Sequence) -> Optional[LinearSolution]:
     """Solve A x = b over Q(sqrt2).  Returns None when the system is
     inconsistent (a value, not an exception: downstream searches treat "no
-    solution" as an answer)."""
+    solution" as an answer).
+
+    One elimination: [A | b] is reduced once.  When the system is
+    consistent no pivot lies in the b column, so the left block of
+    rref([A | b]) is rref(A), and both the particular solution and the
+    kernel basis are read off that one result."""
     b = [_coerce_entry(x) for x in rhs]
     if len(b) != matrix.nrows:
         raise ValueError("rhs length mismatch")
@@ -430,7 +457,7 @@ def solve_linear(matrix: PolyMatrix, rhs: Sequence) -> Optional[LinearSolution]:
     particular = [Scalar(0)] * m
     for r_i, pc in enumerate(pivots):
         particular[pc] = R.rows[r_i][m]
-    return LinearSolution(particular=particular, homogeneous=nullspace(matrix))
+    return LinearSolution(particular=particular, homogeneous=_kernel_basis(R, pivots, m))
 
 
 def invert(matrix: PolyMatrix) -> PolyMatrix:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactlie import polymat
 from exactlie.elim import (
     eliminate_triangular,
     ideal_membership_bounded,
@@ -295,6 +296,173 @@ def test_exp_nilpotent_inverse():
     assert e * einv == PolyMatrix.identity(3)
     with pytest.raises(ValueError):
         exp_nilpotent(PolyMatrix([[1]]))
+
+
+# ---------------------------------------------------------------------------
+# row reduction against a dense reference
+# ---------------------------------------------------------------------------
+
+
+def dense_rref_reference(matrix):
+    """Plain dense Gauss-Jordan over Q(sqrt2): every entry of every touched
+    row is updated.  The reduced form is unique, so rref must equal it."""
+    rows = [list(r) for r in matrix.rows]
+    pivots = []
+    r = 0
+    for c in range(matrix.ncols):
+        found = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not found:
+            continue
+        rows[r], rows[found[0]] = rows[found[0]], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return PolyMatrix(rows), pivots
+
+
+def random_sqrt2_matrix(rng, n, m, density=0.5):
+    def entry():
+        if rng.random() > density:
+            return Scalar(0)
+        r1 = rng.choice((0, 0, rng.randint(-2, 2)))
+        return Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), r1)
+
+    return PolyMatrix([[entry() for _ in range(m)] for _ in range(n)])
+
+
+def kernel_test_matrices(seed, count=48):
+    """Seeded Q(sqrt2) matrices: tall, wide, with a zero row and a zero
+    column, and rank-deficient products, plus fixed edge cases."""
+    rng = random.Random(seed)
+    out = [
+        PolyMatrix([]),
+        PolyMatrix([[0, 0, 0], [0, 0, 0]]),
+        PolyMatrix([[Scalar(0, 1)]]),
+        PolyMatrix([[1, Scalar(0, 1)], [Scalar(0, 1), 2]]),  # rank 1
+    ]
+    for k in range(count):
+        lo, hi = sorted((rng.randint(1, 6), rng.randint(1, 6)))
+        kind = k % 4
+        if kind == 0:
+            a = random_sqrt2_matrix(rng, hi + 2, lo)
+        elif kind == 1:
+            a = random_sqrt2_matrix(rng, lo, hi + 2)
+        elif kind == 2:
+            rows = [list(r) for r in random_sqrt2_matrix(rng, hi + 1, hi + 1).rows]
+            zi, zj = rng.randrange(hi + 1), rng.randrange(hi + 1)
+            rows[zi] = [Scalar(0)] * (hi + 1)
+            for row in rows:
+                row[zj] = Scalar(0)
+            a = PolyMatrix(rows)
+        else:
+            inner = max(1, lo - 1)
+            a = random_sqrt2_matrix(rng, hi + 1, inner, 0.8) * random_sqrt2_matrix(
+                rng, inner, hi + 2, 0.8
+            )
+        out.append(a)
+    return out
+
+
+def column(values):
+    return PolyMatrix([[v] for v in values])
+
+
+def test_rref_matches_dense_reference():
+    for a in kernel_test_matrices(seed=31):
+        got, pivots = rref(a)
+        want, want_pivots = dense_rref_reference(a)
+        assert pivots == want_pivots
+        assert (got.nrows, got.ncols) == (a.nrows, a.ncols)
+        assert got == want
+        assert rank(a) == len(pivots)
+
+
+def test_solve_linear_reads_kernel_from_one_elimination(monkeypatch):
+    calls = []
+    inner = polymat.rref
+
+    def counted(matrix):
+        calls.append(matrix.ncols)
+        return inner(matrix)
+
+    monkeypatch.setattr(polymat, "rref", counted)
+    rng = random.Random(37)
+    for a in kernel_test_matrices(seed=37):
+        if not a.nrows:
+            continue
+        x = [Scalar(rng.randint(-3, 3), rng.choice((0, 1))) for _ in range(a.ncols)]
+        b = [(a * column(x)).entry(i, 0) for i in range(a.nrows)]
+        kernel = nullspace(a)
+        calls.clear()
+        sol = solve_linear(a, b)
+        assert calls == [a.ncols + 1]  # one rref, of [A | b]
+        assert sol is not None
+        assert sol.homogeneous == kernel
+        assert a * column(sol.particular) == column(b)
+        for v in kernel:
+            assert (a * column(v)).is_zero()
+        assert len(kernel) == a.ncols - rank(a)
+
+
+def test_solve_linear_inconsistent_returns_none():
+    inconsistent = 0
+    for a in kernel_test_matrices(seed=41):
+        if not a.nrows:
+            continue
+        # y in the left kernel is outside the column space: A x = y would
+        # give y.y = y.(A x) = 0, but y.y > 0 for real y != 0
+        for y in nullspace(a.transpose())[:1]:
+            assert solve_linear(a, y) is None
+            inconsistent += 1
+    assert inconsistent > 20
+
+
+def test_invert_random_invertible():
+    rng = random.Random(43)
+    for n in range(1, 7):
+        # unit lower times upper with nonzero diagonal: invertible by
+        # construction, and generally dense
+        lower = [[Scalar(1) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+        upper = [[Scalar(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                value = Scalar(rng.randint(-3, 3), rng.choice((0, 0, 1, -1)))
+                if j < i:
+                    lower[i][j] = value
+                elif j > i:
+                    upper[i][j] = value
+            upper[i][i] = Scalar(rng.choice((1, 2, -3)), rng.choice((0, 1)))
+        a = PolyMatrix(lower) * PolyMatrix(upper)
+        inv = invert(a)
+        assert a * inv == PolyMatrix.identity(n)
+        assert inv * a == PolyMatrix.identity(n)
+    with pytest.raises(ValueError):
+        invert(PolyMatrix([[1, Scalar(0, 1)], [Scalar(0, 1), 2]]))
+
+
+def test_rref_agrees_with_sympy_on_rational_matrices():
+    sympy = pytest.importorskip("sympy")
+    for a in kernel_test_matrices(seed=47):
+        if not a.nrows:
+            continue
+        rational = a.map_entries(lambda x: Scalar(x.r0))
+        got, pivots = rref(rational)
+        theirs, their_pivots = sympy.Matrix(
+            a.nrows, a.ncols,
+            lambda i, j: sympy.Rational(
+                rational.entry(i, j).r0.numerator, rational.entry(i, j).r0.denominator
+            ),
+        ).rref()
+        assert tuple(pivots) == their_pivots
+        for i in range(a.nrows):
+            for j in range(a.ncols):
+                q = theirs[i, j]
+                assert got.entry(i, j) == Scalar(Fraction(int(q.p), int(q.q)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from exactlie.g2 import (
     VARS7,
     VARS8,
     G2Elt,
+    _fraction_root,
     chi2_closed,
     chi6_closed,
     chi6_identity_scan,
@@ -40,6 +41,7 @@ from exactlie.g2 import (
     slice_relations,
     slice_structure_check,
 )
+from exactlie.elim import ideal_membership_bounded
 from exactlie.mpoly import MPoly
 from exactlie.polymat import PolyMatrix, charpoly, det_cofactor, rank
 from exactlie.scalar import Scalar
@@ -206,6 +208,52 @@ def test_singular_locus_certificates_reconstruct_partials():
         for h, g in zip(cert.cofactors, gens):
             total = total + h * g
         assert total == f.derivative(var)
+
+
+def test_reverse_singular_locus_certificates():
+    # forward certificates give V(relations) in Sing(f); these give the
+    # reverse inclusion, so Sing(f) = V(relations), a set larger than the
+    # vertex
+    f = example_f()
+    partials = [f.derivative(v) for v in VARS7]
+    weights = {n: SLICE_DEGREES[n] for n in VARS7}
+    least = min(p.quasi_homogeneous_degree(weights) for p in partials)
+    assert least == 9
+    rel = slice_relations(VARS7)
+    for name in ("t1", "t2", "t3", "z1", "z2"):
+        cube = rel[name] ** 3
+        bound = cube.quasi_homogeneous_degree(weights) - least
+        cert = ideal_membership_bounded(cube, partials, weights, bound)
+        assert cert is not None, name
+        total = MPoly.zero(VARS7)
+        for h, g in zip(cert.cofactors, partials):
+            total = total + h * g
+        assert total == cube
+        # everything is quasi-homogeneous, so this graded bound is
+        # complete: no square of a relation is in the Jacobian ideal
+        square = rel[name] ** 2
+        bound = square.quasi_homogeneous_degree(weights) - least
+        assert ideal_membership_bounded(square, partials, weights, bound) is None
+    # a point of Sing(f) = V(relations) other than the vertex
+    values = (Fraction(-2, 3), -1, -2, 0, Fraction(1, 3), 1, 2)
+    point = {v: Scalar(x) for v, x in zip(VARS7, values)}
+    assert not f.evaluate(point)
+    assert not any(p.evaluate(point) for p in partials)
+    assert not any(r.evaluate(point) for r in rel.values())
+
+
+def test_fraction_root_is_exact():
+    # integers far beyond float range, where a float estimate of the root
+    # misses (10^40 + 1) or overflows (10^400)
+    assert _fraction_root(Fraction((10 ** 40 + 1) ** 3), 3) == 10 ** 40 + 1
+    assert _fraction_root(Fraction(10 ** 400), 2) == 10 ** 200
+    assert _fraction_root(Fraction(8, 27 * 10 ** 300), 3) == Fraction(2, 3 * 10 ** 100)
+    assert _fraction_root(Fraction(2), 2) is None
+    assert _fraction_root(Fraction(10 ** 40 + 1), 3) is None
+    assert _fraction_root(Fraction(9, 2), 2) is None
+    assert _fraction_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
+    assert _fraction_root(Fraction(-4), 2) is None
+    assert _fraction_root(Fraction(0), 3) == 0
 
 
 def test_s3_model_frozen_and_relations_vanish():
