@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from . import liealg
+
 Partition = Tuple[int, ...]
 
 _RANK_RANGE = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None)}
@@ -56,13 +58,6 @@ def _normalize(d: Sequence[int]) -> Partition:
     return tuple(parts)
 
 
-def _multiplicities(d: Partition) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for x in d:
-        out[x] = out.get(x, 0) + 1
-    return out
-
-
 def valid_partition(family: str, n: int, d: Sequence[int]) -> bool:
     """Does d label a nilpotent orbit of the rank-n algebra?
 
@@ -70,25 +65,16 @@ def valid_partition(family: str, n: int, d: Sequence[int]) -> bool:
     C: partition of 2n, odd parts with even multiplicity.
     A: any partition of n+1.  D: partition of 2n, even parts with even
     multiplicity (a very even partition labels two orbits at once).
+    These are the Jordan types of sl(n+1), so(2n+1), sp(2n) and so(2n).
     """
     parts = _normalize(d)
-    total = sum(parts)
-    mult = _multiplicities(parts)
-    if family == "A":
-        return total == n + 1
-    if family == "B":
-        return total == 2 * n + 1 and all(
-            m % 2 == 0 for x, m in mult.items() if x % 2 == 0
-        )
-    if family == "C":
-        return total == 2 * n and all(
-            m % 2 == 0 for x, m in mult.items() if x % 2 == 1
-        )
-    if family == "D":
-        return total == 2 * n and all(
-            m % 2 == 0 for x, m in mult.items() if x % 2 == 0
-        )
-    raise ValueError(f"no partition labels in family {family}")
+    algebras = {
+        "A": ("sl", n + 1), "B": ("so", 2 * n + 1),
+        "C": ("sp", 2 * n), "D": ("so", 2 * n),
+    }
+    if family not in algebras:
+        raise ValueError(f"no partition labels in family {family}")
+    return liealg.valid_partition(*algebras[family], parts)
 
 
 def valid_partitions(family: str, n: int) -> List[Partition]:

@@ -2,9 +2,20 @@
 
 Subcommands expose the derivation pipelines (slice, g2, f4, dualpair),
 the orbit classifier, and an aggregate `check` that reruns every
-verification suite.  Output is deterministic for fixed flags and seed;
-exit code 0 means every check passed, 1 flags an identity violation,
-2 flags invalid input.
+verification suite.
+
+Every check is declared once, as a row (name in its subcommand report or
+None, name in `exactlie check` or None, verifier).  A verifier returns its
+detail text, or raises AssertionError/ValueError when its identity fails;
+`_run` turns the rows named in one column into records.  A subcommand
+validates its input, runs its rows and adds its results; `check` runs the
+check column of each suite in `SUITES`, one suite at a time.
+
+Output is deterministic for fixed flags and seed; exit code 0 means every
+check passed, 1 flags an identity violation, 2 flags invalid input, and 3
+an internal error: a verifier raised any other exception (the check is
+recorded with status "error" and the run goes on), or a subcommand failed
+outside any check (`error: internal: ...` on stderr).
 """
 
 from __future__ import annotations
@@ -13,33 +24,29 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from random import Random
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import classify as cls
 from . import dualpair as dp
 from . import f4 as f4mod
 from . import g2 as g2mod
-from .liealg import standard_form
 from .mpoly import MPoly
 from .polymat import (
-    PolyMatrix,
-    charpoly_coefficients,
-    det_cofactor,
-    determinant,
-    pfaffian,
+    PolyMatrix, charpoly_coefficients, det_cofactor, determinant, pfaffian,
 )
 from .scalar import Scalar
 from .slicegeom import (
-    HOOK_VARS,
-    derived_hook_f,
-    expected_hook_f,
-    hook_factorization,
-    hook_pipeline,
+    HOOK_VARS, derived_hook_f, expected_hook_f, hook_factorization, hook_pipeline,
     normalize_to_hook_form,
 )
 
 SCHEMA_VERSION = 1
+
+# (name in the subcommand report, name in `exactlie check`, verifier)
+Row = Tuple[Optional[str], Optional[str], Callable[[], object]]
+SUB, CHECK = 0, 1
 
 
 def _jsonable(value):
@@ -56,35 +63,49 @@ def _jsonable(value):
     return value
 
 
-def _check(name: str, passed: bool, detail: str = "") -> Dict[str, str]:
-    return {"name": name, "status": "pass" if passed else "fail", "detail": detail}
+def _check(name: str, status: str, detail: str) -> Dict[str, str]:
+    return {"name": name, "status": status, "detail": detail}
 
 
-def _run_check(name: str, fn) -> Dict[str, str]:
-    """Turn an exception-raising verifier into a pass/fail record."""
-    try:
-        detail = fn()
-    except (AssertionError, ValueError) as exc:
-        return _check(name, False, str(exc))
-    return _check(name, True, "" if detail is None else str(detail))
+def _expect(passed: bool, detail: str = "") -> str:
+    """Verifier body of a predicate check: the detail, or AssertionError."""
+    if not passed:
+        raise AssertionError(detail)
+    return detail
 
 
-def _report(command: str, inputs: Dict, results: Dict, checks: List[Dict]) -> Dict:
-    return {
+def _run(rows: Iterable[Row], column: int) -> List[Dict[str, str]]:
+    """One record per row named in `column`, in row order; a verifier runs
+    only when its row is named there."""
+    records = []
+    for row in rows:
+        if row[column] is None:
+            continue
+        try:
+            status, detail = "pass", row[2]()
+        except (AssertionError, ValueError) as exc:
+            status, detail = "fail", exc
+        except Exception as exc:
+            status, detail = "error", f"{type(exc).__name__}: {exc}"
+        detail = "" if detail is None else str(detail)
+        records.append(_check(row[column], status, detail))
+    return records
+
+
+def _emit(args, command: str, inputs: Dict, results: Dict, checks: List[Dict]) -> int:
+    statuses = {c["status"] for c in checks}
+    report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": _jsonable(inputs),
         "results": _jsonable(results),
         "checks": checks,
-        "exit_code": 0 if all(c["status"] == "pass" for c in checks) else 1,
+        "exit_code": 3 if "error" in statuses else int("fail" in statuses),
     }
-
-
-def _emit(report: Dict, emit: str) -> int:
-    if emit == "json":
+    if args.emit == "json":
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
-        print(f"command: {report['command']}")
+        print(f"command: {command}")
         for key in sorted(report["inputs"]):
             print(f"input {key}: {report['inputs'][key]}")
         for key in sorted(report["results"]):
@@ -92,7 +113,7 @@ def _emit(report: Dict, emit: str) -> int:
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True, separators=(",", ":"))
             print(f"result {key}: {value}")
-        for check in report["checks"]:
+        for check in checks:
             suffix = f" ({check['detail']})" if check["detail"] else ""
             print(f"check {check['name']}: {check['status']}{suffix}")
         print(f"exit: {report['exit_code']}")
@@ -117,8 +138,35 @@ def _parse_partition(text: str) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# slice
+# hook slice: `slice` and the hook suite
 # ---------------------------------------------------------------------------
+
+
+def _printed_form(f: MPoly, n: int) -> str:
+    difference = f - expected_hook_f(n)
+    if not difference.is_zero():
+        raise AssertionError(f"difference {difference.to_text()}")
+    return ""
+
+
+def _hook_rows(n: int, f: MPoly) -> List[Row]:
+    def factorization(detail: str):
+        return lambda: hook_factorization(n) and detail
+
+    return [
+        ("derived-form", None, lambda: _expect(f == derived_hook_f(n))),
+        ("printed-reference-match", f"hook-n{n}-printed-form",
+         lambda: _printed_form(f, n)),
+        ("factorization", None, factorization(f"degree split checked at n={n}")),
+        (None, f"hook-n{n}-factorization", factorization("ok")),
+        ("normal-form", f"hook-n{n}-normal-form",
+         lambda: f"unit {normalize_to_hook_form(f, n).unit}"),
+    ]
+
+
+def _hook_suite(args) -> Iterable[Row]:
+    # a generator, so that one pipeline result is alive at a time
+    return (row for n in (2, 3, 4, 5) for row in _hook_rows(n, hook_pipeline(n).f))
 
 
 def cmd_slice(args) -> int:
@@ -134,39 +182,48 @@ def cmd_slice(args) -> int:
             f"expected the hook orbit {[2 * n - 2, 1, 1]} for sp_{2 * n}, got {orbit}"
         )
     hyp = hook_pipeline(n)
-    reference = expected_hook_f(n)
-    difference = hyp.f - reference
-    checks = [
-        _check("derived-form", hyp.f == derived_hook_f(n)),
-        _check(
-            "printed-reference-match",
-            difference.is_zero(),
-            "" if difference.is_zero() else f"difference {difference.to_text()}",
-        ),
-        _run_check(
-            "factorization",
-            lambda: hook_factorization(n) and f"degree split checked at n={n}",
-        ),
-        _run_check(
-            "normal-form",
-            lambda: f"unit {normalize_to_hook_form(hyp.f, n).unit}",
-        ),
-    ]
     results = {
         "f": hyp.f,
-        "eliminations": {k: v for k, v in hyp.eliminations.items()},
+        "eliminations": dict(hyp.eliminations),
         "vars": list(HOOK_VARS),
         "charpoly": hyp.invariants.charpoly,
     }
-    return _emit(
-        _report("slice", {"algebra": "sp", "rank": n, "orbit": orbit}, results, checks),
-        args.emit,
-    )
+    inputs = {"algebra": "sp", "rank": n, "orbit": orbit}
+    return _emit(args, "slice", inputs, results, _run(_hook_rows(n, hyp.f), SUB))
 
 
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
+
+
+def _classify_suite(args) -> List[Row]:
+    def star_iff_b2_rank():
+        return _expect(all(
+            row["star"] == (row["b2"] == n)
+            for fam, lo in (("B", 2), ("C", 2), ("D", 3))
+            for n in range(lo, 7)
+            for row in cls.enumerate_orbits(fam, n)
+        ))
+
+    def monotonicity():
+        mono = all(
+            cls.monotonicity_check(fam, n) >= 0 for fam in "BC" for n in range(2, 7)
+        )
+        return _expect(mono and cls.monotonicity_check("G", 2) == 3)
+
+    def dominance():
+        total = sum(cls.dominance_axioms_check(m)["partitions"] for m in range(1, 17))
+        return f"{total} partitions"
+
+    return [
+        (None, "classify-exception-sets-n-le-8", lambda: _expect(all(
+            cls.exception_set_matches(fam, n) for fam in "BC" for n in range(2, 9)
+        ))),
+        (None, "classify-star-iff-b2-rank", star_iff_b2_rank),
+        (None, "classify-monotonicity", monotonicity),
+        (None, "classify-dominance-axioms", dominance),
+    ]
 
 
 def _parse_orbit_label(family: str, rank: int, text: str) -> cls.OrbitLabel:
@@ -182,32 +239,17 @@ def cmd_classify(args) -> int:
             table = cls.enumerate_orbits(family, rank)
         except ValueError as exc:
             return _fail_input(str(exc))
-        checks = [
-            _check(
-                "star-iff-b2-equals-rank",
-                all(row["star"] == (row["b2"] == rank) for row in table),
-            )
-        ]
+        rows = [("star-iff-b2-equals-rank", None,
+                 lambda: _expect(all(r["star"] == (r["b2"] == rank) for r in table)))]
         if family in ("B", "C"):
-            checks.append(
-                _check(
-                    "exception-set-closed-form", cls.exception_set_matches(family, rank)
-                )
-            )
-        return _emit(
-            _report(
-                "classify",
-                {"algebra": family, "rank": rank, "enumerate": True},
-                {"table": table},
-                checks,
-            ),
-            args.emit,
-        )
+            rows.append(("exception-set-closed-form", None,
+                         lambda: _expect(cls.exception_set_matches(family, rank))))
+        inputs = {"algebra": family, "rank": rank, "enumerate": True}
+        return _emit(args, "classify", inputs, {"table": table}, _run(rows, SUB))
     if not args.orbit:
         return _fail_input("need --orbit or --enumerate")
     try:
-        label = _parse_orbit_label(family, rank, args.orbit)
-        verdict = cls.classify(label)
+        verdict = cls.classify(_parse_orbit_label(family, rank, args.orbit))
     except ValueError as exc:
         return _fail_input(str(exc))
     results = {
@@ -216,16 +258,10 @@ def cmd_classify(args) -> int:
         "subregular_singularity": verdict.subregular_singularity,
         "notes": list(verdict.notes),
     }
-    checks = [_check("star-iff-b2-equals-rank", verdict.star == (verdict.b2 == rank))]
-    return _emit(
-        _report(
-            "classify",
-            {"algebra": family, "rank": rank, "orbit": args.orbit},
-            results,
-            checks,
-        ),
-        args.emit,
-    )
+    rows = [("star-iff-b2-equals-rank", None,
+             lambda: _expect(verdict.star == (verdict.b2 == rank)))]
+    inputs = {"algebra": family, "rank": rank, "orbit": args.orbit}
+    return _emit(args, "classify", inputs, results, _run(rows, SUB))
 
 
 # ---------------------------------------------------------------------------
@@ -233,67 +269,64 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_g2(args) -> int:
-    if args.action != "verify":
-        return _fail_input(f"unknown g2 action {args.action!r}")
-    bound = args.degree_bound or 8
-    checks = [
-        _run_check("jacobi-identity", lambda: f"{g2mod.jacobi_full()} triples"),
-        _run_check(
-            "embedding-homomorphism",
-            lambda: f"{g2mod.embedding_homomorphism_full()} pairs",
-        ),
-        _run_check("invariant-form-line", lambda: "1-dimensional"
-                   if g2mod.invariant_form() is not None else ""),
-        _run_check(
-            "slice-structure",
-            lambda: json.dumps(g2mod.slice_structure_check(), sort_keys=True),
-        ),
-        _run_check(
-            "chi2-closed-form",
-            lambda: g2mod.slice_invariants() and "chi2 = -2(u - 3/4(ac - b^2))",
-        ),
-        _run_check(
-            "chi6-identity-reading",
-            lambda: "reading (t4, t5) -> ({}, {})".format(*g2mod.chi6_identity_scan()),
-        ),
-        _run_check(
-            "invariant-crosscheck", lambda: f"{g2mod.chi_crosscheck(200, args.seed)} samples"
-        ),
-    ]
-    f = g2mod.g2_hypersurface()
-    expected = g2mod.example_f()
-    checks.append(_check("hypersurface-equals-printed-f", f == expected))
+def _degree_bound(args) -> int:
+    return 8 if args.degree_bound is None else args.degree_bound
+
+
+def _g2_rows(f: MPoly, seed: int, bound: int) -> List[Row]:
     weights = {v: g2mod.SLICE_DEGREES[v] for v in g2mod.VARS7}
-    checks.append(
-        _check("quasi-homogeneous-degree-12", f.quasi_homogeneous_degree(weights) == 12)
-    )
-    certs = None
 
-    def run_certs():
-        nonlocal certs
-        certs = g2mod.singular_locus_certificates(bound=bound)
-        return f"bound {max(c.bound for c in certs.values())} for 7 partials"
+    def chi6():
+        return "({}, {})".format(*g2mod.chi6_identity_scan())
 
-    checks.append(_run_check("singular-locus-certificates", run_certs))
-    checks.append(
-        _run_check(
-            "s3-invariant-model",
-            lambda: ", ".join(
-                f"{k}={v}" for k, v in sorted(g2mod.s3_invariant_model().items())
-            ),
-        )
-    )
+    def certificates():
+        return g2mod.singular_locus_certificates(bound=bound)
+
+    def s3_model():
+        model = g2mod.s3_invariant_model()
+        return ", ".join(f"{k}={v}" for k, v in sorted(model.items()))
+
+    return [
+        ("jacobi-identity", "g2-jacobi", lambda: f"{g2mod.jacobi_full()} triples"),
+        ("embedding-homomorphism", "g2-embedding",
+         lambda: f"{g2mod.embedding_homomorphism_full()} pairs"),
+        ("invariant-form-line", None,
+         lambda: "1-dimensional" if g2mod.invariant_form() is not None else ""),
+        ("slice-structure", "g2-slice-structure",
+         lambda: json.dumps(g2mod.slice_structure_check(), sort_keys=True)),
+        ("chi2-closed-form", None,
+         lambda: g2mod.slice_invariants() and "chi2 = -2(u - 3/4(ac - b^2))"),
+        ("chi6-identity-reading", None, lambda: f"reading (t4, t5) -> {chi6()}"),
+        (None, "g2-chi6-reading", chi6),
+        ("invariant-crosscheck", None,
+         lambda: f"{g2mod.chi_crosscheck(200, seed)} samples"),
+        ("hypersurface-equals-printed-f", "g2-hypersurface",
+         lambda: _expect(f == g2mod.example_f())),
+        ("quasi-homogeneous-degree-12", "g2-quasi-homogeneous-12",
+         lambda: _expect(f.quasi_homogeneous_degree(weights) == 12)),
+        ("singular-locus-certificates", None, lambda: "bound {} for 7 partials".format(
+            max(c.bound for c in certificates().values()))),
+        (None, "g2-singular-locus", lambda: "7 certificates" if certificates() else ""),
+        ("s3-invariant-model", "g2-s3-model", s3_model),
+    ]
+
+
+def _g2_suite(args) -> List[Row]:
+    return _g2_rows(g2mod.g2_hypersurface(), args.seed, _degree_bound(args))
+
+
+def cmd_g2(args) -> int:
+    bound = _degree_bound(args)
+    f = g2mod.g2_hypersurface()
+    checks = _run(_g2_rows(f, args.seed, bound), SUB)
     results = {
         "f": f,
         "relations": g2mod.slice_relations(g2mod.VARS7),
         "chi6_reading": list(g2mod.CHI6_READING),
         "s3_model": g2mod.s3_invariant_model(),
     }
-    return _emit(
-        _report("g2", {"action": "verify", "degree_bound": bound}, results, checks),
-        args.emit,
-    )
+    inputs = {"action": "verify", "degree_bound": bound}
+    return _emit(args, "g2", inputs, results, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -301,52 +334,114 @@ def cmd_g2(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_f4(args) -> int:
-    if args.action == "betti":
-        report = f4mod.f4_betti_subsubregular()
-        checks = [
-            _check("two-invariant-hyperplanes", len(report["components"]) == 2),
-            _check("b2-is-4", report["b2"] == 4),
-        ]
-        results = {"b2": report["b2"], "decomposition": report["decomposition"]}
-        return _emit(_report("f4", {"action": "betti"}, results, checks), args.emit)
-    if args.action != "verify":
-        return _fail_input(f"unknown f4 action {args.action!r}")
-    system = f4mod.f4_roots()
-    graded = f4mod.f4_grading(system)
-    checks = [
-        _check("48-roots", len(system.roots) == 48),
-        _check("24-positive", len(system.positives()) == 24),
-        _check("highest-root", f4mod.highest_root(system) == (2, 3, 4, 2)),
-        _run_check(
-            "reflection-closure",
-            lambda: f"{f4mod.reflection_closure_check(system)} pairs",
-        ),
-        _check("grade-0-dim-8", graded.dims[0] == 8),
-        _check("grade-2-dim-8", graded.dims[2] == 8),
-        _run_check("grade-2-arrows", lambda: f4mod.grade2_arrows(system) and "5+3"),
-        _check("biweights-match-module", f4mod.biweight_multisets_match()),
-        _run_check(
-            "invariant-hyperplanes",
-            lambda: ", ".join(
-                str(h["bidegree"]) for h in f4mod.f4_invariant_hyperplanes()
-            ),
-        ),
-        _run_check(
-            "orbit-dimension",
-            lambda: json.dumps(f4mod.orbit_dimension_check(), sort_keys=True),
-        ),
+def _f4_rows(system, dims: Dict[int, int]) -> List[Row]:
+    return [
+        ("48-roots", "f4-48-roots", lambda: _expect(len(system.roots) == 48)),
+        ("24-positive", None, lambda: _expect(len(system.positives()) == 24)),
+        ("highest-root", None,
+         lambda: _expect(f4mod.highest_root(system) == (2, 3, 4, 2))),
+        ("reflection-closure", None,
+         lambda: f"{f4mod.reflection_closure_check(system)} pairs"),
+        ("grade-0-dim-8", None, lambda: _expect(dims[0] == 8)),
+        ("grade-2-dim-8", None, lambda: _expect(dims[2] == 8)),
+        (None, "f4-grading-dims", lambda: _expect(dims[0] == 8 and dims[2] == 8)),
+        ("grade-2-arrows", None, lambda: f4mod.grade2_arrows(system) and "5+3"),
+        ("biweights-match-module", None,
+         lambda: _expect(f4mod.biweight_multisets_match())),
+        ("invariant-hyperplanes", "f4-hyperplanes", lambda: ", ".join(
+            str(h["bidegree"]) for h in f4mod.f4_invariant_hyperplanes())),
+        ("orbit-dimension", None,
+         lambda: json.dumps(f4mod.orbit_dimension_check(), sort_keys=True)),
     ]
+
+
+def _f4_betti_rows(betti: Dict) -> List[Row]:
+    return [
+        ("two-invariant-hyperplanes", None,
+         lambda: _expect(len(betti["components"]) == 2)),
+        ("b2-is-4", None, lambda: _expect(betti["b2"] == 4)),
+        (None, "f4-betti-2+1+1",
+         lambda: _expect(betti["b2"] == 4 and betti["decomposition"] == "2+1+1")),
+    ]
+
+
+def _f4_suite(args) -> List[Row]:
+    system = f4mod.f4_roots()
+    dims = f4mod.f4_grading(system).dims
+    return _f4_rows(system, dims) + _f4_betti_rows(f4mod.f4_betti_subsubregular())
+
+
+def cmd_f4(args) -> int:
+    inputs = {"action": args.action}
+    if args.action == "betti":
+        betti = f4mod.f4_betti_subsubregular()
+        results = {"b2": betti["b2"], "decomposition": betti["decomposition"]}
+        return _emit(args, "f4", inputs, results, _run(_f4_betti_rows(betti), SUB))
+    system = f4mod.f4_roots()
+    dims = f4mod.f4_grading(system).dims
+    checks = _run(_f4_rows(system, dims), SUB)
     results = {
-        "dims": {str(k): v for k, v in sorted(graded.dims.items())},
+        "dims": {str(k): v for k, v in sorted(dims.items())},
         "betti": f4mod.f4_betti_subsubregular()["b2"],
     }
-    return _emit(_report("f4", {"action": "verify"}, results, checks), args.emit)
+    return _emit(args, "f4", inputs, results, checks)
 
 
 # ---------------------------------------------------------------------------
 # dualpair
 # ---------------------------------------------------------------------------
+
+
+def _pf_locus_samples(cfg, samples: int, seed: int) -> str:
+    rng = Random(seed)
+    du, dv = 2 * cfg.n - 2, 2 * cfg.n
+    for _ in range(samples):
+        X = PolyMatrix([[rng.randint(-4, 4) for _ in range(dv)] for _ in range(du)])
+        if not dp.pfaffian_locus_check(cfg, X):
+            raise AssertionError("pfaffian locus violated")
+    return f"{samples} samples"
+
+
+def _moment(cfg) -> str:
+    return f"constant {dp.moment_identity_check(cfg)}"
+
+
+def _dualpair_rows(cfg, element, seed: int) -> List[Row]:
+    n, i = element.n, element.i
+    want_pi = (2 * n - i - 1,) if i == 1 else (2 * n - i - 1, i - 1)
+    witnessed = element.rho_type == (2 * n - i, i) and element.pi_type == want_pi
+    types = f"rho {list(element.rho_type)}, pi {list(element.pi_type)}"
+    rows = [
+        ("witness-jordan-types", None, lambda: _expect(witnessed, types)),
+        ("pfaffian-locus", None, lambda: _pf_locus_samples(cfg, 25, seed)),
+        ("equivariance", None,
+         lambda: f"{dp.equivariance_check(cfg, samples=5, seed=seed)} identities"),
+        ("rank-chains", None,
+         lambda: f"{dp.rank_chain_check(cfg, samples=10, seed=seed)} samples"),
+    ]
+    if n <= 4:
+        rows.append(("poisson-commutant", None,
+                     lambda: f"{dp.commutant_check(cfg)['pairs']} bracket pairs"))
+    if n <= 3:
+        rows.append(("moment-identity", None, lambda: _moment(cfg)))
+    return rows
+
+
+def _witness(n: int, i: int) -> str:
+    element = dp.kp_find_element(n, i)
+    return f"rho {list(element.rho_type)} pi {list(element.pi_type)}"
+
+
+def _dualpair_suite(args) -> Iterable[Row]:
+    for n, i in ((3, 3), (4, 3), (4, 1), (5, 5)):
+        yield (None, f"dualpair-witness-{n}-{i}", partial(_witness, n, i))
+    for n in (3, 4):
+        yield (None, f"dualpair-pf-locus-n{n}",
+               lambda n=n: _pf_locus_samples(dp.default_config(n), 100, args.seed))
+    for n in (2, 3, 4):
+        yield (None, f"dualpair-commutant-n{n}",
+               lambda n=n: f"{dp.commutant_check(dp.default_config(n))['pairs']} pairs")
+    yield (None, "dualpair-moment-identity", lambda: _moment(dp.default_config(3)))
 
 
 def cmd_dualpair(args) -> int:
@@ -356,223 +451,29 @@ def cmd_dualpair(args) -> int:
     if not (1 <= i <= n) or (i % 2 == 0 and i != n):
         return _fail_input("need 1 <= i <= n with i odd or i = n")
     cfg = dp.default_config(n)
+    inputs = {"n": n, "i": i, "seed": args.seed}
     try:
         element = dp.kp_find_element(n, i)
     except AssertionError as exc:
-        return _emit(
-            _report(
-                "dualpair",
-                {"n": n, "i": i, "seed": args.seed},
-                {},
-                [_check("witness-element", False, str(exc))],
-            ),
-            args.emit,
-        )
-    want_pi = (2 * n - i - 1,) if i == 1 else (2 * n - i - 1, i - 1)
-    checks = [
-        _check(
-            "witness-jordan-types",
-            element.rho_type == (2 * n - i, i) and element.pi_type == want_pi,
-            f"rho {list(element.rho_type)}, pi {list(element.pi_type)}",
-        ),
-        _run_check(
-            "pfaffian-locus",
-            lambda: f"{_pf_locus_samples(cfg, 25, args.seed)} samples",
-        ),
-        _run_check(
-            "equivariance",
-            lambda: f"{dp.equivariance_check(cfg, samples=5, seed=args.seed)} identities",
-        ),
-        _run_check(
-            "rank-chains",
-            lambda: f"{dp.rank_chain_check(cfg, samples=10, seed=args.seed)} samples",
-        ),
-    ]
-    if n <= 4:
-        checks.append(
-            _run_check(
-                "poisson-commutant",
-                lambda: f"{dp.commutant_check(cfg)['pairs']} bracket pairs",
-            )
-        )
-    if n <= 3:
-        checks.append(
-            _run_check(
-                "moment-identity",
-                lambda: f"constant {dp.moment_identity_check(cfg)}",
-            )
-        )
+        rows = [("witness-element", None, partial(_expect, False, str(exc)))]
+        return _emit(args, "dualpair", inputs, {}, _run(rows, SUB))
     results = {
         "X0": element.X,
         "rho_type": list(element.rho_type),
         "pi_type": list(element.pi_type),
         "moment_constant": dp.MOMENT_CONSTANT,
     }
-    return _emit(
-        _report("dualpair", {"n": n, "i": i, "seed": args.seed}, results, checks),
-        args.emit,
-    )
-
-
-def _pf_locus_samples(cfg, samples: int, seed: int) -> int:
-    rng = Random(seed)
-    for _ in range(samples):
-        X = PolyMatrix(
-            [
-                [rng.randint(-4, 4) for _ in range(2 * cfg.n)]
-                for _ in range(2 * cfg.n - 2)
-            ]
-        )
-        if not dp.pfaffian_locus_check(cfg, X):
-            raise AssertionError("pfaffian locus violated")
-    return samples
+    checks = _run(_dualpair_rows(cfg, element, args.seed), SUB)
+    return _emit(args, "dualpair", inputs, results, checks)
 
 
 # ---------------------------------------------------------------------------
-# check (all suites)
+# kernel suite
 # ---------------------------------------------------------------------------
 
 
-def _suite_hook(seed: int, bound: Optional[int]) -> List[Dict]:
-    checks = []
-    for n in (2, 3, 4, 5):
-        hyp = hook_pipeline(n)
-        difference = hyp.f - expected_hook_f(n)
-        checks.append(
-            _check(
-                f"hook-n{n}-printed-form",
-                difference.is_zero(),
-                "" if difference.is_zero() else f"difference {difference.to_text()}",
-            )
-        )
-        checks.append(
-            _run_check(f"hook-n{n}-factorization", lambda n=n: hook_factorization(n) and "ok")
-        )
-        checks.append(
-            _run_check(
-                f"hook-n{n}-normal-form",
-                lambda n=n, f=hyp.f: f"unit {normalize_to_hook_form(f, n).unit}",
-            )
-        )
-    return checks
-
-
-def _suite_g2(seed: int, bound: Optional[int]) -> List[Dict]:
-    bound = bound or 8
-    f = g2mod.g2_hypersurface()
-    weights = {v: g2mod.SLICE_DEGREES[v] for v in g2mod.VARS7}
-    return [
-        _run_check("g2-jacobi", lambda: f"{g2mod.jacobi_full()} triples"),
-        _run_check(
-            "g2-embedding", lambda: f"{g2mod.embedding_homomorphism_full()} pairs"
-        ),
-        _run_check(
-            "g2-slice-structure",
-            lambda: json.dumps(g2mod.slice_structure_check(), sort_keys=True),
-        ),
-        _run_check(
-            "g2-chi6-reading",
-            lambda: "({}, {})".format(*g2mod.chi6_identity_scan()),
-        ),
-        _check("g2-hypersurface", f == g2mod.example_f()),
-        _check("g2-quasi-homogeneous-12", f.quasi_homogeneous_degree(weights) == 12),
-        _run_check(
-            "g2-singular-locus",
-            lambda: "7 certificates"
-            if g2mod.singular_locus_certificates(bound=bound)
-            else "",
-        ),
-        _run_check(
-            "g2-s3-model",
-            lambda: ", ".join(
-                f"{k}={v}" for k, v in sorted(g2mod.s3_invariant_model().items())
-            ),
-        ),
-    ]
-
-
-def _suite_classify(seed: int, bound: Optional[int]) -> List[Dict]:
-    checks = []
-    ok = all(
-        cls.exception_set_matches(fam, n) for fam in ("B", "C") for n in range(2, 9)
-    )
-    checks.append(_check("classify-exception-sets-n-le-8", ok))
-    star_ok = True
-    for fam, lo in (("B", 2), ("C", 2), ("D", 3)):
-        for n in range(lo, 7):
-            for row in cls.enumerate_orbits(fam, n):
-                star_ok = star_ok and row["star"] == (row["b2"] == n)
-    checks.append(_check("classify-star-iff-b2-rank", star_ok))
-    mono = all(
-        cls.monotonicity_check(fam, n) >= 0 for fam in ("B", "C") for n in range(2, 7)
-    )
-    checks.append(
-        _check("classify-monotonicity", mono and cls.monotonicity_check("G", 2) == 3)
-    )
-    checks.append(
-        _run_check(
-            "classify-dominance-axioms",
-            lambda: f"{sum(cls.dominance_axioms_check(m)['partitions'] for m in range(1, 17))} partitions",
-        )
-    )
-    return checks
-
-
-def _suite_f4(seed: int, bound: Optional[int]) -> List[Dict]:
-    system = f4mod.f4_roots()
-    graded = f4mod.f4_grading(system)
-    betti = f4mod.f4_betti_subsubregular()
-    return [
-        _check("f4-48-roots", len(system.roots) == 48),
-        _check("f4-grading-dims", graded.dims[0] == 8 and graded.dims[2] == 8),
-        _run_check(
-            "f4-hyperplanes",
-            lambda: ", ".join(
-                str(h["bidegree"]) for h in f4mod.f4_invariant_hyperplanes()
-            ),
-        ),
-        _check("f4-betti-2+1+1", betti["b2"] == 4 and betti["decomposition"] == "2+1+1"),
-    ]
-
-
-def _suite_dualpair(seed: int, bound: Optional[int]) -> List[Dict]:
-    checks = []
-    for n, i in ((3, 3), (4, 3), (4, 1), (5, 5)):
-        checks.append(
-            _run_check(
-                f"dualpair-witness-{n}-{i}",
-                lambda n=n, i=i: "rho {} pi {}".format(
-                    *(
-                        lambda e: (list(e.rho_type), list(e.pi_type))
-                    )(dp.kp_find_element(n, i))
-                ),
-            )
-        )
-    for n in (3, 4):
-        checks.append(
-            _run_check(
-                f"dualpair-pf-locus-n{n}",
-                lambda n=n: f"{_pf_locus_samples(dp.default_config(n), 100, seed)} samples",
-            )
-        )
-    for n in (2, 3, 4):
-        checks.append(
-            _run_check(
-                f"dualpair-commutant-n{n}",
-                lambda n=n: f"{dp.commutant_check(dp.default_config(n))['pairs']} pairs",
-            )
-        )
-    checks.append(
-        _run_check(
-            "dualpair-moment-identity",
-            lambda: f"constant {dp.moment_identity_check(dp.default_config(3))}",
-        )
-    )
-    return checks
-
-
-def _suite_kernel(seed: int, bound: Optional[int]) -> List[Dict]:
-    rng = Random(seed)
+def _kernel_suite(args) -> List[Row]:
+    rng = Random(args.seed)
 
     def pf_squares():
         for dim in (2, 4, 6, 8):
@@ -596,19 +497,13 @@ def _suite_kernel(seed: int, bound: Optional[int]) -> List[Dict]:
                 m = PolyMatrix(
                     [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(dim)]
                 )
-                coeffs = charpoly_coefficients(m)
                 poly = MPoly.zero(vars)
-                for k, c in enumerate(coeffs):
+                for k, c in enumerate(charpoly_coefficients(m)):
                     poly = poly + c * t ** (dim - k)
-                shifted = PolyMatrix(
-                    [
-                        [
-                            t * (1 if r == c else 0) - m.entry(r, c)
-                            for c in range(dim)
-                        ]
-                        for r in range(dim)
-                    ]
-                )
+                shifted = PolyMatrix([
+                    [t * (1 if r == c else 0) - m.entry(r, c) for c in range(dim)]
+                    for r in range(dim)
+                ])
                 if poly != det_cofactor(shifted):
                     raise AssertionError(f"charpoly mismatch at dim {dim}")
         return "dims 1..4, 5 samples each"
@@ -631,47 +526,68 @@ def _suite_kernel(seed: int, bound: Optional[int]) -> List[Dict]:
         return "1000 polynomials"
 
     return [
-        _run_check("kernel-pfaffian-squares-to-det", pf_squares),
-        _run_check("kernel-charpoly-vs-cofactor", charpoly_vs_cofactor),
-        _run_check("kernel-serialization-roundtrip", roundtrip),
+        (None, "kernel-pfaffian-squares-to-det", pf_squares),
+        (None, "kernel-charpoly-vs-cofactor", charpoly_vs_cofactor),
+        (None, "kernel-serialization-roundtrip", roundtrip),
     ]
 
 
+# ---------------------------------------------------------------------------
+# check (all suites)
+# ---------------------------------------------------------------------------
+
+# suite name -> the rows it runs for the parsed arguments; `check` runs the
+# suites in name order and each suite's rows in table order
 SUITES = {
-    "classify": _suite_classify,
-    "dualpair": _suite_dualpair,
-    "f4": _suite_f4,
-    "g2": _suite_g2,
-    "hook": _suite_hook,
-    "kernel": _suite_kernel,
+    "classify": _classify_suite,
+    "dualpair": _dualpair_suite,
+    "f4": _f4_suite,
+    "g2": _g2_suite,
+    "hook": _hook_suite,
+    "kernel": _kernel_suite,
 }
 
 
 def cmd_check(args) -> int:
     checks: List[Dict] = []
     for name in sorted(SUITES):
-        checks.extend(SUITES[name](args.seed, args.degree_bound))
-    failures = [c for c in checks if c["status"] == "fail"]
+        checks.extend(_run(SUITES[name](args), CHECK))
+    failures = [c for c in checks if c["status"] != "pass"]
     results = {
         "suites": sorted(SUITES),
         "total": len(checks),
         "failures": len(failures),
         "first_failure": failures[0]["name"] if failures else None,
     }
-    return _emit(
-        _report(
-            "check",
-            {"seed": args.seed, "degree_bound": args.degree_bound},
-            results,
-            checks,
-        ),
-        args.emit,
-    )
+    inputs = {"seed": args.seed, "degree_bound": args.degree_bound}
+    return _emit(args, "check", inputs, results, checks)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+_REQUIRED_INT = {"type": int, "required": True}
+
+# (subcommand, help, handler, its arguments after the three common ones)
+COMMANDS = (
+    ("slice", "hook slice hypersurface derivation", cmd_slice, (
+        ("--algebra", {"required": True}), ("--rank", _REQUIRED_INT),
+        ("--orbit", {"required": True}),
+    )),
+    ("classify", "second Betti numbers by orbit", cmd_classify, (
+        ("--algebra", {"required": True, "choices": tuple("ABCDEFG")}),
+        ("--rank", _REQUIRED_INT), ("--orbit", {}),
+        ("--enumerate", {"action": "store_true"}),
+    )),
+    ("g2", "rank-2 exceptional algebra suite", cmd_g2,
+     (("action", {"choices": ("verify",)}),)),
+    ("f4", "rank-4 exceptional algebra suite", cmd_f4,
+     (("action", {"choices": ("betti", "verify")}),)),
+    ("dualpair", "orthogonal-symplectic moment maps", cmd_dualpair,
+     (("--n", _REQUIRED_INT), ("--i", _REQUIRED_INT))),
+    ("check", "run every verification suite", cmd_check, ()),
+)
 
 
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -694,42 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("slice", help="hook slice hypersurface derivation")
-    _add_common(p, suppress=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--orbit", required=True)
-    p.set_defaults(fn=cmd_slice)
-
-    p = sub.add_parser("classify", help="second Betti numbers by orbit")
-    _add_common(p, suppress=True)
-    p.add_argument("--algebra", required=True, choices=tuple("ABCDEFG"))
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--orbit")
-    p.add_argument("--enumerate", action="store_true")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("g2", help="rank-2 exceptional algebra suite")
-    _add_common(p, suppress=True)
-    p.add_argument("action", choices=("verify",))
-    p.set_defaults(fn=cmd_g2)
-
-    p = sub.add_parser("f4", help="rank-4 exceptional algebra suite")
-    _add_common(p, suppress=True)
-    p.add_argument("action", choices=("betti", "verify"))
-    p.set_defaults(fn=cmd_f4)
-
-    p = sub.add_parser("dualpair", help="orthogonal-symplectic moment maps")
-    _add_common(p, suppress=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(fn=cmd_dualpair)
-
-    p = sub.add_parser("check", help="run every verification suite")
-    _add_common(p, suppress=True)
-    p.set_defaults(fn=cmd_check)
-
+    for name, help_text, fn, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, suppress=True)
+        for flag, kw in arguments:
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -740,7 +626,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
-    return args.fn(args)
+    if args.degree_bound is not None and args.degree_bound < 0:
+        return _fail_input(f"--degree-bound must be >= 0, got {args.degree_bound}")
+    try:
+        return args.fn(args)
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

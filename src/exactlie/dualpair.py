@@ -18,9 +18,9 @@ from fractions import Fraction
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .liealg import jordan_type, standard_form
+from .liealg import jordan_type, make_algebra, standard_form
 from .mpoly import MPoly
-from .polymat import PolyMatrix, exp_nilpotent, invert, nullspace, pfaffian, rank, solve_linear
+from .polymat import PolyMatrix, exp_nilpotent, invert, pfaffian, rank, solve_linear
 from .scalar import Scalar
 
 # Normalization constant in the moment identity
@@ -350,37 +350,6 @@ def commutant_check(cfg: KPConfig) -> Dict[str, int]:
     return {"n": cfg.n, "pairs": len(brackets), "violations": 0}
 
 
-def sp_basis(cfg: KPConfig) -> List[PolyMatrix]:
-    """Basis of the symplectic algebra of G_U, from the kernel of the
-    linearized invariance condition xi^T G_U + G_U xi = 0."""
-    du = 2 * cfg.n - 2
-    rows = []
-    for r in range(du):
-        for c in range(du):
-            row = []
-            for a in range(du):
-                for b in range(du):
-                    # coefficient of xi_ab in (xi^T G_U + G_U xi)_rc:
-                    # the first summand contributes when b = r, the
-                    # second when b = c
-                    val = Scalar(0)
-                    if b == r:
-                        val = val + cfg.G_U.entry(a, c)
-                    if b == c:
-                        val = val + cfg.G_U.entry(r, a)
-                    row.append(val)
-            rows.append(row)
-    basis = []
-    for vec in nullspace(PolyMatrix(rows)):
-        xi = PolyMatrix([[vec[a * du + b] for b in range(du)] for a in range(du)])
-        if not (xi.transpose() * cfg.G_U + cfg.G_U * xi).is_zero():
-            raise AssertionError("kernel vector is not in the algebra")
-        basis.append(xi)
-    if len(basis) != du * (du + 1) // 2:
-        raise AssertionError(f"sp basis has size {len(basis)}")
-    return basis
-
-
 def moment_identity_check(cfg: KPConfig) -> Fraction:
     """tr((Y X* + X Y*) xi) = c * omega(xi X, Y) for every matrix unit Y
     and every xi in the symplectic algebra, in symbolic X; discovers the
@@ -391,14 +360,17 @@ def moment_identity_check(cfg: KPConfig) -> Fraction:
     Xs = adjoint(cfg, X)
     constant: Optional[Scalar] = None
     pairs = []
-    basis = sp_basis(cfg)
+    alg = make_algebra("sp", du, cfg.G_U)
+    for xi in alg.basis:
+        if not alg.contains(xi):
+            raise AssertionError("kernel vector is not in the algebra")
     for c_ in range(du):
         for d_ in range(dv):
             Y = PolyMatrix(
                 [[1 if (r, k) == (c_, d_) else 0 for k in range(dv)] for r in range(du)]
             )
             Ys = adjoint(cfg, Y)
-            for xi in basis:
+            for xi in alg.basis:
                 lhs = ((Y * Xs + X * Ys) * xi).trace()
                 rhs = 2 * ((xi * X) * Ys).trace()
                 pairs.append((lhs, rhs))

@@ -2,7 +2,7 @@
 
 main() is called in-process with an argv list; stdout is inspected via
 capsys.  Exit code conventions: 0 all checks pass, 1 an identity check
-failed, 2 invalid input.
+failed, 2 invalid input, 3 an internal error.
 """
 
 import json
@@ -117,6 +117,19 @@ def test_g2_verify(capsys):
     assert "jacobi-identity" in names
     assert "chi6-identity-reading" in names
     assert all(c["status"] == "pass" for c in report["checks"])
+    assert names == [
+        "jacobi-identity",
+        "embedding-homomorphism",
+        "invariant-form-line",
+        "slice-structure",
+        "chi2-closed-form",
+        "chi6-identity-reading",
+        "invariant-crosscheck",
+        "hypersurface-equals-printed-f",
+        "quasi-homogeneous-degree-12",
+        "singular-locus-certificates",
+        "s3-invariant-model",
+    ]
 
 
 def test_dualpair_witness_types(capsys):
@@ -166,3 +179,164 @@ def test_check_aggregates_all_suites(capsys):
     ]
     detail = next(c for c in report["checks"] if c["name"] == "hook-n3-printed-form")
     assert "difference" in detail["detail"]
+    assert [c["name"] for c in report["checks"]] == [
+        "classify-exception-sets-n-le-8",
+        "classify-star-iff-b2-rank",
+        "classify-monotonicity",
+        "classify-dominance-axioms",
+        "dualpair-witness-3-3",
+        "dualpair-witness-4-3",
+        "dualpair-witness-4-1",
+        "dualpair-witness-5-5",
+        "dualpair-pf-locus-n3",
+        "dualpair-pf-locus-n4",
+        "dualpair-commutant-n2",
+        "dualpair-commutant-n3",
+        "dualpair-commutant-n4",
+        "dualpair-moment-identity",
+        "f4-48-roots",
+        "f4-grading-dims",
+        "f4-hyperplanes",
+        "f4-betti-2+1+1",
+        "g2-jacobi",
+        "g2-embedding",
+        "g2-slice-structure",
+        "g2-chi6-reading",
+        "g2-hypersurface",
+        "g2-quasi-homogeneous-12",
+        "g2-singular-locus",
+        "g2-s3-model",
+        "hook-n2-printed-form",
+        "hook-n2-factorization",
+        "hook-n2-normal-form",
+        "hook-n3-printed-form",
+        "hook-n3-factorization",
+        "hook-n3-normal-form",
+        "hook-n4-printed-form",
+        "hook-n4-factorization",
+        "hook-n4-normal-form",
+        "hook-n5-printed-form",
+        "hook-n5-factorization",
+        "hook-n5-normal-form",
+        "kernel-pfaffian-squares-to-det",
+        "kernel-charpoly-vs-cofactor",
+        "kernel-serialization-roundtrip",
+    ]
+    assert report["results"]["total"] == 41
+
+
+SLICE = ["derived-form", "printed-reference-match", "factorization", "normal-form"]
+F4_VERIFY = [
+    "48-roots",
+    "24-positive",
+    "highest-root",
+    "reflection-closure",
+    "grade-0-dim-8",
+    "grade-2-dim-8",
+    "grade-2-arrows",
+    "biweights-match-module",
+    "invariant-hyperplanes",
+    "orbit-dimension",
+]
+DUALPAIR = ["witness-jordan-types", "pfaffian-locus", "equivariance", "rank-chains"]
+
+
+def passing(names):
+    return [(name, "pass") for name in names]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, checks",
+    [
+        (
+            ["slice", "--algebra", "sp", "--rank", "2", "--orbit", "2,1,1"],
+            0,
+            passing(SLICE),
+        ),
+        (
+            ["slice", "--algebra", "sp", "--rank", "3", "--orbit", "4,1,1"],
+            1,
+            [
+                ("derived-form", "pass"),
+                ("printed-reference-match", "fail"),
+                ("factorization", "pass"),
+                ("normal-form", "pass"),
+            ],
+        ),
+        (
+            ["classify", "--algebra", "C", "--rank", "4", "--enumerate"],
+            0,
+            passing(["star-iff-b2-equals-rank", "exception-set-closed-form"]),
+        ),
+        (
+            ["classify", "--algebra", "B", "--rank", "3", "--orbit", "5,1,1"],
+            0,
+            passing(["star-iff-b2-equals-rank"]),
+        ),
+        (["f4", "betti"], 0, passing(["two-invariant-hyperplanes", "b2-is-4"])),
+        (["f4", "verify"], 0, passing(F4_VERIFY)),
+        (
+            ["dualpair", "--n", "3", "--i", "3"],
+            0,
+            passing(DUALPAIR + ["poisson-commutant", "moment-identity"]),
+        ),
+        # n = 5: the commutant (n <= 4) and moment (n <= 3) rows drop out
+        (["dualpair", "--n", "5", "--i", "5"], 0, passing(DUALPAIR)),
+    ],
+)
+def test_report_check_lists_are_pinned(capsys, argv, exit_code, checks):
+    code, report = run_json(capsys, argv)
+    assert code == report["exit_code"] == exit_code
+    assert [(c["name"], c["status"]) for c in report["checks"]] == checks
+
+
+def test_internal_error_in_a_check_is_recorded_and_exits_3(capsys, monkeypatch):
+    def broken(system):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("exactlie.f4.reflection_closure_check", broken)
+    code, report = run_json(capsys, ["f4", "verify"])
+    assert code == report["exit_code"] == 3
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert [c["name"] for c in report["checks"]] == F4_VERIFY
+    assert by_name["reflection-closure"]["status"] == "error"
+    detail = by_name["reflection-closure"]["detail"]
+    assert detail == "ZeroDivisionError: division by zero"
+    others = [c for c in report["checks"] if c["name"] != "reflection-closure"]
+    assert len(others) == 9
+    assert all(c["status"] == "pass" for c in others)
+
+
+def test_internal_error_outside_checks_exits_3(capsys, monkeypatch):
+    def broken():
+        raise RuntimeError("table lost")
+
+    monkeypatch.setattr("exactlie.f4.f4_betti_subsubregular", broken)
+    code, out, err = run(capsys, ["f4", "betti"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: RuntimeError: table lost\n"
+
+
+def test_degree_bound_zero_is_used_not_replaced(capsys, monkeypatch):
+    # the two slow verifiers are stubbed; the certificates run for real
+    monkeypatch.setattr("exactlie.g2.jacobi_full", lambda: 2744)
+    monkeypatch.setattr("exactlie.g2.chi_crosscheck", lambda samples, seed: samples)
+    code, report = run_json(capsys, ["g2", "verify", "--degree-bound", "0"])
+    assert code == 0
+    assert report["inputs"]["degree_bound"] == 0
+    by_name = {c["name"]: c for c in report["checks"]}
+    # nothing is found at bound 0, so every certificate comes from the retry
+    detail = by_name["singular-locus-certificates"]["detail"]
+    assert detail == "bound 12 for 7 partials"
+
+
+def test_negative_degree_bound_rejected(capsys):
+    code, out, err = run(capsys, ["g2", "verify", "--degree-bound", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "--degree-bound" in err
+    code, _, err = run(capsys, ["--degree-bound", "-3", "check"])
+    assert code == 2
+    assert "--degree-bound" in err

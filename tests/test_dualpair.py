@@ -17,10 +17,9 @@ from exactlie.dualpair import (
     pfaffian_locus_check,
     poisson_tensor,
     rank_chain_check,
-    sp_basis,
     symbolic_element,
 )
-from exactlie.liealg import standard_form
+from exactlie.liealg import make_algebra, standard_form
 from exactlie.polymat import PolyMatrix, pfaffian, rank
 
 
@@ -125,9 +124,11 @@ def test_omega_is_symplectic():
 def test_sp_basis_dimension_and_membership():
     for n in (2, 3):
         cfg = default_config(n)
-        basis = sp_basis(cfg)
         du = 2 * n - 2
+        alg = make_algebra("sp", du, cfg.G_U)
+        basis = alg.basis
         assert len(basis) == du * (du + 1) // 2
+        assert all(alg.contains(xi) for xi in basis)
 
 
 def test_entries_of_the_two_maps_commute():
