@@ -17,6 +17,12 @@ a trace term (3/2) wv), and the commutator identity
 forces gamma*delta = -alpha*beta/2 = 1/4 once the vector blocks carry
 +-1/sqrt(2).  All sign choices are pinned down by the exhaustive Jacobi
 and homomorphism sweeps in the test suite.
+
+The Jacobi sweep runs on structure constants (liealg.LieAlgebra): the
+bracket of each of the 196 basis pairs is read into basis coordinates
+and must recombine exactly, one symbolic bracket of two generic elements
+must equal the table's bilinear form, and then all 2744 ordered basis
+triples are summed over the table.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .elim import MembershipCertificate, ideal_membership_bounded
+from .liealg import LieAlgebra
 from .mpoly import MPoly
 from .polymat import PolyMatrix, charpoly_coefficients, det_cofactor, nullspace, rank
 from .scalar import HALF_SQRT2, Scalar
@@ -106,11 +113,14 @@ BASIS_NAMES = (
 )
 
 
+OFF_DIAGONAL = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
 def g2_basis() -> Tuple[G2Elt, ...]:
     """Fourteen generators: six off-diagonal sl3 units, the two simple
     coroots, and the standard column/row vectors."""
     out: List[G2Elt] = []
-    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+    for i, j in OFF_DIAGONAL:
         rows = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
         rows[i][j] = 1
         out.append(g2_element(rows, (0, 0, 0), (0, 0, 0)))
@@ -187,6 +197,26 @@ def flatten(e: G2Elt) -> List:
     out.extend(e.v.entry(i, 0) for i in range(3))
     out.extend(e.w.entry(0, i) for i in range(3))
     return out
+
+
+def g2_coords(e: G2Elt) -> List:
+    """Coordinates in g2_basis(): E_ij = A_ij, H1 = A11, H2 = A11 + A22,
+    then v and w.  A33 is never read, so they are coordinates only for a
+    traceless A; g2_combination(g2_coords(e)) == e checks that."""
+    a = e.a
+    out = [a.entry(i, j) for i, j in OFF_DIAGONAL]
+    out += [a.entry(0, 0), a.entry(0, 0) + a.entry(1, 1)]
+    out += [e.v.entry(i, 0) for i in range(3)]
+    out += [e.w.entry(0, i) for i in range(3)]
+    return out
+
+
+def g2_combination(coeffs: Sequence) -> G2Elt:
+    """sum_k coeffs[k] * g2_basis()[k], written out; the coefficients may
+    be Scalars or polynomials."""
+    e12, e13, e21, e23, e31, e32, h1, h2 = coeffs[:8]
+    a_rows = [[h1, e12, e13], [e21, h2 - h1, e23], [e31, e32, -h2]]
+    return g2_element(a_rows, coeffs[8:11], coeffs[11:14])
 
 
 def ad_matrix_g2(e: G2Elt) -> PolyMatrix:
@@ -358,19 +388,26 @@ def chi_crosscheck(samples: int = 500, seed: int = 0) -> int:
 
 def jacobi_full() -> int:
     """Jacobi identity over every ordered basis triple (all 14^3 of
-    them, no symmetry shortcuts); returns the count."""
-    basis = g2_basis()
-    count = 0
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                acc = g2_bracket(x, g2_bracket(y, z))
-                acc = acc + g2_bracket(y, g2_bracket(z, x))
-                acc = acc + g2_bracket(z, g2_bracket(x, y))
-                if not acc.is_zero():
-                    raise AssertionError("Jacobi identity fails")
-                count += 1
-    return count
+    them, no symmetry shortcuts); returns the count.
+
+    The triples are summed over g2's structure constants.  The table is
+    read from g2_bracket on the 196 basis pairs through g2_coords, and
+    each pair must recombine exactly, which also forces the sl3 part to
+    stay traceless.  One symbolic bracket of two generic elements in 28
+    coordinates must then equal the table's bilinear form, so the table
+    is g2_bracket on every input, and the contraction
+    sum_m c_yz^m c_xm^l decides the same identity as [x, [y, z]] in the
+    block model."""
+    alg = LieAlgebra.from_bracket(
+        BASIS_NAMES, g2_basis(), g2_bracket, g2_coords, g2_combination
+    )
+    names = tuple(f"x{k}" for k in range(14)) + tuple(f"y{k}" for k in range(14))
+    xs = [MPoly.variable(n, names) for n in names[:14]]
+    ys = [MPoly.variable(n, names) for n in names[14:]]
+    generic = g2_bracket(g2_combination(xs), g2_combination(ys))
+    if generic != g2_combination(alg.bracket_coords(xs, ys)):
+        raise AssertionError("the structure constants differ from the bracket")
+    return alg.jacobi()
 
 
 def embedding_homomorphism_full() -> int:

@@ -5,6 +5,10 @@ A) and carried around as explicit Scalar matrices.  Nilpotent elements come
 with adapted bases: each Jordan block gets the chain basis whose form is
 the alternating binomial antidiagonal, which keeps every structure constant
 rational and makes the printed models downstream reproducible literally.
+
+LieAlgebra is the structure-constant form of any bracket: the brackets of
+basis pairs, read once into a sparse table, on which the Jacobi identity
+is a contraction.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .polymat import PolyMatrix, nullspace, rank
 from .scalar import Scalar
@@ -176,6 +180,88 @@ def bracket(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
 def ad_matrix(alg: AlgebraDescriptor, x: PolyMatrix) -> PolyMatrix:
     cols = [alg.coords(bracket(x, b)) for b in alg.basis]
     return PolyMatrix([[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)])
+
+
+# ---------------------------------------------------------------------------
+# structure constants
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LieAlgebra:
+    """A Lie algebra on a named basis b_0..b_(dim-1), stored as sparse
+    structure constants: table[(i, j)] = {k: c_ij^k} with
+    [b_i, b_j] = sum_k c_ij^k b_k.  Only nonzero constants are stored, and
+    a pair whose bracket vanishes has no entry."""
+
+    names: Tuple[str, ...]
+    table: Dict[Tuple[int, int], Dict[int, Scalar]]
+
+    @property
+    def dim(self) -> int:
+        return len(self.names)
+
+    @classmethod
+    def from_bracket(
+        cls,
+        names: Sequence[str],
+        basis: Sequence,
+        bracket: Callable,
+        coords: Callable,
+        combination: Callable,
+    ) -> "LieAlgebra":
+        """Read every basis bracket [b_i, b_j] into coordinates.  Raises
+        AssertionError unless recombining those coordinates gives back the
+        bracket exactly, so a readout that loses a coordinate, or a
+        bracket that leaves the span of the basis, is caught here."""
+        table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                value = bracket(x, y)
+                cs = coords(value)
+                if combination(cs) != value:
+                    raise AssertionError(
+                        f"coordinates of [{names[i]}, {names[j]}] do not"
+                        " recombine to the bracket"
+                    )
+                row = {k: c for k, c in enumerate(cs) if c}
+                if row:
+                    table[(i, j)] = row
+        return cls(tuple(names), table)
+
+    def bracket_coords(self, x: Sequence, y: Sequence) -> List:
+        """Coordinates of [x, y] for coordinate vectors x and y, by
+        bilinearity; the entries may be Scalars or polynomials."""
+        out: List = [0] * self.dim
+        for (i, j), row in self.table.items():
+            xy = x[i] * y[j]
+            if xy:
+                for k, c in row.items():
+                    out[k] = out[k] + xy * c
+        return out
+
+    def jacobi(self) -> int:
+        """[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0 on every ordered basis
+        triple (all dim^3 of them, no symmetry shortcuts), each term summed
+        as sum_m c_bc^m c_am^l; returns the count."""
+        table = self.table
+        count = 0
+        for a in range(self.dim):
+            for b in range(self.dim):
+                for c in range(self.dim):
+                    total: Dict[int, Scalar] = {}
+                    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+                        for m, cqr in table.get((q, r), {}).items():
+                            for l, cpm in table.get((p, m), {}).items():
+                                total[l] = total.get(l, 0) + cqr * cpm
+                    if any(total.values()):
+                        names = self.names
+                        raise AssertionError(
+                            f"Jacobi identity fails at ({names[a]}, {names[b]},"
+                            f" {names[c]})"
+                        )
+                    count += 1
+        return count
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactlie import g2
 from exactlie.g2 import (
     CHI6_READING,
     S3_NORMALIZATION,
@@ -33,6 +34,7 @@ from exactlie.g2 import (
     g2_slice_xi,
     g2_triple,
     invariant_form,
+    jacobi_full,
     random_element,
     s3_invariant_model,
     s3_polarizations,
@@ -89,6 +91,31 @@ def test_jacobi_sampled_triples():
         lhs = g2_bracket(g2_bracket(e, f), g)
         rhs = g2_bracket(g2_bracket(e, g), f) + g2_bracket(e, g2_bracket(f, g))
         assert (lhs - rhs).is_zero()
+
+
+def test_jacobi_full_catches_a_vw_pairing_without_its_factor(monkeypatch):
+    def pairing_without_factor(v, w):
+        # v w - 1/3 (w v) I: still traceless, but without the 3/4
+        wv = (w * v).entry(0, 0)
+        return v * w - PolyMatrix.identity(3).scale(wv * Fraction(1, 3))
+
+    monkeypatch.setattr(g2, "_pair_vw", pairing_without_factor)
+    with pytest.raises(AssertionError, match="Jacobi identity fails"):
+        jacobi_full()
+
+
+def test_jacobi_full_catches_a_wrong_h2_readout(monkeypatch):
+    right = g2.g2_coords
+
+    def h2_from_a22(e):
+        # H2 = diag(0, 1, -1) carries A11 + A22, not A22
+        out = right(e)
+        out[7] = e.a.entry(1, 1)
+        return out
+
+    monkeypatch.setattr(g2, "g2_coords", h2_from_a22)
+    with pytest.raises(AssertionError, match="do not recombine"):
+        jacobi_full()
 
 
 def test_embedding_is_homomorphism_on_all_pairs():
@@ -277,6 +304,13 @@ def test_s3_model_frozen_and_relations_vanish():
                 term = term * images[var]
         acc = acc + term
     assert acc.is_zero()
+
+
+def test_combination_and_coords_on_the_basis():
+    for k, b in enumerate(g2_basis()):
+        unit = [Scalar(int(i == k)) for i in range(14)]
+        assert g2.g2_combination(unit) == b
+        assert g2.g2_coords(b) == unit
 
 
 def test_flatten_roundtrip_dimension():

@@ -8,6 +8,7 @@ import pytest
 
 from exactlie.liealg import (
     AlgebraDescriptor,
+    LieAlgebra,
     b_family_model,
     block_form,
     bracket,
@@ -74,6 +75,47 @@ def test_bracket_closure():
             a = rand_combination(alg, rng)
             b = rand_combination(alg, rng)
             assert alg.contains(bracket(a, b))
+
+
+def _sp4_structure_constants(coords=None) -> LieAlgebra:
+    alg = make_algebra("sp", 4)
+    names = tuple(f"b{k}" for k in range(alg.dim))
+    return LieAlgebra.from_bracket(
+        names, alg.basis, bracket, coords or alg.coords, alg.combination
+    )
+
+
+def test_structure_constants_satisfy_jacobi():
+    lie = _sp4_structure_constants()
+    assert lie.dim == 10
+    assert lie.jacobi() == 10 ** 3
+    # the table is the commutator on generic coordinate vectors too
+    alg = make_algebra("sp", 4)
+    rng = random.Random(3)
+    x = alg.coords(rand_combination(alg, rng))
+    y = alg.coords(rand_combination(alg, rng))
+    xy = bracket(alg.combination(x), alg.combination(y))
+    assert alg.combination(lie.bracket_coords(x, y)) == xy
+
+
+def test_flipped_structure_constant_breaks_jacobi():
+    lie = _sp4_structure_constants()
+    (i, j), row = next(iter(lie.table.items()))
+    k, c = next(iter(row.items()))
+    table = {key: dict(r) for key, r in lie.table.items()}
+    table[(i, j)][k] = -c
+    with pytest.raises(AssertionError, match="Jacobi identity fails"):
+        LieAlgebra(lie.names, table).jacobi()
+
+
+def test_readout_dropping_a_coordinate_fails_the_build():
+    alg = make_algebra("sp", 4)
+
+    def drop_last(m):
+        return alg.coords(m)[:-1] + [Scalar(0)]
+
+    with pytest.raises(AssertionError, match="do not recombine"):
+        _sp4_structure_constants(drop_last)
 
 
 def test_jordan_type_by_rank_sequence():
