@@ -97,7 +97,11 @@ def regular_partition(family: str, n: int) -> Partition:
 def dominance_leq(p: Sequence[int], q: Sequence[int]) -> bool:
     """Partial-sum comparison; partitions of different totals are
     incomparable."""
-    a, b = _normalize(p), _normalize(q)
+    return _dominated(_normalize(p), _normalize(q))
+
+
+def _dominated(a: Partition, b: Partition) -> bool:
+    """dominance_leq on normalized partitions."""
     if sum(a) != sum(b):
         return False
     width = max(len(a), len(b))
@@ -338,13 +342,13 @@ def monotonicity_check(family: str, n: int) -> int:
 def dominance_axioms_check(m: int) -> Dict[str, int]:
     """Reflexive + antisymmetric + transitive, exhaustively on the
     partitions of m (transitivity via bitmask rows)."""
-    parts = list(partitions_of(m))
+    parts = [_normalize(p) for p in partitions_of(m)]
     k = len(parts)
     rows = []
     for i, p in enumerate(parts):
         mask = 0
         for j, q in enumerate(parts):
-            if dominance_leq(p, q):
+            if _dominated(p, q):
                 mask |= 1 << j
         if not (mask >> i) & 1:
             raise AssertionError("dominance is not reflexive")

@@ -13,7 +13,7 @@ exact, so the certificates are too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,6 +35,9 @@ class KPConfig:
     n: int
     G_V: PolyMatrix
     G_U: PolyMatrix
+    # inverses of the two forms, computed once when the config is built
+    G_V_inv: PolyMatrix = field(init=False, repr=False, compare=False)
+    G_U_inv: PolyMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -43,8 +46,8 @@ class KPConfig:
             raise ValueError("G_V must be symmetric of size 2n")
         if self.G_U.nrows != 2 * self.n - 2 or not self.G_U.is_skew():
             raise ValueError("G_U must be skew of size 2n-2")
-        invert(self.G_V)
-        invert(self.G_U)
+        object.__setattr__(self, "G_V_inv", invert(self.G_V))
+        object.__setattr__(self, "G_U_inv", invert(self.G_U))
 
 
 def default_config(n: int) -> KPConfig:
@@ -64,9 +67,9 @@ def adjoint(cfg: KPConfig, X: PolyMatrix) -> PolyMatrix:
     """Form adjoint, dispatched on direction by shape."""
     dv, du = 2 * cfg.n, 2 * cfg.n - 2
     if (X.nrows, X.ncols) == (du, dv):
-        return invert(cfg.G_V) * X.transpose() * cfg.G_U
+        return cfg.G_V_inv * X.transpose() * cfg.G_U
     if (X.nrows, X.ncols) == (dv, du):
-        return invert(cfg.G_U) * X.transpose() * cfg.G_V
+        return cfg.G_U_inv * X.transpose() * cfg.G_V
     raise ValueError(f"shape {X.nrows}x{X.ncols} fits neither direction")
 
 
@@ -284,7 +287,7 @@ def omega_matrix(cfg: KPConfig) -> PolyMatrix:
     """Coefficient matrix of omega(A, B) = 2 tr(A B*) on matrix units:
     omega(E_ab, E_cd) = 2 (G_V^-1)_bd (G_U)_ca."""
     du, dv = 2 * cfg.n - 2, 2 * cfg.n
-    Minv = invert(cfg.G_V)
+    Minv = cfg.G_V_inv
     rows = []
     for a in range(du):
         for b in range(dv):

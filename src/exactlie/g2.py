@@ -187,18 +187,6 @@ def g2_bracket(e: G2Elt, f: G2Elt) -> G2Elt:
     return G2Elt(a_part, v_part, w_part)
 
 
-def flatten(e: G2Elt) -> List:
-    """Coordinates in the order A11..A32 (A33 omitted: trace), v, w."""
-    out = []
-    for i in range(3):
-        for j in range(3):
-            if (i, j) != (2, 2):
-                out.append(e.a.entry(i, j))
-    out.extend(e.v.entry(i, 0) for i in range(3))
-    out.extend(e.w.entry(0, i) for i in range(3))
-    return out
-
-
 def g2_coords(e: G2Elt) -> List:
     """Coordinates in g2_basis(): E_ij = A_ij, H1 = A11, H2 = A11 + A22,
     then v and w.  A33 is never read, so they are coordinates only for a
@@ -220,7 +208,7 @@ def g2_combination(coeffs: Sequence) -> G2Elt:
 
 
 def ad_matrix_g2(e: G2Elt) -> PolyMatrix:
-    cols = [flatten(g2_bracket(e, b)) for b in g2_basis()]
+    cols = [g2_coords(g2_bracket(e, b)) for b in g2_basis()]
     return PolyMatrix([[cols[j][i] for j in range(14)] for i in range(14)])
 
 
@@ -508,7 +496,7 @@ def slice_structure_check() -> Dict[str, int]:
         weight = 2 - SLICE_DEGREES[name]
         if g2_bracket(h, d) != d.scale(Scalar(weight)):
             raise AssertionError(f"direction {name} has the wrong h-weight")
-        coord_rows.append(flatten(d))
+        coord_rows.append(g2_coords(d))
     if rank(PolyMatrix(coord_rows)) != 8:
         raise AssertionError("slice directions are dependent")
     # the symbolic form of the same statement: y commutes with xi - x

@@ -1,7 +1,14 @@
 """Classical matrix Lie algebras, sl2-triples and transverse slices.
 
 Algebras are cut out of gl_m by a bilinear form (or tracelessness for type
-A) and carried around as explicit Scalar matrices.  Nilpotent elements come
+A).  Inside this module matrices are sparse, {(i, j): nonzero Scalar}
+dicts: each basis element is stored once in that form, membership
+evaluates M^T G + G M (or the trace) over the nonzero entries, a
+coordinate readout takes the entries at the basis' free positions (the
+diagonal partial sums for sl) and is checked by recombining it, and ad(x)
+is built from dim sparse brackets [x, b_k].  PolyMatrix appears only at
+the edges: the public basis, combinations, chart vectors and the ad(x)
+matrix handed to rref.  Nilpotent elements come
 with adapted bases: each Jordan block gets the chain basis whose form is
 the alternating binomial antidiagonal, which keeps every structure constant
 rational and makes the printed models downstream reproducible literally.
@@ -16,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .polymat import PolyMatrix, nullspace, rank
-from .scalar import Scalar
+from .polymat import PolyMatrix, nullspace, rank, sparse_nullspace
+from .scalar import ONE, ZERO, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -45,61 +53,115 @@ def standard_form(family: str, size: int) -> PolyMatrix:
     raise ValueError(f"no standard form for family {family!r}")
 
 
+# A sparse matrix is a dict {(i, j): nonzero Scalar}; every product below
+# touches only nonzero entries and drops the ones that cancel.
+Sparse = Dict[Tuple[int, int], Scalar]
+
+
+def _sparse(m: PolyMatrix) -> Sparse:
+    return {(i, j): x for i, row in enumerate(m.rows) for j, x in enumerate(row) if x}
+
+
+def _dense(s: Sparse, size: int) -> PolyMatrix:
+    rows = [[ZERO] * size for _ in range(size)]
+    for (i, j), x in s.items():
+        rows[i][j] = x
+    return PolyMatrix(rows)
+
+
+def _combine(terms: Iterable[Tuple[Scalar, Sparse]]) -> Sparse:
+    """sum c * s over the (c, s) terms."""
+    out: Sparse = {}
+    for c, s in terms:
+        if c:
+            for key, x in s.items():
+                v = out.get(key)
+                out[key] = c * x if v is None else v + c * x
+    return {key: x for key, x in out.items() if x}
+
+
+def _mul(a: Sparse, b: Sparse) -> Sparse:
+    b_rows: Dict[int, List[Tuple[int, Scalar]]] = {}
+    for (t, j), y in b.items():
+        b_rows.setdefault(t, []).append((j, y))
+    out: Sparse = {}
+    for (i, t), x in a.items():
+        for j, y in b_rows.get(t, ()):
+            v = out.get((i, j))
+            out[(i, j)] = x * y if v is None else v + x * y
+    return {key: x for key, x in out.items() if x}
+
+
+def _bracket(x: Sparse, y: Sparse) -> Sparse:
+    return _combine(((ONE, _mul(x, y)), (-ONE, _mul(y, x))))
+
+
 @dataclass
 class AlgebraDescriptor:
     family: str
     size: int
     form: Optional[PolyMatrix]
-    basis: Tuple[PolyMatrix, ...]
+    # the basis, each element stored once in sparse form
+    elements: Tuple[Sparse, ...] = field(repr=False)
     name: str
     # for form-algebras: position (i, j) whose entry carries coordinate k
     _free_positions: Optional[Tuple[Tuple[int, int], ...]] = field(
         default=None, repr=False
     )
 
+    def __post_init__(self):
+        self._form = None if self.form is None else _sparse(self.form)
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.elements)
+
+    @cached_property
+    def basis(self) -> Tuple[PolyMatrix, ...]:
+        return tuple(_dense(e, self.size) for e in self.elements)
 
     def contains(self, m: PolyMatrix) -> bool:
         if m.nrows != self.size or m.ncols != self.size:
             return False
+        return self._contains(_sparse(m))
+
+    def _contains(self, s: Sparse) -> bool:
         if self.family == "sl":
-            return not m.trace()
-        g = self.form
-        return (m.transpose() * g + g * m).is_zero()
+            return not sum((x for (i, j), x in s.items() if i == j), ZERO)
+        g = self._form
+        transpose = {(j, i): x for (i, j), x in s.items()}
+        return not _combine(((ONE, _mul(transpose, g)), (ONE, _mul(g, s))))
 
     def coords(self, m: PolyMatrix) -> List[Scalar]:
         """Coordinates of m in the stored basis; raises if m is outside."""
-        if not self.contains(m):
+        if m.nrows != self.size or m.ncols != self.size:
+            raise ValueError(f"matrix is not in {self.name}")
+        return self._coords(_sparse(m))
+
+    def _coords(self, s: Sparse) -> List[Scalar]:
+        if not self._contains(s):
             raise ValueError(f"matrix is not in {self.name}")
         if self._free_positions is not None:
-            out = [m.entry(i, j) for i, j in self._free_positions]
+            out = [s.get(p, ZERO) for p in self._free_positions]
         else:
             # sl basis: E_ij off-diagonal, then H_k = E_kk - E_(k+1)(k+1);
             # the H coordinates are partial sums of the diagonal
-            out = []
-            for i in range(self.size):
-                for j in range(self.size):
-                    if i != j:
-                        out.append(m.entry(i, j))
-            running = Scalar(0)
-            for k in range(self.size - 1):
-                running = running + m.entry(k, k)
+            size = self.size
+            out = [
+                s.get((i, j), ZERO) for i in range(size) for j in range(size) if i != j
+            ]
+            running = ZERO
+            for k in range(size - 1):
+                running = running + s.get((k, k), ZERO)
                 out.append(running)
-        recombined = self.combination(out)
-        if recombined != m:
+        if _combine(zip(out, self.elements)) != s:
             raise AssertionError("coordinate readout failed to reproduce the matrix")
         return out
 
     def combination(self, coeffs: Sequence[Scalar]) -> PolyMatrix:
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count mismatch")
-        out = PolyMatrix.zeros(self.size, self.size)
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+        return _dense(_combine(zip(coeffs, self.elements)), self.size)
 
 
 def make_algebra(
@@ -109,22 +171,11 @@ def make_algebra(
     the deterministic kernel basis of M^T G + G M = 0; its free-coordinate
     structure doubles as an O(1) coordinate readout."""
     if family == "sl":
-        basis: List[PolyMatrix] = []
-        for i in range(size):
-            for j in range(size):
-                if i == j:
-                    continue
-                e = PolyMatrix.zeros(size, size)
-                e.rows[i][j] = Scalar(1)
-                basis.append(e)
-        for k in range(size - 1):
-            e = PolyMatrix.zeros(size, size)
-            e.rows[k][k] = Scalar(1)
-            e.rows[k + 1][k + 1] = Scalar(-1)
-            basis.append(e)
-        return AlgebraDescriptor(
-            family, size, None, tuple(basis), f"sl{size}", None
-        )
+        elements: List[Sparse] = [
+            {(i, j): ONE} for i in range(size) for j in range(size) if i != j
+        ]
+        elements += [{(k, k): ONE, (k + 1, k + 1): -ONE} for k in range(size - 1)]
+        return AlgebraDescriptor(family, size, None, tuple(elements), f"sl{size}")
     if family not in ("so", "sp"):
         raise ValueError(f"unknown family {family!r}")
     g = standard_form(family, size) if form is None else form
@@ -132,53 +183,57 @@ def make_algebra(
         raise ValueError("so needs a symmetric form")
     if family == "sp" and not g.is_skew():
         raise ValueError("sp needs a skew form")
-    # constraint rows: (M^T G + G M)_(a,b) = 0, unknowns M_(i,j) flattened
-    n2 = size * size
-    rows: List[List[Scalar]] = []
+    # constraint rows: (M^T G + G M)_(a,b) = 0, unknowns M_(i,j) flattened;
+    # each row touches only the G entries in column b and in row a
+    g_rows: Dict[int, List[Tuple[int, Scalar]]] = {}
+    g_cols: Dict[int, List[Tuple[int, Scalar]]] = {}
+    for (i, j), x in _sparse(g).items():
+        g_rows.setdefault(i, []).append((j, x))
+        g_cols.setdefault(j, []).append((i, x))
+    rows: List[Dict[int, Scalar]] = []
     for a in range(size):
         for b in range(size):
-            coeff = [Scalar(0)] * n2
-            for k in range(size):
-                # (M^T G)_(a,b) = sum_k M_(k,a) G_(k,b)
-                coeff[k * size + a] = coeff[k * size + a] + g.entry(k, b)
-                # (G M)_(a,b) = sum_k G_(a,k) M_(k,b)
-                coeff[k * size + b] = coeff[k * size + b] + g.entry(a, k)
-            rows.append(coeff)
-    kernel = nullspace(PolyMatrix(rows))
-    basis = []
-    free_positions = []
-    for vec in kernel:
-        m = PolyMatrix([[vec[i * size + j] for j in range(size)] for i in range(size)])
-        basis.append(m)
-    # each kernel vector is 1 on its own free column and 0 on the others
-    free_cols = []
+            row: Dict[int, Scalar] = {}
+            # (M^T G)_(a,b) = sum_k M_(k,a) G_(k,b)
+            for k, x in g_cols.get(b, ()):
+                row[k * size + a] = row.get(k * size + a, ZERO) + x
+            # (G M)_(a,b) = sum_k G_(a,k) M_(k,b)
+            for k, x in g_rows.get(a, ()):
+                row[k * size + b] = row.get(k * size + b, ZERO) + x
+            rows.append({p: x for p, x in row.items() if x})
+    kernel = [
+        {(p // size, p % size): x for p, x in vec.items()}
+        for vec in sparse_nullspace(rows, size * size)
+    ]
+    # each kernel vector is 1 on its own free column and 0 on the others';
+    # in the reduced kernel basis the free column is its last nonzero entry
+    owner: Dict[Tuple[int, int], int] = {}
     for idx, vec in enumerate(kernel):
-        ones = [p for p, v in enumerate(vec) if v == Scalar(1)]
-        pick = None
-        for p in ones:
-            if all(not other[p] for j, other in enumerate(kernel) if j != idx):
-                pick = p
-                break
-        if pick is None:
+        last = max(vec)
+        if vec[last] != ONE or last in owner:
             raise AssertionError("kernel basis lost its free-column structure")
-        free_cols.append(pick)
-    free_positions = tuple((p // size, p % size) for p in free_cols)
+        owner[last] = idx
+    if any(owner.get(p, idx) != idx for idx, vec in enumerate(kernel) for p in vec):
+        raise AssertionError("kernel basis lost its free-column structure")
     expected = size * (size - 1) // 2 if family == "so" else size * (size + 1) // 2
-    if len(basis) != expected:
+    if len(kernel) != expected:
         raise AssertionError(
-            f"{family}{size} basis has {len(basis)} elements, expected {expected}"
+            f"{family}{size} basis has {len(kernel)} elements, expected {expected}"
         )
     return AlgebraDescriptor(
-        family, size, g, tuple(basis), f"{family}{size}", free_positions
+        family, size, g, tuple(kernel), f"{family}{size}", tuple(owner)
     )
 
 
 def bracket(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
-    return x * y - y * x
+    return _dense(_bracket(_sparse(x), _sparse(y)), x.nrows)
 
 
 def ad_matrix(alg: AlgebraDescriptor, x: PolyMatrix) -> PolyMatrix:
-    cols = [alg.coords(bracket(x, b)) for b in alg.basis]
+    """ad(x) in the stored basis: column k holds the coordinates of
+    [x, b_k], bracketed and read out sparsely."""
+    sx = _sparse(x)
+    cols = [alg._coords(_bracket(sx, b)) for b in alg.elements]
     return PolyMatrix([[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)])
 
 
@@ -404,10 +459,14 @@ def jm_triple(family: str, partition: Sequence[int]) -> NilpotentModel:
         alg = make_algebra("sl", size)
     else:
         alg = make_algebra(family, size, PolyMatrix.block_diag(forms))
-    for m_ in (x, y, h):
-        if not alg.contains(m_):
-            raise AssertionError("triple member escapes the algebra")
-    if bracket(x, y) != h or bracket(h, x) != x.scale(2) or bracket(h, y) != y.scale(-2):
+    sx, sy, sh = _sparse(x), _sparse(y), _sparse(h)
+    if not all(alg._contains(m_) for m_ in (sx, sy, sh)):
+        raise AssertionError("triple member escapes the algebra")
+    if (
+        _bracket(sx, sy) != sh
+        or _bracket(sh, sx) != _combine([(Scalar(2), sx)])
+        or _bracket(sh, sy) != _combine([(Scalar(-2), sy)])
+    ):
         raise AssertionError("sl2 relations fail")
     if jordan_type(x) != tuple(parts):
         raise AssertionError("constructed nilpotent has the wrong Jordan type")
@@ -501,64 +560,53 @@ def hook_slice(n: int) -> SliceChart:
     alg = model.algebra
     m = 2 * n - 2
     size = 2 * n
-    _, yb, _ = chain_block(m)
 
-    def embed_big(mat: PolyMatrix) -> PolyMatrix:
-        out = PolyMatrix.zeros(size, size)
-        for i in range(m):
-            for j in range(m):
-                out.rows[i][j] = mat.entry(i, j)
-        return out
-
-    def unit(i: int, j: int, c=1) -> PolyMatrix:
-        out = PolyMatrix.zeros(size, size)
-        out.rows[i][j] = Scalar(c)
-        return out
-
-    vectors: List[PolyMatrix] = []
+    vectors: List[Sparse] = []
     names: List[str] = []
     weights: List[int] = []
+    y_long = _sparse(chain_block(m)[1])
+    power: Sparse = {(i, i): ONE for i in range(m)}
+    exponent = 0
     for j in range(1, n):
         k = 2 * j - 1
-        pw = PolyMatrix.identity(m)
-        for _ in range(k):
-            pw = pw * yb
-        vectors.append(embed_big(pw).scale(Scalar(Fraction(1, math.factorial(k)))))
+        while exponent < k:
+            power, exponent = _mul(power, y_long), exponent + 1
+        vectors.append(_combine([(Scalar(Fraction(1, math.factorial(k))), power)]))
         names.append(f"t{j}")
         weights.append(4 * j)
-    vectors.append(unit(m - 1, m + 1) - unit(m, 0))
+    vectors.append({(m - 1, m + 1): ONE, (m, 0): -ONE})
     names.append("a")
     weights.append(2 * n - 1)
-    vectors.append(unit(m - 1, m) + unit(m + 1, 0))
+    vectors.append({(m - 1, m): ONE, (m + 1, 0): ONE})
     names.append("b")
     weights.append(2 * n - 1)
-    vectors.append(unit(m + 1, m))
+    vectors.append({(m + 1, m): ONE})
     names.append("x")
     weights.append(2)
-    vectors.append(unit(m, m) - unit(m + 1, m + 1))
+    vectors.append({(m, m): ONE, (m + 1, m + 1): -ONE})
     names.append("y")
     weights.append(2)
-    vectors.append(unit(m, m + 1, -1))
+    vectors.append({(m, m + 1): -ONE})
     names.append("z")
     weights.append(2)
 
-    y_full = model.triple.y
-    h_full = model.triple.h
+    sy, sh = _sparse(model.triple.y), _sparse(model.triple.h)
     coord_rows = []
     for v, w in zip(vectors, weights):
-        if not alg.contains(v):
+        if not alg._contains(v):
             raise AssertionError("chart vector escapes sp")
-        if not bracket(y_full, v).is_zero():
+        if _bracket(sy, v):
             raise AssertionError("chart vector is not in ker(ad y)")
-        if bracket(h_full, v) != v.scale(Scalar(2 - w)):
+        if _bracket(sh, v) != _combine([(Scalar(2 - w), v)]):
             raise AssertionError("chart vector has the wrong weight")
-        coord_rows.append(alg.coords(v))
+        coord_rows.append(alg._coords(v))
     if rank(PolyMatrix(coord_rows)) != len(vectors):
         raise AssertionError("chart vectors are dependent")
-    ady = ad_matrix(alg, y_full)
+    ady = ad_matrix(alg, model.triple.y)
     if len(nullspace(ady)) != len(vectors):
         raise AssertionError("chart does not span ker(ad y)")
-    return SliceChart(model, tuple(names), tuple(vectors), tuple(weights))
+    dense = tuple(_dense(v, size) for v in vectors)
+    return SliceChart(model, tuple(names), dense, tuple(weights))
 
 
 def transversality_check(model: NilpotentModel) -> Dict[str, int]:

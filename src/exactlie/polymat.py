@@ -7,7 +7,7 @@ therefore exact over Q; the cofactor determinant is kept as an independent
 cross-check for small sizes.  Row reduction, kernels and linear solving are
 implemented for Scalar entries only: rref works on sparse rows (column ->
 nonzero entry), and rank, nullspace, solve_linear and invert each run one
-rref.
+rref; sparse_nullspace takes and returns such rows directly.
 """
 
 from __future__ import annotations
@@ -364,13 +364,21 @@ def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
     """Reduced row echelon form over Q(sqrt2) with the pivot columns.
     Deterministic: first nonzero entry in column order is the pivot.
 
-    Rows are held sparse, as column -> nonzero Scalar dicts.  Each pivot
-    step touches only the rows with an entry in the pivot column, and only
-    at the pivot row's nonzero columns; entries that cancel are dropped.
+    Rows are held sparse, as column -> nonzero Scalar dicts (see _reduce).
     The reduced form is unique, so the result equals the dense one."""
     rows = [{j: x for j, x in enumerate(r) if x} for r in matrix.rows]
-    n = len(rows)
     m = matrix.ncols
+    pivots = _reduce(rows, m)
+    zero = Scalar(0)
+    return PolyMatrix([[row.get(j, zero) for j in range(m)] for row in rows]), pivots
+
+
+def _reduce(rows: List[Dict[int, Scalar]], m: int) -> List[int]:
+    """Reduce sparse rows with m columns in place; returns the pivots.
+    Each pivot step touches only the rows with an entry in the pivot
+    column, and only at the pivot row's nonzero columns; entries that
+    cancel are dropped."""
+    n = len(rows)
     pivots: List[int] = []
     r = 0
     for c in range(m):
@@ -398,8 +406,27 @@ def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
         r += 1
         if r == n:
             break
-    zero = Scalar(0)
-    return PolyMatrix([[row.get(j, zero) for j in range(m)] for row in rows]), pivots
+    return pivots
+
+
+def sparse_nullspace(rows: Sequence[Dict[int, Scalar]], m: int) -> List[Dict[int, Scalar]]:
+    """nullspace() of the matrix with the given sparse rows (column ->
+    nonzero entry) and m columns, for systems too sparse to hold dense:
+    the same basis, each vector as a column -> nonzero entry dict."""
+    rows = [dict(r) for r in rows]
+    pivots = _reduce(rows, m)
+    pivot_set = set(pivots)
+    basis: List[Dict[int, Scalar]] = []
+    for fc in range(m):
+        if fc in pivot_set:
+            continue
+        v = {fc: Scalar(1)}
+        for r_i, pc in enumerate(pivots):
+            x = rows[r_i].get(fc)
+            if x is not None:
+                v[pc] = -x
+        basis.append(v)
+    return basis
 
 
 def rank(matrix: PolyMatrix) -> int:

@@ -25,7 +25,6 @@ from exactlie.g2 import (
     chi_crosscheck,
     chi_from_charpoly,
     example_f,
-    flatten,
     g2_basis,
     g2_bracket,
     g2_element,
@@ -315,7 +314,7 @@ def test_combination_and_coords_on_the_basis():
 
 def test_flatten_roundtrip_dimension():
     basis = g2_basis()
-    matrix = PolyMatrix([flatten(e) for e in basis])
+    matrix = PolyMatrix([g2.g2_coords(e) for e in basis])
     assert rank(matrix) == 14
 
 

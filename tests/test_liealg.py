@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from exactlie.classify import partitions_of
 from exactlie.liealg import (
     AlgebraDescriptor,
     LieAlgebra,
+    ad_matrix,
     b_family_model,
     block_form,
     bracket,
@@ -22,7 +24,7 @@ from exactlie.liealg import (
     transversality_check,
     valid_partition,
 )
-from exactlie.polymat import PolyMatrix, nullspace, rank
+from exactlie.polymat import PolyMatrix, nullspace, rank, solve_linear
 from exactlie.scalar import Scalar
 
 
@@ -261,3 +263,122 @@ def test_regular_so_slice_has_rank_many_coordinates():
     chart = slodowy_slice(model)
     assert chart.dim == 2
     assert sorted(chart.coord_weights) == [4, 8]
+
+
+# ---------------------------------------------------------------------------
+# the sparse core against dense oracles
+# ---------------------------------------------------------------------------
+
+
+def _dense_ad_oracle(alg: AlgebraDescriptor, x: PolyMatrix) -> PolyMatrix:
+    """ad(x) without liealg: each commutator x b - b x as a PolyMatrix
+    product, read back by solving against the flattened basis."""
+    size = alg.size
+    flat = PolyMatrix(
+        [[b.entry(i, j) for b in alg.basis] for i in range(size) for j in range(size)]
+    )
+    cols = []
+    for b in alg.basis:
+        comm = x * b - b * x
+        sol = solve_linear(flat, [comm.entry(i, j) for i in range(size) for j in range(size)])
+        assert sol is not None and not sol.homogeneous
+        cols.append(sol.particular)
+    return PolyMatrix([[c[i] for c in cols] for i in range(alg.dim)])
+
+
+def _oracle_algebras():
+    yield make_algebra("sl", 4), None
+    yield make_algebra("so", 5), None
+    yield make_algebra("so", 6), None
+    yield make_algebra("sp", 6), None
+    model = jm_triple("so", [3, 2, 2])
+    yield model.algebra, model.triple
+
+
+def test_ad_matrix_matches_dense_oracle():
+    rng = random.Random(11)
+    for alg, triple in _oracle_algebras():
+        elements = [rand_combination(alg, rng) for _ in range(3)]
+        # a random combination is not nilpotent: its trace of squares is
+        # nonzero, so the oracle is exercised beyond nilpotent elements
+        assert any((e * e).trace() for e in elements)
+        if triple is not None:
+            elements += [triple.x, triple.y, triple.h]
+        for x in elements:
+            assert ad_matrix(alg, x) == _dense_ad_oracle(alg, x)
+
+
+def test_form_algebra_basis_has_free_column_structure():
+    for alg, _ in _oracle_algebras():
+        for k, b in enumerate(alg.basis):
+            unit = [Scalar(int(i == k)) for i in range(alg.dim)]
+            assert alg.coords(b) == unit
+            assert alg.combination(unit) == b
+
+
+def test_coords_outside_the_algebra_raises():
+    for family, size in (("sl", 3), ("so", 5), ("sp", 4)):
+        alg = make_algebra(family, size)
+        outside = PolyMatrix.identity(size)
+        with pytest.raises(ValueError, match="not in"):
+            alg.coords(outside)
+        with pytest.raises(ValueError, match="not in"):
+            alg.coords(PolyMatrix.zeros(size + 1, size + 1))
+        # one entry off: a basis element plus a diagonal unit
+        b = alg.basis[0]
+        bumped = PolyMatrix(
+            [[b.entry(i, j) + (1 if (i, j) == (size - 1, size - 1) else 0)
+              for j in range(size)] for i in range(size)]
+        )
+        with pytest.raises(ValueError, match="not in"):
+            alg.coords(bumped)
+
+
+def test_coords_recombination_catches_a_wrong_readout():
+    # membership alone does not vouch for the readout: read one coordinate
+    # at another coordinate's free position and only the recombination
+    # check can tell
+    alg = make_algebra("sp", 4)
+    positions = list(alg._free_positions)
+    positions[0] = positions[1]
+    alg._free_positions = tuple(positions)
+    m = rand_combination(alg, random.Random(2))
+    assert alg.contains(m)
+    with pytest.raises(AssertionError, match="failed to reproduce"):
+        alg.coords(m)
+
+
+def _transpose_partition(parts):
+    return [sum(1 for p in parts if p > i) for i in range(parts[0])] if parts else []
+
+
+def _collingwood_mcgovern(family, size, parts):
+    """Orbit dimensions from the partition (Collingwood-McGovern,
+    Nilpotent Orbits in Semisimple Lie Algebras, 1993)."""
+    squares = sum(c * c for c in _transpose_partition(parts))
+    odd = sum(1 for p in parts if p % 2)
+    if family == "sl":
+        return size * size - squares
+    if family == "sp":
+        return (size * (size + 1) - squares - odd) // 2
+    return (size * (size - 1) - squares + odd) // 2
+
+
+ORBIT_CASES = [
+    (family, size, parts)
+    for family, sizes in (("sl", range(2, 9)), ("sp", (2, 4, 6, 8)), ("so", range(3, 9)))
+    for size in sizes
+    for parts in partitions_of(size)
+    if valid_partition(family, size, parts)
+]
+
+
+def test_orbit_dimension_oracle_covers_every_small_partition():
+    assert len(ORBIT_CASES) == 124
+
+
+@pytest.mark.parametrize("family,size,parts", ORBIT_CASES)
+def test_orbit_dimension_matches_partition_formula(family, size, parts):
+    report = transversality_check(jm_triple(family, parts))
+    assert report["transversal"] == 1
+    assert report["orbit_dim"] == _collingwood_mcgovern(family, size, parts)

@@ -171,3 +171,8 @@ def test_sympy_crosscheck_of_hook_elimination():
         assert f == to_sympy(derived_hook_f(n), symbols)
         if n == 3:
             assert f != to_sympy(expected_hook_f(n), symbols)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_hook_pipeline_gives_derived_form_at_large_n(n):
+    assert hook_pipeline(n).f == derived_hook_f(n)
