@@ -1,13 +1,14 @@
 """Matrices over the exact scalars or over polynomials.
 
 One matrix class serves both: entries are Scalars or MPolys (anything with
-ring arithmetic and truthiness).  Characteristic polynomials come from the
-Faddeev-LeVerrier recurrence, which divides only by integers and is
-therefore exact over Q; the cofactor determinant is kept as an independent
-cross-check for small sizes.  Row reduction, kernels and linear solving are
-implemented for Scalar entries only: rref works on sparse rows (column ->
-nonzero entry), and rank, nullspace, solve_linear and invert each run one
-rref; sparse_nullspace takes and returns such rows directly.
+ring arithmetic and truthiness).  Characteristic polynomials come from
+Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984), which
+uses only ring operations and so is exact over any coefficient ring; the
+cofactor determinant is kept as an independent cross-check for small
+sizes.  Row reduction, kernels and linear solving are implemented for
+Scalar entries only: rref works on sparse rows (column -> nonzero entry),
+and rank, nullspace, solve_linear and invert each run one rref;
+sparse_nullspace takes and returns such rows directly.
 """
 
 from __future__ import annotations
@@ -250,22 +251,35 @@ def det_cofactor(matrix: PolyMatrix):
 
 
 def charpoly_coefficients(matrix: PolyMatrix) -> List:
-    """Faddeev-LeVerrier coefficients c_0..c_n with
-    det(lam*I - A) = sum c_k lam^(n-k), c_0 = 1.  Divisions are by the
-    integers 1..n only, hence exact over any Q-algebra."""
+    """Coefficients c_0..c_n with det(lam*I - A) = sum c_k lam^(n-k),
+    c_0 = 1, by Berkowitz's division-free algorithm (S. J. Berkowitz, Inf.
+    Process. Lett. 18, 1984), hence exact over any commutative ring.
+
+    Step k borders the leading k x k block A_k by the row R and column C
+    left of and above a = A[k][k].  The Toeplitz column (1, -a, -R C,
+    -R A_k C, ..., -R A_k^(k-1) C) times the coefficients of A_k gives
+    those of A_(k+1); the Krylov vectors A_k^j C are matrix products."""
     if not matrix.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = matrix.nrows
+    rows = matrix.rows
     one = matrix._ring_one()
-    coeffs = [one]
-    m = PolyMatrix.identity(n, one=one)
-    for k in range(1, n + 1):
-        am = matrix * m
-        c = am.trace() / (-k)
-        coeffs.append(c)
-        if k < n:
-            m = am + PolyMatrix.identity(n, one=one).scale(c)
-    return coeffs
+    zero = one - one
+    coeffs = PolyMatrix([[one]])
+    for k in range(matrix.nrows):
+        toeplitz = [one, -rows[k][k]]
+        if k:
+            block = PolyMatrix([r[:k] for r in rows[:k]])
+            row = PolyMatrix([rows[k][:k]])
+            krylov = [PolyMatrix([[r[k]] for r in rows[:k]])]
+            for _ in range(k - 1):
+                krylov.append(block * krylov[-1])
+            toeplitz += [-(row * v).rows[0][0] for v in krylov]
+        lower = PolyMatrix(
+            [[toeplitz[i - j] if i >= j else zero for j in range(k + 1)]
+             for i in range(k + 2)]
+        )
+        coeffs = lower * coeffs
+    return coeffs.column(0)
 
 
 def charpoly(matrix: PolyMatrix, var: str) -> MPoly:
@@ -292,7 +306,8 @@ def charpoly(matrix: PolyMatrix, var: str) -> MPoly:
 
 
 def determinant(matrix: PolyMatrix):
-    """Determinant via Faddeev-LeVerrier: det A = (-1)^n c_n."""
+    """Determinant from the division-free Berkowitz coefficients:
+    det A = (-1)^n c_n."""
     coeffs = charpoly_coefficients(matrix)
     n = matrix.nrows
     if n == 0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .elim import eliminate_triangular
@@ -25,7 +26,7 @@ LAMBDA = "lam"
 HOOK_VARS = ("a", "b", "x", "y", "z")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SliceInvariants:
     chart: SliceChart
     vars: Tuple[str, ...]
@@ -125,15 +126,23 @@ def derive_hypersurface(inv: SliceInvariants) -> HookHypersurface:
     return HookHypersurface(n=n, invariants=inv, eliminations=subs, f=f)
 
 
+@lru_cache(maxsize=1)
+def hook_invariants(n: int) -> SliceInvariants:
+    """restrict_invariants of the hook slice at n.  The last result is
+    kept, so hook_pipeline(n) and hook_factorization(n) share one slice
+    and one characteristic polynomial."""
+    return restrict_invariants(hook_slice(n))
+
+
 def hook_pipeline(n: int) -> HookHypersurface:
-    return derive_hypersurface(restrict_invariants(hook_slice(n)))
+    return derive_hypersurface(hook_invariants(n))
 
 
 def hook_factorization(n: int) -> Tuple[MPoly, MPoly]:
     """chi_s minus its constant hook part factors through lam^2 + xz - y^2;
     the cofactor is the characteristic polynomial of the long-block slice.
     Returns (quotient, long_block_charpoly) after verifying both facts."""
-    inv = restrict_invariants(hook_slice(n))
+    inv = hook_invariants(n)
     vars = inv.vars
     a, b, x, y, z = (MPoly.variable(s, vars) for s in HOOK_VARS)
     k = math.factorial(2 * n - 3)

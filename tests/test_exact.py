@@ -21,6 +21,7 @@ from exactlie.mpoly import MPoly, divide_by_monic_in_var, grevlex_key
 from exactlie.polymat import (
     PolyMatrix,
     charpoly,
+    charpoly_coefficients,
     det_cofactor,
     determinant,
     exp_nilpotent,
@@ -220,6 +221,188 @@ def test_charpoly_polynomial_entries():
     one = MPoly.constant(1, vars)
     a = PolyMatrix([[z, one], [x, z]])
     assert charpoly(a, "lam") == _poly("lam^2 - x", vars)
+
+
+# charpoly_coefficients (Berkowitz) against two independent oracles: the
+# Faddeev-LeVerrier recurrence, kept here only as a reference, and the
+# cofactor expansion of det(lam*I - A).
+
+
+def faddeev_leverrier(a: PolyMatrix):
+    """c_0..c_n from M_1 = I, c_k = -tr(A M_k)/k, M_(k+1) = A M_k + c_k I."""
+    n = a.nrows
+    one = a._ring_one()
+    coeffs = [one]
+    m = PolyMatrix.identity(n, one=one)
+    for k in range(1, n + 1):
+        am = a * m
+        c = am.trace() / (-k)
+        coeffs.append(c)
+        if k < n:
+            m = am + PolyMatrix.identity(n, one=one).scale(c)
+    return coeffs
+
+
+ORACLE_VARS = ("x", "y")
+
+
+def _lift(c, vars):
+    return c.with_vars(vars) if isinstance(c, MPoly) else MPoly.constant(c, vars)
+
+
+def cofactor_coefficients(a: PolyMatrix):
+    """Coefficients of det_cofactor(lam*I - A) by falling power of lam."""
+    n = a.nrows
+    vars = ("lam",) + ORACLE_VARS
+    lam = MPoly.variable("lam", vars)
+    zero = MPoly.zero(vars)
+    shifted = PolyMatrix(
+        [[(lam if i == j else zero) - _lift(a.entry(i, j), vars) for j in range(n)]
+         for i in range(n)]
+    )
+    det = det_cofactor(shifted) if n else MPoly.constant(1, vars)
+    return [det.coefficient_in("lam", n - k) for k in range(n + 1)]
+
+
+def assert_charpoly_oracles(a: PolyMatrix):
+    coeffs = charpoly_coefficients(a)
+    assert len(coeffs) == a.nrows + 1
+    assert coeffs == faddeev_leverrier(a)
+    vars = ("lam",) + ORACLE_VARS
+    assert [_lift(c, vars) for c in coeffs] == cofactor_coefficients(a)
+    return coeffs
+
+
+def random_sqrt2_entry(rng):
+    return Scalar(0) if rng.random() < 0.3 else random_scalar(rng)
+
+
+def random_mpoly_entry(rng):
+    if rng.random() < 0.5:
+        return MPoly.zero(ORACLE_VARS)
+    x, y = (MPoly.variable(v, ORACLE_VARS) for v in ORACLE_VARS)
+    return rng.randint(-3, 3) + rng.randint(-2, 2) * x + rng.randint(-2, 2) * y
+
+
+def random_matrix(rng, n, entry):
+    return PolyMatrix([[entry(rng) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("entry", [random_sqrt2_entry, random_mpoly_entry])
+def test_charpoly_coefficients_match_oracles_sizes_0_to_7(entry):
+    rng = random.Random(29)
+    for n in range(8):
+        assert_charpoly_oracles(random_matrix(rng, n, entry))
+
+
+def test_charpoly_coefficients_empty_matrix_is_one():
+    assert charpoly_coefficients(PolyMatrix([])) == [Scalar(1)]
+
+
+def _with(a: PolyMatrix, fn) -> PolyMatrix:
+    n = a.nrows
+    return PolyMatrix([[fn(i, j, a.entry(i, j)) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("entry", [random_sqrt2_entry, random_mpoly_entry])
+def test_charpoly_coefficients_structured_cases(entry):
+    rng = random.Random(31)
+    for n in range(1, 6):
+        a = random_matrix(rng, n, entry)
+        zero = a.entry(0, 0) - a.entry(0, 0)
+        one = a._ring_one()
+        # Berkowitz's first step reads A[0][0]; zero it, or zero the
+        # first row or column, which the Krylov products start from
+        assert_charpoly_oracles(_with(a, lambda i, j, c: zero if i == j == 0 else c))
+        assert_charpoly_oracles(_with(a, lambda i, j, c: zero if i == 0 else c))
+        assert_charpoly_oracles(_with(a, lambda i, j, c: zero if j == 0 else c))
+
+        # triangular: the product of (lam - a_ii)
+        upper = _with(a, lambda i, j, c: c if i <= j else zero)
+        coeffs = assert_charpoly_oracles(upper)
+        expected = [one]
+        for i in range(n):
+            d = upper.entry(i, i)
+            expected = [
+                (expected[k] if k < len(expected) else zero)
+                - (d * expected[k - 1] if k else zero)
+                for k in range(len(expected) + 1)
+            ]
+        assert coeffs == expected
+
+        # nilpotent, not triangular: conjugate a strictly upper triangular
+        # matrix by L = I + N, N strictly lower, with L^-1 = sum (-N)^k
+        strict = _with(a, lambda i, j, c: c if i < j else zero)
+        below = _with(a, lambda i, j, c: c if i > j else zero)
+        identity = PolyMatrix.identity(n, one=one)
+        inverse, power = identity, identity
+        for _ in range(n - 1):
+            power = -(power * below)
+            inverse = inverse + power
+        assert (identity + below) * inverse == identity
+        nilpotent = (identity + below) * strict * inverse
+        assert assert_charpoly_oracles(nilpotent) == [one] + [zero] * n
+
+        # rank-deficient: an n x r times r x n product; c_k = 0 for k > r
+        r = n // 2
+        if r:
+            left = PolyMatrix([[entry(rng) for _ in range(r)] for _ in range(n)])
+            right = PolyMatrix([[entry(rng) for _ in range(n)] for _ in range(r)])
+            coeffs = assert_charpoly_oracles(left * right)
+            assert all(not c for c in coeffs[r + 1:])
+
+
+def _sympy_expr(poly: MPoly, symbols):
+    sympy = pytest.importorskip("sympy")
+    total = sympy.Integer(0)
+    for exps, c in poly.terms.items():
+        term = sympy.Rational(c.r0.numerator, c.r0.denominator) + sympy.Rational(
+            c.r1.numerator, c.r1.denominator
+        ) * sympy.sqrt(2)
+        for var, e in zip(poly.vars, exps):
+            if e:
+                term *= symbols[var] ** e
+        total += term
+    return sympy.expand(total)
+
+
+def sympy_charpoly_coefficients(matrix: PolyMatrix, symbols):
+    """sympy's own charpoly of an MPoly matrix, computed over
+    Q(sqrt 2)[symbols] (over sympy's generic EX domain it takes seconds)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.QQ.algebraic_field(sympy.sqrt(2))[tuple(symbols.values())]
+    n = matrix.nrows
+    mat = sympy.Matrix(n, n, lambda i, j: _sympy_expr(matrix.entry(i, j), symbols))
+    coeffs = DomainMatrix.from_Matrix(mat).convert_to(ring).charpoly()
+    return [ring.to_sympy(c) for c in coeffs]
+
+
+def test_hook_slice_charpoly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from exactlie.liealg import hook_slice
+    from exactlie.slicegeom import LAMBDA, restrict_invariants
+
+    inv = restrict_invariants(hook_slice(5))
+    symbols = {name: sympy.Symbol(name) for name in inv.vars if name != LAMBDA}
+    coeffs = sympy_charpoly_coefficients(inv.matrix, symbols)
+    lam = symbols[LAMBDA] = sympy.Symbol(LAMBDA)
+    n = inv.matrix.nrows
+    want = sum(c * lam ** (n - k) for k, c in enumerate(coeffs))
+    assert sympy.expand(_sympy_expr(inv.charpoly, symbols) - want) == 0
+
+
+def test_g2_slice_chi_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from exactlie import g2
+
+    xi = g2.g2_slice_xi()
+    symbols = {name: sympy.Symbol(name) for name in g2.VARS8}
+    want = sympy_charpoly_coefficients(g2.g2_embed_so7(xi), symbols)
+    c2, c6 = g2.chi_from_charpoly(xi)
+    assert sympy.expand(_sympy_expr(c2, symbols) - want[2]) == 0
+    assert sympy.expand(_sympy_expr(c6, symbols) - want[6]) == 0
 
 
 def test_pfaffian_4x4_closed_form():
