@@ -18,7 +18,7 @@ from fractions import Fraction
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .liealg import jordan_type, make_algebra, standard_form
+from .liealg import jordan_type, make_algebra, standard_form, to_dense
 from .mpoly import MPoly
 from .polymat import PolyMatrix, exp_nilpotent, invert, pfaffian, rank, solve_linear
 from .scalar import Scalar
@@ -364,16 +364,17 @@ def moment_identity_check(cfg: KPConfig) -> Fraction:
     constant: Optional[Scalar] = None
     pairs = []
     alg = make_algebra("sp", du, cfg.G_U)
+    basis = []
     for xi in alg.basis:
-        if not alg.contains(xi):
-            raise AssertionError("kernel vector is not in the algebra")
+        alg.coords(xi)  # raises ValueError unless xi lies in the algebra
+        basis.append(to_dense(xi, du))
     for c_ in range(du):
         for d_ in range(dv):
             Y = PolyMatrix(
                 [[1 if (r, k) == (c_, d_) else 0 for k in range(dv)] for r in range(du)]
             )
             Ys = adjoint(cfg, Y)
-            for xi in alg.basis:
+            for xi in basis:
                 lhs = ((Y * Xs + X * Ys) * xi).trace()
                 rhs = 2 * ((xi * X) * Ys).trace()
                 pairs.append((lhs, rhs))

@@ -18,11 +18,14 @@ forces gamma*delta = -alpha*beta/2 = 1/4 once the vector blocks carry
 +-1/sqrt(2).  All sign choices are pinned down by the exhaustive Jacobi
 and homomorphism sweeps in the test suite.
 
-The Jacobi sweep runs on structure constants (liealg.LieAlgebra): the
-bracket of each of the 196 basis pairs is read into basis coordinates
-and must recombine exactly, one symbolic bracket of two generic elements
-must equal the table's bilinear form, and then all 2744 ordered basis
-triples are summed over the table.
+g2_algebra() is the model as a liealg.LieAlgebra on the block triples,
+with g2_coords as its readout (ValueError for an A block with a trace).
+ad(x) comes from 14 block brackets.  The Jacobi sweep runs on the
+algebra's structure constants: the bracket of each of the 196 basis pairs
+is read into basis coordinates and must recombine exactly, one symbolic
+bracket of two generic elements must equal the table's bilinear form, and
+then all 2744 ordered basis triples are summed over the table.
+PolyMatrix holds the blocks themselves and the ad(x) matrix.
 """
 
 from __future__ import annotations
@@ -189,9 +192,11 @@ def g2_bracket(e: G2Elt, f: G2Elt) -> G2Elt:
 
 def g2_coords(e: G2Elt) -> List:
     """Coordinates in g2_basis(): E_ij = A_ij, H1 = A11, H2 = A11 + A22,
-    then v and w.  A33 is never read, so they are coordinates only for a
-    traceless A; g2_combination(g2_coords(e)) == e checks that."""
+    then v and w.  Raises ValueError unless A is traceless: A33 is never
+    read, so these are coordinates only for a traceless A."""
     a = e.a
+    if a.trace():
+        raise ValueError("element is not in g2: the A block has a trace")
     out = [a.entry(i, j) for i, j in OFF_DIAGONAL]
     out += [a.entry(0, 0), a.entry(0, 0) + a.entry(1, 1)]
     out += [e.v.entry(i, 0) for i in range(3)]
@@ -207,9 +212,11 @@ def g2_combination(coeffs: Sequence) -> G2Elt:
     return g2_element(a_rows, coeffs[8:11], coeffs[11:14])
 
 
-def ad_matrix_g2(e: G2Elt) -> PolyMatrix:
-    cols = [g2_coords(g2_bracket(e, b)) for b in g2_basis()]
-    return PolyMatrix([[cols[j][i] for j in range(14)] for i in range(14)])
+def g2_algebra() -> LieAlgebra:
+    """The block model as a LieAlgebra on g2_basis().  Built on every call
+    from the module's current g2_bracket and g2_coords, so a replaced
+    bracket or readout is the one the algebra uses."""
+    return LieAlgebra(BASIS_NAMES, g2_basis(), g2_bracket, g2_coords, g2_combination)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +385,14 @@ def jacobi_full() -> int:
     """Jacobi identity over every ordered basis triple (all 14^3 of
     them, no symmetry shortcuts); returns the count.
 
-    The triples are summed over g2's structure constants.  The table is
-    read from g2_bracket on the 196 basis pairs through g2_coords, and
-    each pair must recombine exactly, which also forces the sl3 part to
-    stay traceless.  One symbolic bracket of two generic elements in 28
-    coordinates must then equal the table's bilinear form, so the table
-    is g2_bracket on every input, and the contraction
-    sum_m c_yz^m c_xm^l decides the same identity as [x, [y, z]] in the
-    block model."""
-    alg = LieAlgebra.from_bracket(
-        BASIS_NAMES, g2_basis(), g2_bracket, g2_coords, g2_combination
-    )
+    The triples are summed over g2_algebra()'s structure constants.  The
+    table is read from g2_bracket on the 196 basis pairs through g2_coords,
+    and each pair must recombine exactly.  One symbolic bracket of two
+    generic elements in 28 coordinates must then equal the table's
+    bilinear form, so the table is g2_bracket on every input, and the
+    contraction sum_m c_yz^m c_xm^l decides the same identity as
+    [x, [y, z]] in the block model."""
+    alg = g2_algebra()
     names = tuple(f"x{k}" for k in range(14)) + tuple(f"y{k}" for k in range(14))
     xs = [MPoly.variable(n, names) for n in names[:14]]
     ys = [MPoly.variable(n, names) for n in names[14:]]
@@ -484,8 +488,8 @@ def slice_structure_check() -> Dict[str, int]:
         raise AssertionError("[h, y] != -2y")
     if g2_bracket(x, y) != h:
         raise AssertionError("[x, y] != h")
-    ady = ad_matrix_g2(y)
-    kernel = nullspace(ady)
+    alg = g2_algebra()
+    kernel = nullspace(alg.ad_matrix(y))
     if len(kernel) != 8:
         raise AssertionError(f"dim ker(ad y) = {len(kernel)}, want 8")
     dirs = xi_directions()
@@ -496,7 +500,7 @@ def slice_structure_check() -> Dict[str, int]:
         weight = 2 - SLICE_DEGREES[name]
         if g2_bracket(h, d) != d.scale(Scalar(weight)):
             raise AssertionError(f"direction {name} has the wrong h-weight")
-        coord_rows.append(g2_coords(d))
+        coord_rows.append(alg.coords(d))
     if rank(PolyMatrix(coord_rows)) != 8:
         raise AssertionError("slice directions are dependent")
     # the symbolic form of the same statement: y commutes with xi - x

@@ -37,8 +37,8 @@ class SliceInvariants:
 
 def slice_matrix(chart: SliceChart, vars: Tuple[str, ...]) -> PolyMatrix:
     """The generic slice element x + sum c_k V_k as a polynomial matrix."""
-    size = chart.model.algebra.size
     x = chart.model.triple.x
+    size = x.nrows
     entries: List[List[MPoly]] = [
         [MPoly.constant(x.entry(i, j), vars) for j in range(size)]
         for i in range(size)
@@ -60,9 +60,8 @@ def restrict_invariants(chart: SliceChart) -> SliceInvariants:
     s = slice_matrix(chart, vars)
     cp = charpoly(s, LAMBDA)
     pf = None
-    alg = chart.model.algebra
-    if alg.family == "so":
-        g = alg.form.map_entries(lambda c: MPoly.constant(c, vars))
+    if chart.model.family == "so":
+        g = chart.model.form.map_entries(lambda c: MPoly.constant(c, vars))
         pf = pfaffian(g * s)
     return SliceInvariants(chart, vars, s, cp, pf)
 

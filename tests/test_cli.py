@@ -5,6 +5,7 @@ capsys.  Exit code conventions: 0 all checks pass, 1 an identity check
 failed, 2 invalid input, 3 an internal error.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -245,6 +246,28 @@ def passing(names):
     return [(name, "pass") for name in names]
 
 
+# sha256 of each pinned case's canonical JSON stdout, keyed by its argv, so
+# that any change to the report's bytes shows here
+REPORT_DIGESTS = {
+    "slice --algebra sp --rank 2 --orbit 2,1,1":
+        "7153292e1f75d24abf4dc807f73fc02d3a80c402ddac4630205d9ef7e84f582e",
+    "slice --algebra sp --rank 3 --orbit 4,1,1":
+        "991417f660d9d8068dcbbd61d1aef1f43050aa6fa536cda99a3459e2ee64dff0",
+    "classify --algebra C --rank 4 --enumerate":
+        "89e0fb242151bad7bb4ac62882481b5897b041d4f7002419c237bd642742f63e",
+    "classify --algebra B --rank 3 --orbit 5,1,1":
+        "39618528f385ed348919b503c0f5809e79bf9ec11f13017c4dfcb363a3c81dd1",
+    "f4 betti":
+        "e3a887168d209ccb42a04963cbb54eb24caa3a4a158e58749cb2ef91bd2b95cf",
+    "f4 verify":
+        "99b33a8618d2d337d3e7eac80df12f802b2677d2b332debdae26bdba5f6325ed",
+    "dualpair --n 3 --i 3":
+        "7a32854a6a7aa8d50957a7a59a4eb1297f5c92808e31977dec59ca57e205ad6f",
+    "dualpair --n 5 --i 5":
+        "e4c0532f3d845c45ac10cc0b9abf21e5969a453120b1f62d2c138ad644f70dea",
+}
+
+
 @pytest.mark.parametrize(
     "argv, exit_code, checks",
     [
@@ -285,9 +308,11 @@ def passing(names):
     ],
 )
 def test_report_check_lists_are_pinned(capsys, argv, exit_code, checks):
-    code, report = run_json(capsys, argv)
+    code, out, _ = run(capsys, ["--emit", "json"] + argv)
+    report = json.loads(out)
     assert code == report["exit_code"] == exit_code
     assert [(c["name"], c["status"]) for c in report["checks"]] == checks
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[" ".join(argv)]
 
 
 def test_internal_error_in_a_check_is_recorded_and_exits_3(capsys, monkeypatch):

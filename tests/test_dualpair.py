@@ -19,7 +19,7 @@ from exactlie.dualpair import (
     rank_chain_check,
     symbolic_element,
 )
-from exactlie.liealg import make_algebra, standard_form
+from exactlie.liealg import make_algebra, standard_form, to_dense
 from exactlie.polymat import PolyMatrix, pfaffian, rank
 
 
@@ -128,7 +128,10 @@ def test_sp_basis_dimension_and_membership():
         alg = make_algebra("sp", du, cfg.G_U)
         basis = alg.basis
         assert len(basis) == du * (du + 1) // 2
-        assert all(alg.contains(xi) for xi in basis)
+        for k, xi in enumerate(basis):
+            assert alg.coords(xi) == [int(i == k) for i in range(len(basis))]
+            dense = to_dense(xi, du)
+            assert (dense.transpose() * cfg.G_U + cfg.G_U * dense).is_zero()
 
 
 def test_entries_of_the_two_maps_commute():

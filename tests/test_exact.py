@@ -33,6 +33,7 @@ from exactlie.polymat import (
     solve_linear,
 )
 from exactlie.scalar import Scalar
+from sympy_oracle import sympy_charpoly_coefficients, to_sympy
 
 
 # ---------------------------------------------------------------------------
@@ -352,33 +353,6 @@ def test_charpoly_coefficients_structured_cases(entry):
             assert all(not c for c in coeffs[r + 1:])
 
 
-def _sympy_expr(poly: MPoly, symbols):
-    sympy = pytest.importorskip("sympy")
-    total = sympy.Integer(0)
-    for exps, c in poly.terms.items():
-        term = sympy.Rational(c.r0.numerator, c.r0.denominator) + sympy.Rational(
-            c.r1.numerator, c.r1.denominator
-        ) * sympy.sqrt(2)
-        for var, e in zip(poly.vars, exps):
-            if e:
-                term *= symbols[var] ** e
-        total += term
-    return sympy.expand(total)
-
-
-def sympy_charpoly_coefficients(matrix: PolyMatrix, symbols):
-    """sympy's own charpoly of an MPoly matrix, computed over
-    Q(sqrt 2)[symbols] (over sympy's generic EX domain it takes seconds)."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    ring = sympy.QQ.algebraic_field(sympy.sqrt(2))[tuple(symbols.values())]
-    n = matrix.nrows
-    mat = sympy.Matrix(n, n, lambda i, j: _sympy_expr(matrix.entry(i, j), symbols))
-    coeffs = DomainMatrix.from_Matrix(mat).convert_to(ring).charpoly()
-    return [ring.to_sympy(c) for c in coeffs]
-
-
 def test_hook_slice_charpoly_against_sympy():
     sympy = pytest.importorskip("sympy")
     from exactlie.liealg import hook_slice
@@ -390,7 +364,7 @@ def test_hook_slice_charpoly_against_sympy():
     lam = symbols[LAMBDA] = sympy.Symbol(LAMBDA)
     n = inv.matrix.nrows
     want = sum(c * lam ** (n - k) for k, c in enumerate(coeffs))
-    assert sympy.expand(_sympy_expr(inv.charpoly, symbols) - want) == 0
+    assert sympy.expand(to_sympy(inv.charpoly, symbols) - want) == 0
 
 
 def test_g2_slice_chi_against_sympy():
@@ -401,8 +375,8 @@ def test_g2_slice_chi_against_sympy():
     symbols = {name: sympy.Symbol(name) for name in g2.VARS8}
     want = sympy_charpoly_coefficients(g2.g2_embed_so7(xi), symbols)
     c2, c6 = g2.chi_from_charpoly(xi)
-    assert sympy.expand(_sympy_expr(c2, symbols) - want[2]) == 0
-    assert sympy.expand(_sympy_expr(c6, symbols) - want[6]) == 0
+    assert sympy.expand(to_sympy(c2, symbols) - want[2]) == 0
+    assert sympy.expand(to_sympy(c6, symbols) - want[6]) == 0
 
 
 def test_pfaffian_4x4_closed_form():

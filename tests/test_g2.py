@@ -312,6 +312,16 @@ def test_combination_and_coords_on_the_basis():
         assert g2.g2_coords(b) == unit
 
 
+def test_coords_and_ad_reject_an_a_block_with_a_trace():
+    # diag(1, 0, 0) would read as H1 = H2 = 1, which recombines to
+    # diag(1, 0, -1): a readout for an element outside g2
+    e = g2_element([[1, 0, 0], [0, 0, 0], [0, 0, 0]], (0, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="not in g2"):
+        g2.g2_coords(e)
+    with pytest.raises(ValueError, match="not in g2"):
+        g2.g2_algebra().ad_matrix(e)
+
+
 def test_flatten_roundtrip_dimension():
     basis = g2_basis()
     matrix = PolyMatrix([g2.g2_coords(e) for e in basis])

@@ -1,16 +1,17 @@
 """Tests for the matrix Lie algebra layer: algebras cut out by forms,
 sl2-triples with adapted bases, Jordan types, and slice charts."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from exactlie import liealg
 from exactlie.classify import partitions_of
+from exactlie.g2 import g2_algebra
 from exactlie.liealg import (
-    AlgebraDescriptor,
     LieAlgebra,
-    ad_matrix,
     b_family_model,
     block_form,
     bracket,
@@ -21,14 +22,16 @@ from exactlie.liealg import (
     make_algebra,
     slodowy_slice,
     standard_form,
+    to_dense,
+    to_sparse,
     transversality_check,
     valid_partition,
 )
 from exactlie.polymat import PolyMatrix, nullspace, rank, solve_linear
-from exactlie.scalar import Scalar
+from exactlie.scalar import ONE, Scalar
 
 
-def rand_combination(alg: AlgebraDescriptor, rng: random.Random) -> PolyMatrix:
+def rand_combination(alg: LieAlgebra, rng: random.Random):
     coeffs = [Scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 3))) for _ in alg.basis]
     return alg.combination(coeffs)
 
@@ -62,10 +65,10 @@ def test_membership_and_coords_roundtrip():
         alg = make_algebra(family, size, form)
         for _ in range(10):
             m = rand_combination(alg, rng)
-            assert alg.contains(m)
             assert alg.combination(alg.coords(m)) == m
         # something outside: identity is never traceless / form-compatible
-        assert not alg.contains(PolyMatrix.identity(size))
+        with pytest.raises(ValueError, match="not in"):
+            alg.coords(to_sparse(PolyMatrix.identity(size)))
 
 
 def test_bracket_closure():
@@ -74,17 +77,14 @@ def test_bracket_closure():
         form = None if family == "sl" else standard_form(family, size)
         alg = make_algebra(family, size, form)
         for _ in range(6):
-            a = rand_combination(alg, rng)
-            b = rand_combination(alg, rng)
-            assert alg.contains(bracket(a, b))
+            a = to_dense(rand_combination(alg, rng), size)
+            b = to_dense(rand_combination(alg, rng), size)
+            alg.coords(to_sparse(bracket(a, b)))  # raises if outside
 
 
 def _sp4_structure_constants(coords=None) -> LieAlgebra:
     alg = make_algebra("sp", 4)
-    names = tuple(f"b{k}" for k in range(alg.dim))
-    return LieAlgebra.from_bracket(
-        names, alg.basis, bracket, coords or alg.coords, alg.combination
-    )
+    return alg if coords is None else dataclasses.replace(alg, coords=coords)
 
 
 def test_structure_constants_satisfy_jacobi():
@@ -92,22 +92,20 @@ def test_structure_constants_satisfy_jacobi():
     assert lie.dim == 10
     assert lie.jacobi() == 10 ** 3
     # the table is the commutator on generic coordinate vectors too
-    alg = make_algebra("sp", 4)
     rng = random.Random(3)
-    x = alg.coords(rand_combination(alg, rng))
-    y = alg.coords(rand_combination(alg, rng))
-    xy = bracket(alg.combination(x), alg.combination(y))
-    assert alg.combination(lie.bracket_coords(x, y)) == xy
+    x = lie.coords(rand_combination(lie, rng))
+    y = lie.coords(rand_combination(lie, rng))
+    dx, dy = to_dense(lie.combination(x), 4), to_dense(lie.combination(y), 4)
+    assert to_dense(lie.combination(lie.bracket_coords(x, y)), 4) == dx * dy - dy * dx
 
 
 def test_flipped_structure_constant_breaks_jacobi():
     lie = _sp4_structure_constants()
     (i, j), row = next(iter(lie.table.items()))
     k, c = next(iter(row.items()))
-    table = {key: dict(r) for key, r in lie.table.items()}
-    table[(i, j)][k] = -c
+    lie.table[(i, j)][k] = -c
     with pytest.raises(AssertionError, match="Jacobi identity fails"):
-        LieAlgebra(lie.names, table).jacobi()
+        lie.jacobi()
 
 
 def test_readout_dropping_a_coordinate_fails_the_build():
@@ -117,7 +115,7 @@ def test_readout_dropping_a_coordinate_fails_the_build():
         return alg.coords(m)[:-1] + [Scalar(0)]
 
     with pytest.raises(AssertionError, match="do not recombine"):
-        _sp4_structure_constants(drop_last)
+        _sp4_structure_constants(drop_last).table
 
 
 def test_jordan_type_by_rank_sequence():
@@ -177,8 +175,8 @@ def test_block_form_frozen_entries():
 def test_jm_triple_sp_hook():
     model = jm_triple("sp", [6, 1, 1])
     assert model.partition == (6, 1, 1)
-    assert model.algebra.family == "sp"
-    assert model.algebra.form.is_skew()
+    assert model.family == "sp"
+    assert model.form.is_skew()
     assert jordan_type(model.triple.x) == (6, 1, 1)
     assert jordan_type(model.triple.y) == (6, 1, 1)
 
@@ -186,10 +184,10 @@ def test_jm_triple_sp_hook():
 def test_jm_triple_paired_parts():
     # sp hosts odd parts only in pairs, so only even parts in pairs
     sp33 = jm_triple("sp", [3, 3])
-    assert sp33.algebra.form.is_skew()
+    assert sp33.form.is_skew()
     assert jordan_type(sp33.triple.x) == (3, 3)
     so22 = jm_triple("so", [2, 2])
-    assert so22.algebra.form.is_symmetric()
+    assert so22.form.is_symmetric()
     assert jordan_type(so22.triple.x) == (2, 2)
     with pytest.raises(ValueError):
         jm_triple("sp", [3, 2, 1])
@@ -270,15 +268,16 @@ def test_regular_so_slice_has_rank_many_coordinates():
 # ---------------------------------------------------------------------------
 
 
-def _dense_ad_oracle(alg: AlgebraDescriptor, x: PolyMatrix) -> PolyMatrix:
+def _dense_ad_oracle(alg: LieAlgebra, x: PolyMatrix) -> PolyMatrix:
     """ad(x) without liealg: each commutator x b - b x as a PolyMatrix
     product, read back by solving against the flattened basis."""
-    size = alg.size
+    size = x.nrows
+    basis = [to_dense(b, size) for b in alg.basis]
     flat = PolyMatrix(
-        [[b.entry(i, j) for b in alg.basis] for i in range(size) for j in range(size)]
+        [[b.entry(i, j) for b in basis] for i in range(size) for j in range(size)]
     )
     cols = []
-    for b in alg.basis:
+    for b in basis:
         comm = x * b - b * x
         sol = solve_linear(flat, [comm.entry(i, j) for i in range(size) for j in range(size)])
         assert sol is not None and not sol.homogeneous
@@ -287,29 +286,29 @@ def _dense_ad_oracle(alg: AlgebraDescriptor, x: PolyMatrix) -> PolyMatrix:
 
 
 def _oracle_algebras():
-    yield make_algebra("sl", 4), None
-    yield make_algebra("so", 5), None
-    yield make_algebra("so", 6), None
-    yield make_algebra("sp", 6), None
+    yield make_algebra("sl", 4), 4, None
+    yield make_algebra("so", 5), 5, None
+    yield make_algebra("so", 6), 6, None
+    yield make_algebra("sp", 6), 6, None
     model = jm_triple("so", [3, 2, 2])
-    yield model.algebra, model.triple
+    yield model.algebra, 7, model.triple
 
 
 def test_ad_matrix_matches_dense_oracle():
     rng = random.Random(11)
-    for alg, triple in _oracle_algebras():
-        elements = [rand_combination(alg, rng) for _ in range(3)]
+    for alg, size, triple in _oracle_algebras():
+        elements = [to_dense(rand_combination(alg, rng), size) for _ in range(3)]
         # a random combination is not nilpotent: its trace of squares is
         # nonzero, so the oracle is exercised beyond nilpotent elements
         assert any((e * e).trace() for e in elements)
         if triple is not None:
             elements += [triple.x, triple.y, triple.h]
         for x in elements:
-            assert ad_matrix(alg, x) == _dense_ad_oracle(alg, x)
+            assert alg.ad_matrix(to_sparse(x)) == _dense_ad_oracle(alg, x)
 
 
 def test_form_algebra_basis_has_free_column_structure():
-    for alg, _ in _oracle_algebras():
+    for alg, _, _ in _oracle_algebras():
         for k, b in enumerate(alg.basis):
             unit = [Scalar(int(i == k)) for i in range(alg.dim)]
             assert alg.coords(b) == unit
@@ -319,33 +318,74 @@ def test_form_algebra_basis_has_free_column_structure():
 def test_coords_outside_the_algebra_raises():
     for family, size in (("sl", 3), ("so", 5), ("sp", 4)):
         alg = make_algebra(family, size)
-        outside = PolyMatrix.identity(size)
+        outside = to_sparse(PolyMatrix.identity(size))
         with pytest.raises(ValueError, match="not in"):
             alg.coords(outside)
-        with pytest.raises(ValueError, match="not in"):
-            alg.coords(PolyMatrix.zeros(size + 1, size + 1))
+        # entries beyond the size x size block: an off-diagonal one (which
+        # no trace sees) and a diagonal one
+        for pos in ((0, size), (size, size)):
+            with pytest.raises(ValueError, match="not in"):
+                alg.coords({pos: ONE})
         # one entry off: a basis element plus a diagonal unit
-        b = alg.basis[0]
+        b = to_dense(alg.basis[0], size)
         bumped = PolyMatrix(
             [[b.entry(i, j) + (1 if (i, j) == (size - 1, size - 1) else 0)
               for j in range(size)] for i in range(size)]
         )
         with pytest.raises(ValueError, match="not in"):
-            alg.coords(bumped)
+            alg.coords(to_sparse(bumped))
 
 
-def test_coords_recombination_catches_a_wrong_readout():
+def test_coords_recombination_catches_a_wrong_readout(monkeypatch):
     # membership alone does not vouch for the readout: read one coordinate
     # at another coordinate's free position and only the recombination
     # check can tell
+    good = make_algebra("sp", 4)
+    m = rand_combination(good, random.Random(2))
+    good.coords(m)  # m is in the algebra
+    right = liealg._free_positions
+
+    def swapped(kernel):
+        positions = list(right(kernel))
+        positions[0] = positions[1]
+        return tuple(positions)
+
+    monkeypatch.setattr(liealg, "_free_positions", swapped)
     alg = make_algebra("sp", 4)
-    positions = list(alg._free_positions)
-    positions[0] = positions[1]
-    alg._free_positions = tuple(positions)
-    m = rand_combination(alg, random.Random(2))
-    assert alg.contains(m)
     with pytest.raises(AssertionError, match="failed to reproduce"):
         alg.coords(m)
+
+
+GENERIC_ALGEBRAS = {
+    "sl3": lambda: make_algebra("sl", 3),
+    "so5": lambda: make_algebra("so", 5),
+    "sp4": lambda: make_algebra("sp", 4),
+    "g2": g2_algebra,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_ALGEBRAS))
+def test_ad_matrix_is_read_from_the_structure_constants(name):
+    alg = GENERIC_ALGEBRAS[name]()
+    rng = random.Random(13)
+    units = [[Scalar(int(i == k)) for i in range(alg.dim)] for k in range(alg.dim)]
+    for _ in range(3):
+        x = rand_combination(alg, rng)
+        cx = alg.coords(x)
+        cols = [alg.bracket_coords(cx, e) for e in units]
+        want = PolyMatrix([[cols[k][i] for k in range(alg.dim)] for i in range(alg.dim)])
+        assert alg.ad_matrix(x) == want
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_ALGEBRAS))
+def test_ad_is_a_homomorphism(name):
+    # ad([x, y]) = ad(x) ad(y) - ad(y) ad(x)
+    alg = GENERIC_ALGEBRAS[name]()
+    rng = random.Random(17)
+    for _ in range(3):
+        x, y = rand_combination(alg, rng), rand_combination(alg, rng)
+        adx, ady = alg.ad_matrix(x), alg.ad_matrix(y)
+        assert alg.ad_matrix(alg.bracket(x, y)) == adx * ady - ady * adx
 
 
 def _transpose_partition(parts):

@@ -22,6 +22,7 @@ from exactlie.slicegeom import (
     restrict_invariants,
     slice_matrix,
 )
+from sympy_oracle import sympy_charpoly_coefficients, to_sympy
 
 
 def hook_poly(text: str, extra=()) -> MPoly:
@@ -126,7 +127,7 @@ def test_orthogonal_slice_carries_pfaffian():
     chart = slodowy_slice(jm_triple("so", [3, 1]))
     inv = restrict_invariants(chart)
     assert inv.pfaffian is not None
-    g = chart.model.algebra.form.map_entries(
+    g = chart.model.form.map_entries(
         lambda c: MPoly.constant(c, inv.vars)
     )
     s = slice_matrix(chart, inv.vars)
@@ -141,33 +142,18 @@ def test_symplectic_slice_has_no_pfaffian():
 
 def test_sympy_crosscheck_of_hook_elimination():
     # independent oracle: sympy's own characteristic polynomial of the
-    # slice matrix and its own solve for the t's must give the derived
-    # sign, not the printed one
+    # slice matrix (over Q[slice coordinates]) and its own solve for the
+    # t's must give the derived sign, not the printed one
     sympy = pytest.importorskip("sympy")
-
-    def to_sympy(poly: MPoly, symbols):
-        total = sympy.Integer(0)
-        for exps, c in poly.terms.items():
-            assert c.is_rational()
-            term = sympy.Rational(c.r0.numerator, c.r0.denominator)
-            for var, e in zip(poly.vars, exps):
-                term *= symbols[var] ** e
-            total += term
-        return sympy.expand(total)
-
-    for n in (2, 3, 4):
+    for n in range(2, 7):
         inv = restrict_invariants(hook_slice(n))
-        symbols = {name: sympy.Symbol(name) for name in inv.vars}
-        lam = symbols[LAMBDA]
-        m = inv.matrix
-        mat = sympy.Matrix(
-            m.nrows, m.ncols, lambda i, j: to_sympy(m.entry(i, j), symbols)
-        )
-        cp = sympy.Poly(mat.charpoly(lam).as_expr(), lam)
+        symbols = {name: sympy.Symbol(name) for name in inv.vars if name != LAMBDA}
+        # det(lam I - s) = sum_k cp[k] lam^(2n-k)
+        cp = sympy_charpoly_coefficients(inv.matrix, symbols)
         ts = [symbols[f"t{j}"] for j in range(1, n)]
-        middle = [cp.coeff_monomial(lam ** (2 * n - 2 * i)) for i in range(1, n)]
+        middle = [cp[2 * i] for i in range(1, n)]
         (solution,) = sympy.solve(middle, ts, dict=True)
-        f = sympy.expand(cp.coeff_monomial(1).subs(solution))
+        f = sympy.expand(cp[2 * n].subs(solution))
         assert f == to_sympy(derived_hook_f(n), symbols)
         if n == 3:
             assert f != to_sympy(expected_hook_f(n), symbols)
