@@ -33,8 +33,8 @@ def main():
     print(f"rho Jordan type on V: {elt.rho_type}")
     print(f"pi  Jordan type on U: {elt.pi_type}")
     print("witness X:")
-    for row in elt.X.rows:
-        print("  [" + " ".join(f"{str(e):>3}" for e in row) + "]")
+    for i in range(elt.X.nrows):
+        print("  [" + " ".join(f"{str(e):>3}" for e in elt.X.row(i)) + "]")
 
     cfg = default_config(args.n)
     pi, rho = kp_maps(cfg, elt.X)

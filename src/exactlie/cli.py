@@ -55,7 +55,7 @@ def _jsonable(value):
     if isinstance(value, (Scalar, Fraction)):
         return str(value)
     if isinstance(value, PolyMatrix):
-        return [[_jsonable(e) for e in row] for row in value.rows]
+        return [_jsonable(value.row(i)) for i in range(value.nrows)]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .liealg import jordan_type, make_algebra, standard_form, to_dense
+from .liealg import jordan_type, make_algebra, standard_form
 from .mpoly import MPoly
 from .polymat import PolyMatrix, exp_nilpotent, invert, pfaffian, rank, solve_linear
 from .scalar import Scalar
@@ -138,13 +138,8 @@ def _string_model(n: int, i: int) -> Tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
 
 
 def _form_value(M: PolyMatrix, v: List[Scalar], w: List[Scalar]) -> Scalar:
-    out = Scalar(0)
-    for a, row in zip(v, M.rows):
-        if a.is_zero():
-            continue
-        for b, m in zip(w, row):
-            out = out + a * m * b
-    return out
+    """v^T M w."""
+    return (PolyMatrix([v]) * M * PolyMatrix([[x] for x in w])).entry(0, 0)
 
 
 def _independent_subset(vectors: List[List[Scalar]]) -> List[List[Scalar]]:
@@ -364,17 +359,13 @@ def moment_identity_check(cfg: KPConfig) -> Fraction:
     constant: Optional[Scalar] = None
     pairs = []
     alg = make_algebra("sp", du, cfg.G_U)
-    basis = []
     for xi in alg.basis:
         alg.coords(xi)  # raises ValueError unless xi lies in the algebra
-        basis.append(to_dense(xi, du))
     for c_ in range(du):
         for d_ in range(dv):
-            Y = PolyMatrix(
-                [[1 if (r, k) == (c_, d_) else 0 for k in range(dv)] for r in range(du)]
-            )
+            Y = PolyMatrix.from_entries(du, dv, {(c_, d_): 1})
             Ys = adjoint(cfg, Y)
-            for xi in basis:
+            for xi in alg.basis:
                 lhs = ((Y * Xs + X * Ys) * xi).trace()
                 rhs = 2 * ((xi * X) * Ys).trace()
                 pairs.append((lhs, rhs))
@@ -428,10 +419,7 @@ def _nilpotent_in_algebra(G: PolyMatrix, a: int, b: int, skew: bool) -> PolyMatr
     supported on positions (a, b) and the mirrored pair."""
     m = G.nrows
     for s in (1, -1):
-        rows = [[0] * m for _ in range(m)]
-        rows[a][b] = 1
-        rows[m - 1 - b][m - 1 - a] = s
-        cand = PolyMatrix(rows)
+        cand = PolyMatrix.from_entries(m, m, {(a, b): 1, (m - 1 - b, m - 1 - a): s})
         if (cand.transpose() * G + G * cand).is_zero():
             return cand
     raise AssertionError("no mirrored generator preserves the form")

@@ -129,29 +129,23 @@ def ideal_membership_bounded(
     if not columns:
         return None
 
-    # row index: every monomial that can appear in any product or in target
+    # row index: every monomial that can appear in any product or in target;
+    # column (gi, mono) holds g_gi's coefficients shifted by mono, and
+    # distinct terms of g_gi land on distinct rows
     row_of: Dict[Tuple[int, ...], int] = {}
-    col_vectors: List[Dict[int, Scalar]] = []
-    for gi, mono in columns:
-        vec: Dict[int, Scalar] = {}
+    entries: Dict[Tuple[int, int], Scalar] = {}
+    for j, (gi, mono) in enumerate(columns):
         for e, c in generators[gi].terms.items():
             prod = tuple(a + b for a, b in zip(e, mono))
-            r = row_of.setdefault(prod, len(row_of))
-            vec[r] = vec.get(r, Scalar(0)) + c
-        col_vectors.append(vec)
+            entries[(row_of.setdefault(prod, len(row_of)), j)] = c
     for e in target.terms:
         row_of.setdefault(e, len(row_of))
 
-    nrows = len(row_of)
-    matrix = [[Scalar(0)] * len(columns) for _ in range(nrows)]
-    for j, vec in enumerate(col_vectors):
-        for r, c in vec.items():
-            matrix[r][j] = c
-    rhs = [Scalar(0)] * nrows
+    rhs = [Scalar(0)] * len(row_of)
     for e, c in target.terms.items():
         rhs[row_of[e]] = c
 
-    sol = solve_linear(PolyMatrix(matrix), rhs)
+    sol = solve_linear(PolyMatrix.from_entries(len(row_of), len(columns), entries), rhs)
     if sol is None:
         return None
     cofactors = [MPoly.zero(vars) for _ in generators]

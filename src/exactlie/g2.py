@@ -98,10 +98,6 @@ class G2Elt:
         return self.a.is_zero() and self.v.is_zero() and self.w.is_zero()
 
 
-def g2_zero() -> G2Elt:
-    return G2Elt(PolyMatrix.zeros(3, 3), PolyMatrix.zeros(3, 1), PolyMatrix.zeros(1, 3))
-
-
 def g2_element(a_rows, v_entries, w_entries) -> G2Elt:
     return G2Elt(
         PolyMatrix(a_rows),
@@ -183,9 +179,9 @@ def g2_bracket(e: G2Elt, f: G2Elt) -> G2Elt:
     a1, v1, w1 = e.a, e.v, e.w
     a2, v2, w2 = f.a, f.v, f.w
     a_part = a1 * a2 - a2 * a1 + _pair_vw(v2, w1) - _pair_vw(v1, w2)
-    vrows = _cross3(list(w1.rows[0]), list(w2.rows[0]))
+    vrows = _cross3(w1.row(0), w2.row(0))
     v_part = a1 * v2 - a2 * v1 + PolyMatrix([[x] for x in vrows])
-    wrows = _cross3([v1.entry(i, 0) for i in range(3)], [v2.entry(i, 0) for i in range(3)])
+    wrows = _cross3(v1.column(0), v2.column(0))
     w_part = w1 * a2 - w2 * a1 + PolyMatrix([wrows])
     return G2Elt(a_part, v_part, w_part)
 
@@ -278,10 +274,9 @@ def invariant_form() -> PolyMatrix:
     if len(kernel) != 1:
         raise AssertionError(f"invariant form space has dimension {len(kernel)}")
     vec = kernel[0]
-    g = PolyMatrix.zeros(7, 7)
-    for (i, j), k in idx.items():
-        g.rows[i][j] = vec[k]
-        g.rows[j][i] = vec[k]
+    g = PolyMatrix.from_entries(
+        7, 7, {pos: vec[k] for (i, j), k in idx.items() for pos in ((i, j), (j, i))}
+    )
     norm = g.entry(0, 4)
     if not norm:
         raise AssertionError("degenerate invariant form")
@@ -653,17 +648,6 @@ def s3_polarizations() -> Dict[str, MPoly]:
     return {"a": e2x, "b": mix, "c": e2y, "p": e3x, "q": q_, "r": r_, "s": e3y}
 
 
-def _compose(poly: MPoly, images: Dict[str, MPoly], vars: Tuple[str, ...]) -> MPoly:
-    out = MPoly.zero(vars)
-    for exps, coef in poly.terms.items():
-        term = MPoly.constant(coef, vars)
-        for var, e in zip(poly.vars, exps):
-            for _ in range(e):
-                term = term * images[var]
-        out = out + term
-    return out
-
-
 def _poly_kernel(polys: Sequence[MPoly]) -> List[List[Scalar]]:
     exps = sorted({e for p in polys for e in p.terms})
     matrix = PolyMatrix(
@@ -758,7 +742,7 @@ def s3_invariant_model() -> Dict[str, Fraction]:
         }
         rel = slice_relations(VARS7)
         if all(
-            _compose(rel[k], images, S3_VARS).is_zero()
+            rel[k].substitute(images).is_zero()
             for k in ("t1", "t2", "t3", "z1", "z2")
         ):
             found = {"alpha": alpha, "beta": beta, "kappa": kappa, "pi": pi_}

@@ -9,15 +9,14 @@ identity is a contraction, is read from the basis brackets on first use.
 The exceptional block model (g2.g2_algebra) is one too.
 
 make_algebra cuts sl/so/sp out of gl_m by a bilinear form (or
-tracelessness for type A).  Its elements are sparse, {(i, j): nonzero
-Scalar} dicts: membership evaluates M^T G + G M (or the trace) over the
-nonzero entries, and a coordinate readout takes the entries at the basis'
-free positions (the diagonal partial sums for sl) and is checked by
-recombining it.  PolyMatrix appears only at the edges: `bracket`, chart
-vectors and the ad(x) matrix handed to rref.  Nilpotent elements come
-with adapted bases: each Jordan block gets the chain basis whose form is
-the alternating binomial antidiagonal, which keeps every structure constant
-rational and makes the printed models downstream reproducible literally.
+tracelessness for type A).  Its elements are PolyMatrix values, and so
+are the sl2-triples, the chart vectors and ad(x): membership evaluates
+M^T G + G M (or the trace), and a coordinate readout takes the entries at
+the basis' free positions (the diagonal partial sums for sl) and is
+checked by recombining it.  Nilpotent elements come with adapted bases:
+each Jordan block gets the chain basis whose form is the alternating
+binomial antidiagonal, which keeps every structure constant rational and
+makes the printed models downstream reproducible literally.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .polymat import PolyMatrix, nullspace, rank, sparse_nullspace
+from .polymat import PolyMatrix, kernel, linear_combination, nullspace, rank
 from .scalar import ONE, ZERO, Scalar
 
 
@@ -41,65 +40,18 @@ def standard_form(family: str, size: int) -> PolyMatrix:
     """Reference bilinear forms: antidiagonal ones for so, antidiagonal
     split signs for sp."""
     if family == "so":
-        return PolyMatrix(
-            [[1 if i + j == size - 1 else 0 for j in range(size)] for i in range(size)]
-        )
+        return PolyMatrix.from_entries(size, size, {(i, size - 1 - i): 1 for i in range(size)})
     if family == "sp":
         if size % 2:
             raise ValueError("sp needs even size")
-        half = size // 2
-        rows = [[0] * size for _ in range(size)]
-        for i in range(size):
-            rows[i][size - 1 - i] = 1 if i < half else -1
-        return PolyMatrix(rows)
+        return PolyMatrix.from_entries(
+            size, size, {(i, size - 1 - i): 1 if 2 * i < size else -1 for i in range(size)}
+        )
     raise ValueError(f"no standard form for family {family!r}")
 
 
-# A sparse matrix is a dict {(i, j): nonzero Scalar}; every product below
-# touches only nonzero entries and drops the ones that cancel.
-Sparse = Dict[Tuple[int, int], Scalar]
-
-
-def to_sparse(m: PolyMatrix) -> Sparse:
-    return {(i, j): x for i, row in enumerate(m.rows) for j, x in enumerate(row) if x}
-
-
-def to_dense(s: Sparse, size: int) -> PolyMatrix:
-    rows = [[ZERO] * size for _ in range(size)]
-    for (i, j), x in s.items():
-        rows[i][j] = x
-    return PolyMatrix(rows)
-
-
-def _combine(terms: Iterable[Tuple[Scalar, Sparse]]) -> Sparse:
-    """sum c * s over the (c, s) terms."""
-    out: Sparse = {}
-    for c, s in terms:
-        if c:
-            for key, x in s.items():
-                v = out.get(key)
-                out[key] = c * x if v is None else v + c * x
-    return {key: x for key, x in out.items() if x}
-
-
-def _mul(a: Sparse, b: Sparse) -> Sparse:
-    b_rows: Dict[int, List[Tuple[int, Scalar]]] = {}
-    for (t, j), y in b.items():
-        b_rows.setdefault(t, []).append((j, y))
-    out: Sparse = {}
-    for (i, t), x in a.items():
-        for j, y in b_rows.get(t, ()):
-            v = out.get((i, j))
-            out[(i, j)] = x * y if v is None else v + x * y
-    return {key: x for key, x in out.items() if x}
-
-
-def _bracket(x: Sparse, y: Sparse) -> Sparse:
-    return _combine(((ONE, _mul(x, y)), (-ONE, _mul(y, x))))
-
-
 def bracket(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
-    return to_dense(_bracket(to_sparse(x), to_sparse(y)), x.nrows)
+    return x * y - y * x
 
 
 @dataclass(frozen=True)
@@ -125,12 +77,11 @@ class LieAlgebra:
         """ad(x) in the basis: column k holds coords([x, b_k]).  Raises
         ValueError for x outside the algebra."""
         self.coords(x)
-        cols = [self.coords(self.bracket(x, b)) for b in self.basis]
-        return PolyMatrix([[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+        return PolyMatrix([self.coords(self.bracket(x, b)) for b in self.basis]).transpose()
 
     @cached_property
     def table(self) -> Dict[Tuple[int, int], Dict[int, Scalar]]:
-        """Sparse structure constants, table[(i, j)] = {k: c_ij^k} with
+        """Structure constants, stored sparsely: table[(i, j)] = {k: c_ij^k} with
         [b_i, b_j] = sum_k c_ij^k b_k.  Only nonzero constants are stored,
         and a pair whose bracket vanishes has no entry.
 
@@ -188,43 +139,50 @@ class LieAlgebra:
         return count
 
 
-def _free_positions(kernel: Sequence[Sparse]) -> Tuple[Tuple[int, int], ...]:
-    """The position whose entry carries each kernel vector's coordinate.
-    In the reduced kernel basis each vector is 1 on its own free column and
-    0 on the others'; the free column is its last nonzero entry."""
-    owner: Dict[Tuple[int, int], int] = {}
-    for idx, vec in enumerate(kernel):
-        last = max(vec)
-        if vec[last] != ONE or last in owner:
-            raise AssertionError("kernel basis lost its free-column structure")
-        owner[last] = idx
-    if any(owner.get(p, idx) != idx for idx, vec in enumerate(kernel) for p in vec):
+def _free_positions(basis: PolyMatrix) -> Tuple[int, ...]:
+    """The position whose entry carries each kernel vector's coordinate,
+    for a kernel basis held as matrix rows.  In the reduced kernel basis
+    each vector is 1 on its own free column and 0 on the others'; the free
+    column is its last nonzero entry."""
+    last: Dict[int, int] = {}
+    for idx, p, _ in basis.nonzeros():
+        last[idx] = max(p, last.get(idx, p))
+    owner = {p: idx for idx, p in last.items()}
+    if (
+        len(owner) != basis.nrows
+        or any(basis.entry(idx, p) != ONE for p, idx in owner.items())
+        or any(owner.get(p, idx) != idx for idx, p, _ in basis.nonzeros())
+    ):
         raise AssertionError("kernel basis lost its free-column structure")
     return tuple(owner)
 
 
 def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> LieAlgebra:
-    """Construct sl/so/sp of the given matrix size on sparse matrices.  For
-    so/sp the basis is the deterministic kernel basis of M^T G + G M = 0;
-    its free-coordinate structure doubles as an O(1) coordinate readout.
-    coords rejects a matrix outside the algebra (ValueError) and checks
-    every readout by recombining it (AssertionError)."""
+    """Construct sl/so/sp of the given matrix size.  For so/sp the basis is
+    the deterministic kernel basis of M^T G + G M = 0; its free-coordinate
+    structure doubles as an O(1) coordinate readout.  coords rejects a
+    matrix outside the algebra (ValueError) and checks every readout by
+    recombining it (AssertionError)."""
     if family == "sl":
-        basis: List[Sparse] = [
-            {(i, j): ONE} for i in range(size) for j in range(size) if i != j
+        basis = [
+            PolyMatrix.from_entries(size, size, {(i, j): ONE})
+            for i in range(size) for j in range(size) if i != j
         ]
-        basis += [{(k, k): ONE, (k + 1, k + 1): -ONE} for k in range(size - 1)]
+        basis += [
+            PolyMatrix.from_entries(size, size, {(k, k): ONE, (k + 1, k + 1): -ONE})
+            for k in range(size - 1)
+        ]
 
-        def member(s: Sparse) -> bool:
-            return not sum((x for (i, j), x in s.items() if i == j), ZERO)
+        def member(x: PolyMatrix) -> bool:
+            return not x.trace()
 
-        def readout(s: Sparse) -> List[Scalar]:
+        def readout(x: PolyMatrix) -> List[Scalar]:
             # E_ij off-diagonal, then H_k = E_kk - E_(k+1)(k+1): the H
             # coordinates are partial sums of the diagonal
-            out = [s.get((i, j), ZERO) for i in range(size) for j in range(size) if i != j]
+            out = [x.entry(i, j) for i in range(size) for j in range(size) if i != j]
             running = ZERO
             for k in range(size - 1):
-                running = running + s.get((k, k), ZERO)
+                running = running + x.entry(k, k)
                 out.append(running)
             return out
 
@@ -234,62 +192,49 @@ def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> L
             raise ValueError("so needs a symmetric form")
         if family == "sp" and not g.is_skew():
             raise ValueError("sp needs a skew form")
-        sg = to_sparse(g)
-        # constraint rows: (M^T G + G M)_(a,b) = 0, unknowns M_(i,j) flattened;
-        # each row touches only the G entries in column b and in row a
-        g_rows: Dict[int, List[Tuple[int, Scalar]]] = {}
-        g_cols: Dict[int, List[Tuple[int, Scalar]]] = {}
-        for (i, j), x in sg.items():
-            g_rows.setdefault(i, []).append((j, x))
-            g_cols.setdefault(j, []).append((i, x))
-        rows: List[Dict[int, Scalar]] = []
-        for a in range(size):
-            for b in range(size):
-                row: Dict[int, Scalar] = {}
-                # (M^T G)_(a,b) = sum_k M_(k,a) G_(k,b)
-                for k, x in g_cols.get(b, ()):
-                    row[k * size + a] = row.get(k * size + a, ZERO) + x
-                # (G M)_(a,b) = sum_k G_(a,k) M_(k,b)
-                for k, x in g_rows.get(a, ()):
-                    row[k * size + b] = row.get(k * size + b, ZERO) + x
-                rows.append({p: x for p, x in row.items() if x})
-        basis = [
-            {(p // size, p % size): x for p, x in vec.items()}
-            for vec in sparse_nullspace(rows, size * size)
-        ]
+        # constraint rows: (M^T G + G M)_(a,b) = 0, unknowns M_(i,j) flattened.
+        # A form entry G_(k,b) enters (M^T G)_(a,b) through M_(k,a) and
+        # (G M)_(k,a) through M_(b,a), for every a.
+        constraints: Dict[Tuple[int, int], Scalar] = {}
+        for k, b, x in g.nonzeros():
+            for a in range(size):
+                for key in ((a * size + b, k * size + a), (k * size + a, b * size + a)):
+                    constraints[key] = constraints.get(key, ZERO) + x
+        solutions = kernel(PolyMatrix.from_entries(size * size, size * size, constraints))
+        entries: List[Dict[Tuple[int, int], Scalar]] = [{} for _ in range(solutions.nrows)]
+        for idx, p, x in solutions.nonzeros():
+            entries[idx][divmod(p, size)] = x
+        basis = [PolyMatrix.from_entries(size, size, e) for e in entries]
         expected = size * (size - 1) // 2 if family == "so" else size * (size + 1) // 2
         if len(basis) != expected:
             raise AssertionError(
                 f"{family}{size} basis has {len(basis)} elements, expected {expected}"
             )
-        free = _free_positions(basis)
+        free = [divmod(p, size) for p in _free_positions(solutions)]
 
-        def member(s: Sparse) -> bool:
-            transpose = {(j, i): x for (i, j), x in s.items()}
-            return not _combine(((ONE, _mul(transpose, sg)), (ONE, _mul(sg, s))))
+        def member(x: PolyMatrix) -> bool:
+            return (x.transpose() * g + g * x).is_zero()
 
-        def readout(s: Sparse) -> List[Scalar]:
-            return [s.get(p, ZERO) for p in free]
+        def readout(x: PolyMatrix) -> List[Scalar]:
+            return [x.entry(i, j) for i, j in free]
 
     else:
         raise ValueError(f"unknown family {family!r}")
     name = f"{family}{size}"
 
-    def coords(s: Sparse) -> List[Scalar]:
-        if not all(0 <= i < size and 0 <= j < size for i, j in s) or not member(s):
+    def coords(x: PolyMatrix) -> List[Scalar]:
+        if (x.nrows, x.ncols) != (size, size) or not member(x):
             raise ValueError(f"matrix is not in {name}")
-        out = readout(s)
-        if _combine(zip(out, basis)) != s:
+        out = readout(x)
+        if combination(out) != x:
             raise AssertionError("coordinate readout failed to reproduce the matrix")
         return out
 
-    def combination(coeffs: Sequence[Scalar]) -> Sparse:
-        if len(coeffs) != len(basis):
-            raise ValueError("coefficient count mismatch")
-        return _combine(zip(coeffs, basis))
+    def combination(coeffs: Sequence[Scalar]) -> PolyMatrix:
+        return linear_combination(coeffs, basis, size, size)
 
     names = tuple(f"b{k}" for k in range(len(basis)))
-    return LieAlgebra(names, tuple(basis), _bracket, coords, combination)
+    return LieAlgebra(names, tuple(basis), bracket, coords, combination)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +294,9 @@ def valid_partition(family: str, size: int, parts: Sequence[int]) -> bool:
 def chain_block(m: int) -> Tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """The sl2-triple on one Jordan block: x has superdiagonal 1..m-1,
     y the mirrored subdiagonal, h the odd integers m-1, m-3, ..."""
-    x = PolyMatrix.zeros(m, m)
-    y = PolyMatrix.zeros(m, m)
-    h = PolyMatrix.zeros(m, m)
-    for k in range(1, m):
-        x.rows[k - 1][k] = Scalar(k)
-        y.rows[k][k - 1] = Scalar(m - k)
-    for k in range(m):
-        h.rows[k][k] = Scalar(m - 1 - 2 * k)
+    x = PolyMatrix.from_entries(m, m, {(k - 1, k): k for k in range(1, m)})
+    y = PolyMatrix.from_entries(m, m, {(k, k - 1): m - k for k in range(1, m)})
+    h = PolyMatrix.from_entries(m, m, {(k, k): m - 1 - 2 * k for k in range(m)})
     return x, y, h
 
 
@@ -364,12 +304,10 @@ def block_form(m: int) -> PolyMatrix:
     """Antidiagonal binomial form J with J[k, m+1-k] = (-1)^k / C(m-1, k-1)
     (1-indexed); symmetric for odd m, skew for even m, and the chain triple
     lies in the algebra it defines."""
-    j = PolyMatrix.zeros(m, m)
-    for k in range(1, m + 1):
-        j.rows[k - 1][m - k] = Scalar(
-            Fraction((-1) ** k, math.comb(m - 1, k - 1))
-        )
-    return j
+    return PolyMatrix.from_entries(
+        m, m,
+        {(k - 1, m - k): Fraction((-1) ** k, math.comb(m - 1, k - 1)) for k in range(1, m + 1)},
+    )
 
 
 @dataclass
@@ -419,27 +357,21 @@ def jm_triple(family: str, partition: Sequence[int]) -> NilpotentModel:
             xs.append(PolyMatrix.block_diag([xb, xb]))
             ys.append(PolyMatrix.block_diag([yb, yb]))
             hs.append(PolyMatrix.block_diag([hb, hb]))
-            j = block_form(m)
-            sign = Scalar(-1) if family == "sp" else Scalar(1)
-            top = [[Scalar(0)] * m + list(j.rows[i]) for i in range(m)]
-            bottom = [
-                [j.rows[jj][i] * sign for jj in range(m)] + [Scalar(0)] * m
-                for i in range(m)
-            ]
-            forms.append(PolyMatrix(top + bottom))
+            # [[0, J], [sign J^T, 0]]
+            sign = -1 if family == "sp" else 1
+            pair: Dict[Tuple[int, int], Scalar] = {}
+            for i, c, v in block_form(m).nonzeros():
+                pair[(i, m + c)] = v
+                pair[(m + c, i)] = v * sign
+            forms.append(PolyMatrix.from_entries(2 * m, 2 * m, pair))
     x = PolyMatrix.block_diag(xs)
     y = PolyMatrix.block_diag(ys)
     h = PolyMatrix.block_diag(hs)
     form = None if family == "sl" else PolyMatrix.block_diag(forms)
     alg = make_algebra(family, size, form)
-    sx, sy, sh = to_sparse(x), to_sparse(y), to_sparse(h)
-    for m_ in (sx, sy, sh):
+    for m_ in (x, y, h):
         alg.coords(m_)  # raises ValueError if the triple escapes the algebra
-    if (
-        _bracket(sx, sy) != sh
-        or _bracket(sh, sx) != _combine([(Scalar(2), sx)])
-        or _bracket(sh, sy) != _combine([(Scalar(-2), sy)])
-    ):
+    if bracket(x, y) != h or bracket(h, x) != x.scale(2) or bracket(h, y) != y.scale(-2):
         raise AssertionError("sl2 relations fail")
     if jordan_type(x) != tuple(parts):
         raise AssertionError("constructed nilpotent has the wrong Jordan type")
@@ -455,14 +387,10 @@ def b_family_model(n: int) -> Tuple[PolyMatrix, PolyMatrix]:
     form_blocks = []
     x_blocks = []
     for s in sizes:
-        fb = PolyMatrix.zeros(s, s)
-        for i in range(1, s + 1):
-            fb.rows[i - 1][s - i] = Scalar((-1) ** (i - 1))
-        form_blocks.append(fb)
-        xb = PolyMatrix.zeros(s, s)
-        for i in range(s - 1):
-            xb.rows[i][i + 1] = Scalar(1)
-        x_blocks.append(xb)
+        form_blocks.append(
+            PolyMatrix.from_entries(s, s, {(i - 1, s - i): (-1) ** (i - 1) for i in range(1, s + 1)})
+        )
+        x_blocks.append(PolyMatrix.from_entries(s, s, {(i, i + 1): 1 for i in range(s - 1)}))
     return PolyMatrix.block_diag(form_blocks), PolyMatrix.block_diag(x_blocks)
 
 
@@ -499,8 +427,8 @@ def slodowy_slice(model: NilpotentModel, prefix: str = "c") -> SliceChart:
     coordinate has the definite weight 2 - w."""
     alg = model.algebra
     y, h = model.triple.y, model.triple.h
-    ady = alg.ad_matrix(to_sparse(y))
-    adh = alg.ad_matrix(to_sparse(h))
+    ady = alg.ad_matrix(y)
+    adh = alg.ad_matrix(h)
     hdiag = _integer_diag(h)
     weights = sorted({a - b for a in hdiag for b in hdiag}, reverse=True)
     total = len(nullspace(ady))
@@ -508,9 +436,8 @@ def slodowy_slice(model: NilpotentModel, prefix: str = "c") -> SliceChart:
     vec_weights: List[int] = []
     for w in weights:
         shifted = adh - PolyMatrix.identity(alg.dim).scale(Scalar(w))
-        stacked = PolyMatrix([list(r) for r in ady.rows] + [list(r) for r in shifted.rows])
-        for coeffs in nullspace(stacked):
-            vectors.append(to_dense(alg.combination(coeffs), h.nrows))
+        for coeffs in nullspace(PolyMatrix.vstack(ady, shifted)):
+            vectors.append(alg.combination(coeffs))
             vec_weights.append(w)
     if len(vectors) != total:
         raise AssertionError("graded kernel misses part of ker(ad y)")
@@ -534,57 +461,49 @@ def hook_slice(n: int) -> SliceChart:
     m = 2 * n - 2
     size = 2 * n
 
-    vectors: List[Sparse] = []
+    y_long = chain_block(m)[1]
+    pad = PolyMatrix.zeros(2, 2)
+    vectors: List[PolyMatrix] = []
     names: List[str] = []
     weights: List[int] = []
-    y_long = to_sparse(chain_block(m)[1])
-    power: Sparse = {(i, i): ONE for i in range(m)}
-    exponent = 0
+    power = y_long
     for j in range(1, n):
         k = 2 * j - 1
-        while exponent < k:
-            power, exponent = _mul(power, y_long), exponent + 1
-        vectors.append(_combine([(Scalar(Fraction(1, math.factorial(k))), power)]))
+        vectors.append(PolyMatrix.block_diag([power.scale(Fraction(1, math.factorial(k))), pad]))
         names.append(f"t{j}")
         weights.append(4 * j)
-    vectors.append({(m - 1, m + 1): ONE, (m, 0): -ONE})
-    names.append("a")
-    weights.append(2 * n - 1)
-    vectors.append({(m - 1, m): ONE, (m + 1, 0): ONE})
-    names.append("b")
-    weights.append(2 * n - 1)
-    vectors.append({(m + 1, m): ONE})
-    names.append("x")
-    weights.append(2)
-    vectors.append({(m, m): ONE, (m + 1, m + 1): -ONE})
-    names.append("y")
-    weights.append(2)
-    vectors.append({(m, m + 1): -ONE})
-    names.append("z")
-    weights.append(2)
+        power = power * y_long * y_long
+    for name, weight, entries in (
+        ("a", 2 * n - 1, {(m - 1, m + 1): 1, (m, 0): -1}),
+        ("b", 2 * n - 1, {(m - 1, m): 1, (m + 1, 0): 1}),
+        ("x", 2, {(m + 1, m): 1}),
+        ("y", 2, {(m, m): 1, (m + 1, m + 1): -1}),
+        ("z", 2, {(m, m + 1): -1}),
+    ):
+        vectors.append(PolyMatrix.from_entries(size, size, entries))
+        names.append(name)
+        weights.append(weight)
 
-    sy, sh = to_sparse(model.triple.y), to_sparse(model.triple.h)
+    y, h = model.triple.y, model.triple.h
     coord_rows = []
     for v, w in zip(vectors, weights):
-        if _bracket(sy, v):
+        if not bracket(y, v).is_zero():
             raise AssertionError("chart vector is not in ker(ad y)")
-        if _bracket(sh, v) != _combine([(Scalar(2 - w), v)]):
+        if bracket(h, v) != v.scale(2 - w):
             raise AssertionError("chart vector has the wrong weight")
         coord_rows.append(alg.coords(v))  # raises ValueError if v escapes sp
     if rank(PolyMatrix(coord_rows)) != len(vectors):
         raise AssertionError("chart vectors are dependent")
-    ady = alg.ad_matrix(sy)
-    if len(nullspace(ady)) != len(vectors):
+    if len(nullspace(alg.ad_matrix(y))) != len(vectors):
         raise AssertionError("chart does not span ker(ad y)")
-    dense = tuple(to_dense(v, size) for v in vectors)
-    return SliceChart(model, tuple(names), dense, tuple(weights))
+    return SliceChart(model, tuple(names), tuple(vectors), tuple(weights))
 
 
 def transversality_check(model: NilpotentModel) -> Dict[str, int]:
     """Dimension bookkeeping at x: slice dim + orbit dim = algebra dim."""
     alg = model.algebra
-    adx = alg.ad_matrix(to_sparse(model.triple.x))
-    ady = alg.ad_matrix(to_sparse(model.triple.y))
+    adx = alg.ad_matrix(model.triple.x)
+    ady = alg.ad_matrix(model.triple.y)
     slice_dim = len(nullspace(ady))
     orbit_dim = rank(adx)
     return {

@@ -1,7 +1,7 @@
-"""Sparse multivariate polynomials over Q(sqrt 2).
+"""Multivariate polynomials over Q(sqrt 2), stored sparsely.
 
 Terms live in a dict mapping exponent tuples to nonzero Scalars.  The
-canonical term order used everywhere (printing, JSON, leading terms) is
+canonical term order used everywhere (printing, JSON) is
 graded reverse lexicographic, descending: higher total degree first, ties
 broken so that e precedes e' when the last nonzero entry of e - e' is
 negative.  Sorting ascending by the key (-total_degree, reversed exponent
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .scalar import Scalar
 
@@ -103,12 +103,6 @@ class MPoly:
 
     def sorted_terms(self) -> List[Tuple[Exponents, Scalar]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=grevlex_key)]
-
-    def leading_term(self) -> Tuple[Exponents, Scalar]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = min(self.terms, key=grevlex_key)
-        return e, self.terms[e]
 
     def coefficient(self, exps: Exponents) -> Scalar:
         return self.terms.get(tuple(exps), Scalar(0))
@@ -198,9 +192,6 @@ class MPoly:
             base = base * base if exponent > 1 else base
             exponent >>= 1
         return result
-
-    def map_coefficients(self, fn: Callable[[Scalar], Scalar]) -> "MPoly":
-        return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
 
     # ---- calculus / structure ----
 
@@ -304,11 +295,6 @@ class MPoly:
                 prod = prod * cache[k]
             result = result + prod
         return result
-
-    def rename_vars(self, new_vars: Tuple[str, ...]) -> "MPoly":
-        if len(new_vars) != len(self.vars):
-            raise ValueError("rename needs the same number of variables")
-        return MPoly(new_vars, dict(self.terms))
 
     def with_vars(self, new_vars: Tuple[str, ...]) -> "MPoly":
         """Re-express over a superset (or reordering) of the variables."""

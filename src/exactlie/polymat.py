@@ -1,24 +1,37 @@
 """Matrices over the exact scalars or over polynomials.
 
-One matrix class serves both: entries are Scalars or MPolys (anything with
-ring arithmetic and truthiness).  Characteristic polynomials come from
-Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984), which
-uses only ring operations and so is exact over any coefficient ring; the
-cofactor determinant is kept as an independent cross-check for small
-sizes.  Row reduction, kernels and linear solving are implemented for
-Scalar entries only: rref works on sparse rows (column -> nonzero entry),
-and rank, nullspace, solve_linear and invert each run one rref;
-sparse_nullspace takes and returns such rows directly.
+PolyMatrix is the one matrix type.  It stores only its nonzero entries,
+grouped by row (_rows[i] maps a column to a nonzero entry), with its width
+and its ring's zero kept explicitly: an entry that is not stored reads as
+that zero, and a 0 x m matrix keeps its m columns.  Entries are Scalars
+or MPolys (anything with ring arithmetic and truthiness).  Ints and
+Fractions become Scalars once, when raw entries come in through
+PolyMatrix(rows) or, for Scalar matrices, PolyMatrix.from_entries; every
+other operation touches only stored entries and drops the ones that cancel.
+Other modules read entries through entry, row, column and nonzeros, never
+through the row storage.
+
+Characteristic polynomials come from Berkowitz's division-free algorithm
+(Inf. Process. Lett. 18, 1984), which uses only ring operations and so is
+exact over any coefficient ring; the cofactor determinant is kept as an
+independent cross-check for small sizes.  Row reduction, kernels and
+linear solving are implemented for Scalar entries only: rref reduces the
+matrix's own rows, rank, kernel, nullspace, solve_linear and invert each
+run one rref, and kernel, nullspace and solve_linear read their kernel
+bases with one reader.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .mpoly import MPoly
-from .scalar import Scalar
+from .scalar import ONE, ZERO, Scalar
+
+Row = Dict[int, object]
 
 
 def _coerce_entry(x):
@@ -28,34 +41,72 @@ def _coerce_entry(x):
 
 
 class PolyMatrix:
-    __slots__ = ("rows",)
+    """An nrows x ncols matrix on sparse rows; immutable."""
+
+    __slots__ = ("_rows", "ncols", "zero")
 
     def __init__(self, rows: Sequence[Sequence]):
-        data = [[_coerce_entry(x) for x in row] for row in rows]
-        if data:
-            w = len(data[0])
-            if any(len(r) != w for r in data):
-                raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", data)
+        """The matrix with these raw entries, one list per row."""
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        first = _coerce_entry(rows[0][0]) if ncols else ZERO
+        self._init(
+            [{j: _coerce_entry(x) for j, x in enumerate(r) if x} for r in rows],
+            ncols,
+            first - first,
+        )
+
+    def _init(self, rows: List[Row], ncols: int, zero) -> None:
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "zero", zero)
+
+    @staticmethod
+    def _make(rows: List[Row], ncols: int, zero) -> "PolyMatrix":
+        """Wrap rows that already hold only nonzero ring elements."""
+        m = object.__new__(PolyMatrix)
+        m._init(rows, ncols, zero)
+        return m
 
     def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable in shape; use map_entries")
+        raise AttributeError("PolyMatrix is immutable; use map_entries")
 
     # ---- shape / access ----
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def one(self):
+        return self.zero ** 0
 
     def entry(self, i: int, j: int):
-        return self.rows[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
+        return self._rows[i].get(j, self.zero)
+
+    def row(self, i: int) -> List:
+        row, zero = self._rows[i], self.zero
+        return [row.get(j, zero) for j in range(self.ncols)]
 
     def column(self, j: int) -> List:
-        return [r[j] for r in self.rows]
+        return [r.get(j, self.zero) for r in self._rows]
+
+    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "PolyMatrix":
+        """Rows r0..r1-1 and columns c0..c1-1."""
+        return PolyMatrix._make(
+            [{j - c0: x for j, x in r.items() if c0 <= j < c1} for r in self._rows[r0:r1]],
+            c1 - c0,
+            self.zero,
+        )
+
+    def nonzeros(self) -> Iterator[Tuple[int, int, object]]:
+        """(i, j, entry) for every nonzero entry, row by row."""
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                yield i, j, x
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -63,94 +114,108 @@ class PolyMatrix:
     # ---- constructors ----
 
     @staticmethod
+    def from_entries(
+        nrows: int, ncols: int, entries: Mapping[Tuple[int, int], object]
+    ) -> "PolyMatrix":
+        """The nrows x ncols Scalar matrix with the given raw scalar entries
+        (Scalars, ints or Fractions) at the given (row, column) positions
+        and zero elsewhere."""
+        rows: List[Row] = [{} for _ in range(nrows)]
+        for (i, j), x in entries.items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+            if x:
+                rows[i][j] = Scalar.coerce(x)
+        return PolyMatrix._make(rows, ncols, ZERO)
+
+    @staticmethod
     def zeros(n: int, m: int, zero=None) -> "PolyMatrix":
-        z = Scalar(0) if zero is None else zero
-        return PolyMatrix([[z for _ in range(m)] for _ in range(n)])
+        return PolyMatrix._make([{} for _ in range(n)], m, ZERO if zero is None else zero)
 
     @staticmethod
     def identity(n: int, one=None) -> "PolyMatrix":
-        o = Scalar(1) if one is None else one
-        z = o - o
-        return PolyMatrix([[o if i == j else z for j in range(n)] for i in range(n)])
+        o = ONE if one is None else one
+        return PolyMatrix._make([{i: o} for i in range(n)], n, o - o)
 
     @staticmethod
     def block_diag(blocks: Sequence["PolyMatrix"]) -> "PolyMatrix":
-        n = sum(b.nrows for b in blocks)
-        m = sum(b.ncols for b in blocks)
-        out = [[Scalar(0)] * m for _ in range(n)]
-        r0 = c0 = 0
+        rows: List[Row] = []
+        c0 = 0
         for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    out[r0 + i][c0 + j] = b.rows[i][j]
-            r0 += b.nrows
+            rows += [{c0 + j: x for j, x in r.items()} for r in b._rows]
             c0 += b.ncols
-        return PolyMatrix(out)
+        return PolyMatrix._make(rows, c0, blocks[0].zero if blocks else ZERO)
+
+    @staticmethod
+    def vstack(top: "PolyMatrix", bottom: "PolyMatrix") -> "PolyMatrix":
+        if top.ncols != bottom.ncols:
+            raise ValueError("shape mismatch in vertical stack")
+        return PolyMatrix._make(top._rows + bottom._rows, top.ncols, top.zero + bottom.zero)
 
     # ---- arithmetic ----
 
+    def _entrywise(self, other: "PolyMatrix", op: Callable) -> "PolyMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                f"shape mismatch: {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}"
+            )
+        zero = op(self.zero, other.zero)
+        out: List[Row] = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = dict(ra)
+            for j, b in rb.items():
+                v = op(row.get(j, zero), b)
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+            out.append(row)
+        return PolyMatrix._make(out, self.ncols, zero)
+
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-a for a in r] for r in self.rows])
+        return PolyMatrix._make(
+            [{j: -x for j, x in r.items()} for r in self._rows], self.ncols, self.zero
+        )
 
     def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix([[a * c for a in r] for r in self.rows])
+        # entries lie in a field or a polynomial ring over one, so a
+        # product of two nonzero factors is never zero
+        c = _coerce_entry(c)
+        zero = self.zero * c
+        if not c:
+            return PolyMatrix.zeros(self.nrows, self.ncols, zero)
+        return PolyMatrix._make(
+            [{j: x * c for j, x in r.items()} for r in self._rows], self.ncols, zero
+        )
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return self.scale(other)
-        n, k, m = self.nrows, self.ncols, other.ncols
-        if other.nrows != k:
+        if other.nrows != self.ncols:
             raise ValueError("shape mismatch in matrix product")
-        # sparsity-aware: skip zero left entries (matters for the big
-        # symbolic characteristic-polynomial runs)
-        bt = other.rows
-        out: List[List] = []
-        for i in range(n):
-            arow = self.rows[i]
-            acc: List = [None] * m
-            for t in range(k):
-                a = arow[t]
-                if not a:
-                    continue
-                brow = bt[t]
-                for j in range(m):
-                    b = brow[j]
-                    if not b:
-                        continue
-                    p = a * b
-                    acc[j] = p if acc[j] is None else acc[j] + p
-            zero = None
-            for j in range(m):
-                if acc[j] is None:
-                    if zero is None:
-                        zero = self._ring_zero(other)
-                    acc[j] = zero
+        brows = other._rows
+        out: List[Row] = []
+        for arow in self._rows:
+            acc: Row = {}
+            for t, a in arow.items():
+                for j, b in brows[t].items():
+                    v = acc.get(j)
+                    acc[j] = a * b if v is None else v + a * b
+            if not all(acc.values()):
+                acc = {j: v for j, v in acc.items() if v}
             out.append(acc)
-        return PolyMatrix(out)
-
-    def _ring_zero(self, other: Optional["PolyMatrix"] = None):
-        for m in (self, other):
-            if m is None:
-                continue
-            for r in m.rows:
-                for x in r:
-                    return x - x
-        return Scalar(0)
+        return PolyMatrix._make(out, other.ncols, self.zero * other.zero)
 
     def __pow__(self, k: int) -> "PolyMatrix":
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
-        result = PolyMatrix.identity(self.nrows, one=self._ring_one())
+        result = PolyMatrix.identity(self.nrows, one=self.one)
         base = self
         while k:
             if k & 1:
@@ -159,58 +224,79 @@ class PolyMatrix:
             k >>= 1
         return result
 
-    def _ring_one(self):
-        for r in self.rows:
-            for x in r:
-                return x ** 0
-        return Scalar(1)
-
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([list(col) for col in zip(*self.rows)]) if self.rows else self
+        out: List[Row] = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                out[j][i] = x
+        return PolyMatrix._make(out, self.nrows, self.zero)
 
     def trace(self):
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        t = self._ring_zero()
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
+        t = self.zero
+        for i, r in enumerate(self._rows):
+            x = r.get(i)
+            if x is not None:
+                t = t + x
         return t
 
     def map_entries(self, fn: Callable) -> "PolyMatrix":
-        return PolyMatrix([[fn(x) for x in r] for r in self.rows])
+        """fn applied to every entry; fn must send zero to zero."""
+        zero = fn(self.zero)
+        if zero:
+            raise ValueError("map_entries needs a function that sends zero to zero")
+        return PolyMatrix._make(
+            [{j: y for j, x in r.items() if (y := fn(x))} for r in self._rows],
+            self.ncols,
+            zero,
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.ncols == other.ncols and self._rows == other._rows
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
+        return hash((self.ncols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
+        return not any(self._rows)
 
     def is_symmetric(self) -> bool:
+        rows = self._rows
         return self.is_square() and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
+            rows[j].get(i) == x for i, r in enumerate(rows) for j, x in r.items()
         )
 
     def is_skew(self) -> bool:
-        if not self.is_square():
-            return False
-        for i in range(self.nrows):
-            if self.rows[i][i]:
-                return False
-            for j in range(i + 1, self.ncols):
-                if self.rows[i][j] != -self.rows[j][i]:
-                    return False
-        return True
+        rows = self._rows
+        return self.is_square() and all(
+            i != j and rows[j].get(i) == -x for i, r in enumerate(rows) for j, x in r.items()
+        )
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
+        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.nrows))
         return f"PolyMatrix[{body}]"
+
+
+def linear_combination(
+    coeffs: Sequence, matrices: Sequence[PolyMatrix], nrows: int, ncols: int
+) -> PolyMatrix:
+    """sum_k coeffs[k] * matrices[k] over nrows x ncols matrices, summed
+    entry by entry in one pass."""
+    if len(coeffs) != len(matrices):
+        raise ValueError("coefficient count mismatch")
+    out: List[Row] = [{} for _ in range(nrows)]
+    for c, m in zip(coeffs, matrices):
+        if not c:
+            continue
+        for acc, r in zip(out, m._rows):
+            for j, x in r.items():
+                v = acc.get(j)
+                acc[j] = c * x if v is None else v + c * x
+    out = [acc if all(acc.values()) else {j: v for j, v in acc.items() if v} for acc in out]
+    return PolyMatrix._make(out, ncols, coeffs[0] * matrices[0].zero if matrices else ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +310,17 @@ def det_cofactor(matrix: PolyMatrix):
     if not matrix.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = matrix.nrows
-    rows = matrix.rows
+    rows = matrix._rows
 
     def rec(row_idx: Tuple[int, ...], col_idx: Tuple[int, ...]):
         if len(row_idx) == 1:
-            return rows[row_idx[0]][col_idx[0]]
+            return rows[row_idx[0]].get(col_idx[0], matrix.zero)
         i = row_idx[0]
         rest = row_idx[1:]
         total = None
         for pos, j in enumerate(col_idx):
-            a = rows[i][j]
-            if not a:
+            a = rows[i].get(j)
+            if a is None:
                 continue
             sub = rec(rest, col_idx[:pos] + col_idx[pos + 1:])
             term = a * sub
@@ -242,7 +328,7 @@ def det_cofactor(matrix: PolyMatrix):
                 term = -term
             total = term if total is None else total + term
         if total is None:
-            return matrix._ring_zero()
+            return matrix.zero
         return total
 
     if n == 0:
@@ -261,24 +347,22 @@ def charpoly_coefficients(matrix: PolyMatrix) -> List:
     those of A_(k+1); the Krylov vectors A_k^j C are matrix products."""
     if not matrix.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    rows = matrix.rows
-    one = matrix._ring_one()
-    zero = one - one
-    coeffs = PolyMatrix([[one]])
+    one, zero = matrix.one, matrix.zero
+    coeffs = PolyMatrix._make([{0: one}], 1, zero)
     for k in range(matrix.nrows):
-        toeplitz = [one, -rows[k][k]]
+        toeplitz = [one, -matrix.entry(k, k)]
         if k:
-            block = PolyMatrix([r[:k] for r in rows[:k]])
-            row = PolyMatrix([rows[k][:k]])
-            krylov = [PolyMatrix([[r[k]] for r in rows[:k]])]
+            block = matrix.submatrix(0, k, 0, k)
+            row = matrix.submatrix(k, k + 1, 0, k)
+            krylov = [matrix.submatrix(0, k, k, k + 1)]
             for _ in range(k - 1):
                 krylov.append(block * krylov[-1])
-            toeplitz += [-(row * v).rows[0][0] for v in krylov]
-        lower = PolyMatrix(
-            [[toeplitz[i - j] if i >= j else zero for j in range(k + 1)]
-             for i in range(k + 2)]
-        )
-        coeffs = lower * coeffs
+            toeplitz += [-(row * v).entry(0, 0) for v in krylov]
+        lower = [
+            {j: toeplitz[i - j] for j in range(min(i, k) + 1) if toeplitz[i - j]}
+            for i in range(k + 2)
+        ]
+        coeffs = PolyMatrix._make(lower, k + 1, zero) * coeffs
     return coeffs.column(0)
 
 
@@ -288,9 +372,8 @@ def charpoly(matrix: PolyMatrix, var: str) -> MPoly:
     their variable tuple."""
     coeffs = charpoly_coefficients(matrix)
     n = matrix.nrows
-    sample = matrix.rows[0][0] if n else Scalar(0)
-    if isinstance(sample, MPoly):
-        vars = sample.vars
+    if isinstance(matrix.zero, MPoly):
+        vars = matrix.zero.vars
         if var not in vars:
             raise ValueError(f"variable {var} missing from matrix entries")
         lam = MPoly.variable(var, vars)
@@ -322,11 +405,10 @@ def pfaffian(matrix: PolyMatrix):
     if not matrix.is_skew():
         raise ValueError("pfaffian requires a skew-symmetric matrix")
     n = matrix.nrows
-    zero = matrix._ring_zero()
-    one = matrix._ring_one()
+    zero, one = matrix.zero, matrix.one
     if n % 2:
         return zero
-    rows = matrix.rows
+    rows = matrix._rows
     cache: Dict[Tuple[int, ...], object] = {}
 
     def rec(idx: Tuple[int, ...]):
@@ -339,8 +421,8 @@ def pfaffian(matrix: PolyMatrix):
         rest = idx[1:]
         total = None
         for pos, j in enumerate(rest):
-            a = rows[i][j]
-            if not a:
+            a = rows[i].get(j)
+            if a is None:
                 continue
             sub = rec(rest[:pos] + rest[pos + 1:])
             term = a * sub
@@ -379,24 +461,16 @@ def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
     """Reduced row echelon form over Q(sqrt2) with the pivot columns.
     Deterministic: first nonzero entry in column order is the pivot.
 
-    Rows are held sparse, as column -> nonzero Scalar dicts (see _reduce).
-    The reduced form is unique, so the result equals the dense one."""
-    rows = [{j: x for j, x in enumerate(r) if x} for r in matrix.rows]
-    m = matrix.ncols
-    pivots = _reduce(rows, m)
-    zero = Scalar(0)
-    return PolyMatrix([[row.get(j, zero) for j in range(m)] for row in rows]), pivots
-
-
-def _reduce(rows: List[Dict[int, Scalar]], m: int) -> List[int]:
-    """Reduce sparse rows with m columns in place; returns the pivots.
     Each pivot step touches only the rows with an entry in the pivot
     column, and only at the pivot row's nonzero columns; entries that
     cancel are dropped."""
-    n = len(rows)
+    rows = [dict(r) for r in matrix._rows]
+    n, m = len(rows), matrix.ncols
     pivots: List[int] = []
     r = 0
     for c in range(m):
+        if r == n:
+            break
         pivot_row = next((i for i in range(r, n) if c in rows[i]), None)
         if pivot_row is None:
             continue
@@ -419,29 +493,7 @@ def _reduce(rows: List[Dict[int, Scalar]], m: int) -> List[int]:
                         del row[j]
         pivots.append(c)
         r += 1
-        if r == n:
-            break
-    return pivots
-
-
-def sparse_nullspace(rows: Sequence[Dict[int, Scalar]], m: int) -> List[Dict[int, Scalar]]:
-    """nullspace() of the matrix with the given sparse rows (column ->
-    nonzero entry) and m columns, for systems too sparse to hold dense:
-    the same basis, each vector as a column -> nonzero entry dict."""
-    rows = [dict(r) for r in rows]
-    pivots = _reduce(rows, m)
-    pivot_set = set(pivots)
-    basis: List[Dict[int, Scalar]] = []
-    for fc in range(m):
-        if fc in pivot_set:
-            continue
-        v = {fc: Scalar(1)}
-        for r_i, pc in enumerate(pivots):
-            x = rows[r_i].get(fc)
-            if x is not None:
-                v[pc] = -x
-        basis.append(v)
-    return basis
+    return PolyMatrix._make(rows, m, matrix.zero), pivots
 
 
 def rank(matrix: PolyMatrix) -> int:
@@ -449,28 +501,35 @@ def rank(matrix: PolyMatrix) -> int:
     return len(pivots)
 
 
-def _kernel_basis(R: PolyMatrix, pivots: List[int], m: int) -> List[List[Scalar]]:
+def _kernel(reduced: PolyMatrix, pivots: List[int], m: int) -> PolyMatrix:
     """Kernel basis of the first m columns read off a reduced row echelon
-    form whose pivots all lie in those columns: one vector per free column,
-    in column order."""
+    form whose pivots all lie in those columns, as the rows of a matrix:
+    one vector per free column, in column order."""
     pivot_set = set(pivots)
-    basis: List[List[Scalar]] = []
+    basis: List[Row] = []
     for fc in range(m):
         if fc in pivot_set:
             continue
-        v = [Scalar(0)] * m
-        v[fc] = Scalar(1)
-        for r_i, pc in enumerate(pivots):
-            v[pc] = -R.rows[r_i][fc]
+        v: Row = {fc: ONE}
+        for row, pc in zip(reduced._rows, pivots):
+            x = row.get(fc)
+            if x is not None:
+                v[pc] = -x
         basis.append(v)
-    return basis
+    return PolyMatrix._make(basis, m, ZERO)
+
+
+def kernel(matrix: PolyMatrix) -> PolyMatrix:
+    """Basis of the right kernel as the rows of a matrix, one vector per
+    free column, in column order (deterministic)."""
+    R, pivots = rref(matrix)
+    return _kernel(R, pivots, matrix.ncols)
 
 
 def nullspace(matrix: PolyMatrix) -> List[List[Scalar]]:
-    """Basis of the right kernel, one vector per free column, in column
-    order (deterministic)."""
-    R, pivots = rref(matrix)
-    return _kernel_basis(R, pivots, matrix.ncols)
+    """The vectors of kernel(matrix), each as the list of its entries."""
+    basis = kernel(matrix)
+    return [basis.row(i) for i in range(basis.nrows)]
 
 
 @dataclass
@@ -491,28 +550,30 @@ def solve_linear(matrix: PolyMatrix, rhs: Sequence) -> Optional[LinearSolution]:
     b = [_coerce_entry(x) for x in rhs]
     if len(b) != matrix.nrows:
         raise ValueError("rhs length mismatch")
-    aug = PolyMatrix([list(r) + [b[i]] for i, r in enumerate(matrix.rows)])
-    R, pivots = rref(aug)
     m = matrix.ncols
+    aug = PolyMatrix._make(
+        [{**row, m: x} if x else row for row, x in zip(matrix._rows, b)], m + 1, matrix.zero
+    )
+    R, pivots = rref(aug)
     if m in pivots:
         return None
-    particular = [Scalar(0)] * m
-    for r_i, pc in enumerate(pivots):
-        particular[pc] = R.rows[r_i][m]
-    return LinearSolution(particular=particular, homogeneous=_kernel_basis(R, pivots, m))
+    particular = [ZERO] * m
+    for row, pc in zip(R._rows, pivots):
+        particular[pc] = row.get(m, ZERO)
+    basis = _kernel(R, pivots, m)
+    return LinearSolution(
+        particular=particular, homogeneous=[basis.row(i) for i in range(basis.nrows)]
+    )
 
 
 def invert(matrix: PolyMatrix) -> PolyMatrix:
     if not matrix.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = matrix.nrows
-    aug = PolyMatrix(
-        [
-            list(matrix.rows[i]) + [Scalar(1) if j == i else Scalar(0) for j in range(n)]
-            for i in range(n)
-        ]
+    aug = PolyMatrix._make(
+        [{**row, n + i: ONE} for i, row in enumerate(matrix._rows)], 2 * n, matrix.zero
     )
     R, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return PolyMatrix([row[n:] for row in R.rows])
+    return R.submatrix(0, n, n, 2 * n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .elim import eliminate_triangular
 from .liealg import SliceChart, chain_block, hook_slice
@@ -37,20 +37,10 @@ class SliceInvariants:
 
 def slice_matrix(chart: SliceChart, vars: Tuple[str, ...]) -> PolyMatrix:
     """The generic slice element x + sum c_k V_k as a polynomial matrix."""
-    x = chart.model.triple.x
-    size = x.nrows
-    entries: List[List[MPoly]] = [
-        [MPoly.constant(x.entry(i, j), vars) for j in range(size)]
-        for i in range(size)
-    ]
+    s = chart.model.triple.x.map_entries(lambda c: MPoly.constant(c, vars))
     for name, vec in zip(chart.names, chart.vectors):
-        var = MPoly.variable(name, vars)
-        for i in range(size):
-            for j in range(size):
-                c = vec.entry(i, j)
-                if c:
-                    entries[i][j] = entries[i][j] + var * c
-    return PolyMatrix(entries)
+        s = s + vec.scale(MPoly.variable(name, vars))
+    return s
 
 
 def restrict_invariants(chart: SliceChart) -> SliceInvariants:
@@ -157,22 +147,11 @@ def hook_factorization(n: int) -> Tuple[MPoly, MPoly]:
     m = 2 * n - 2
     xb, yb, _ = chain_block(m)
     small_vars = (LAMBDA,) + tuple(f"t{j}" for j in range(1, n))
-    entries = [
-        [MPoly.constant(xb.entry(i, j), small_vars) for j in range(m)]
-        for i in range(m)
-    ]
+    long_block = xb.map_entries(lambda c: MPoly.constant(c, small_vars))
     for j in range(1, n):
-        kfac = math.factorial(2 * j - 1)
-        pw = PolyMatrix.identity(m)
-        for _ in range(2 * j - 1):
-            pw = pw * yb
         tvar = MPoly.variable(f"t{j}", small_vars)
-        for i in range(m):
-            for jj in range(m):
-                c = pw.entry(i, jj)
-                if c:
-                    entries[i][jj] = entries[i][jj] + tvar * (c / kfac)
-    long_cp = charpoly(PolyMatrix(entries), LAMBDA).with_vars(vars)
+        long_block = long_block + (yb ** (2 * j - 1)).scale(tvar / math.factorial(2 * j - 1))
+    long_cp = charpoly(long_block, LAMBDA).with_vars(vars)
     if quotient != long_cp:
         raise AssertionError("quotient is not the long-block characteristic polynomial")
     return quotient, long_cp

@@ -35,7 +35,7 @@ def sympy_charpoly_coefficients(matrix: PolyMatrix, symbols):
     from sympy.polys.matrices import DomainMatrix
 
     rational = all(
-        c.is_rational() for row in matrix.rows for entry in row for c in entry.terms.values()
+        c.is_rational() for _, _, entry in matrix.nonzeros() for c in entry.terms.values()
     )
     ground = sympy.QQ if rational else sympy.QQ.algebraic_field(sympy.sqrt(2))
     ring = ground[tuple(symbols.values())]

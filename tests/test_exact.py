@@ -6,6 +6,7 @@ forms (4x4 pfaffian), cofactor determinants, and reconstruction identities.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -232,7 +233,7 @@ def test_charpoly_polynomial_entries():
 def faddeev_leverrier(a: PolyMatrix):
     """c_0..c_n from M_1 = I, c_k = -tr(A M_k)/k, M_(k+1) = A M_k + c_k I."""
     n = a.nrows
-    one = a._ring_one()
+    one = a.one
     coeffs = [one]
     m = PolyMatrix.identity(n, one=one)
     for k in range(1, n + 1):
@@ -311,7 +312,7 @@ def test_charpoly_coefficients_structured_cases(entry):
     for n in range(1, 6):
         a = random_matrix(rng, n, entry)
         zero = a.entry(0, 0) - a.entry(0, 0)
-        one = a._ring_one()
+        one = a.one
         # Berkowitz's first step reads A[0][0]; zero it, or zero the
         # first row or column, which the Krylov products start from
         assert_charpoly_oracles(_with(a, lambda i, j, c: zero if i == j == 0 else c))
@@ -456,6 +457,140 @@ def test_exp_nilpotent_inverse():
 
 
 # ---------------------------------------------------------------------------
+# PolyMatrix against plain list-of-lists arithmetic
+# ---------------------------------------------------------------------------
+
+
+def small_sqrt2_entry(rng):
+    return Scalar(rng.choice((-1, 0, 0, 1)), rng.choice((0, 0, 1)))
+
+
+def small_mpoly_entry(rng):
+    x, y = (MPoly.variable(v, ORACLE_VARS) for v in ORACLE_VARS)
+    return rng.choice((-1, 0, 0, 1)) * x + rng.choice((0, 0, 1)) * y
+
+
+def reference_rows(rng, n, m, entry, zero):
+    """n x m entries, half of the time with a zero row and a zero column."""
+    rows = [[entry(rng) for _ in range(m)] for _ in range(n)]
+    if n and m and rng.random() < 0.5:
+        zi, zj = rng.randrange(n), rng.randrange(m)
+        rows[zi] = [zero] * m
+        for row in rows:
+            row[zj] = zero
+    return rows
+
+
+def as_matrix(rows, n, m, zero):
+    if not (n and m):
+        return PolyMatrix.zeros(n, m, zero)
+    a = PolyMatrix(rows)
+    if isinstance(zero, Scalar):
+        entries = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}
+        assert PolyMatrix.from_entries(n, m, entries) == a
+    return a
+
+
+def assert_matches(got, want, n, m):
+    """got is the n x m matrix with entries want, storing no zero."""
+    assert (got.nrows, got.ncols) == (n, m)
+    assert [[got.entry(i, j) for j in range(m)] for i in range(n)] == want
+    assert all(x for _, _, x in got.nonzeros())
+
+
+@pytest.mark.parametrize(
+    "entry, zero",
+    [(small_sqrt2_entry, Scalar(0)), (small_mpoly_entry, MPoly.zero(ORACLE_VARS))],
+)
+def test_polymatrix_matches_list_arithmetic(entry, zero):
+    rng = random.Random(53)
+    cancelled = {"product": 0, "sum": 0, "difference": 0}
+    for n, k, m in itertools.product(range(4), repeat=3):
+        a_rows = reference_rows(rng, n, k, entry, zero)
+        b_rows = reference_rows(rng, k, m, entry, zero)
+        # the same entry, its negative or a fresh one: sums and
+        # differences cancel to zero at some positions
+        c_rows = [
+            [rng.choice((x, -x, entry(rng))) for x in row] for row in a_rows
+        ]
+        a, b, c = as_matrix(a_rows, n, k, zero), as_matrix(b_rows, k, m, zero), as_matrix(
+            c_rows, n, k, zero
+        )
+
+        product = [
+            [sum((a_rows[i][t] * b_rows[t][j] for t in range(k)), zero) for j in range(m)]
+            for i in range(n)
+        ]
+        cancelled["product"] += sum(
+            1 for i in range(n) for j in range(m)
+            if not product[i][j] and any(a_rows[i][t] and b_rows[t][j] for t in range(k))
+        )
+        assert_matches(a * b, product, n, m)
+        for name, got, op in (("sum", a + c, lambda x, y: x + y),
+                              ("difference", a - c, lambda x, y: x - y)):
+            want = [[op(x, y) for x, y in zip(ra, rc)] for ra, rc in zip(a_rows, c_rows)]
+            cancelled[name] += sum(
+                1 for ra, rc, rw in zip(a_rows, c_rows, want)
+                for x, y, w in zip(ra, rc, rw) if x and y and not w
+            )
+            assert_matches(got, want, n, k)
+        assert_matches(-a, [[-x for x in row] for row in a_rows], n, k)
+        s = entry(rng)
+        assert_matches(a.scale(s), [[x * s for x in row] for row in a_rows], n, k)
+        assert_matches(a.transpose(), [[a_rows[i][j] for i in range(n)] for j in range(k)], k, n)
+        assert a.is_zero() == all(not x for row in a_rows for x in row)
+        assert a == as_matrix([list(row) for row in a_rows], n, k, zero)
+        assert (a == c) == (a_rows == c_rows)
+        if n != k:
+            assert PolyMatrix.zeros(n, k) != PolyMatrix.zeros(k, n)
+            assert not a.is_symmetric() and not a.is_skew()
+            continue
+        assert a.trace() == sum((a_rows[i][i] for i in range(n)), zero)
+        at_rows = [[a_rows[j][i] for j in range(n)] for i in range(n)]
+        for rows in (
+            a_rows,
+            [[x + y for x, y in zip(r, rt)] for r, rt in zip(a_rows, at_rows)],
+            [[x - y for x, y in zip(r, rt)] for r, rt in zip(a_rows, at_rows)],
+        ):
+            square = as_matrix(rows, n, n, zero)
+            pairs = [(rows[i][j], rows[j][i]) for i in range(n) for j in range(n)]
+            assert square.is_symmetric() == all(x == y for x, y in pairs)
+            assert square.is_skew() == all(x == -y for x, y in pairs)
+    assert all(cancelled.values()), cancelled
+
+
+def test_sum_of_mismatched_shapes_raises():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        PolyMatrix([[1, 2]]) + PolyMatrix([[1]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        PolyMatrix([[1, 2]]) - PolyMatrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        PolyMatrix.zeros(0, 3) + PolyMatrix.zeros(0, 2)
+
+
+def test_from_entries_takes_scalar_entries_only():
+    x = MPoly.variable(ORACLE_VARS[0], ORACLE_VARS)
+    with pytest.raises(TypeError):
+        PolyMatrix.from_entries(1, 1, {(0, 0): x})
+    a = PolyMatrix.from_entries(2, 3, {(1, 2): 5, (0, 1): Fraction(1, 2), (1, 0): 0})
+    assert a == PolyMatrix([[0, Fraction(1, 2), 0], [0, 0, 5]])
+    assert list(a.nonzeros()) == [(0, 1, Scalar(Fraction(1, 2))), (1, 2, Scalar(5))]
+
+
+def test_empty_matrices_keep_their_shape():
+    wide = PolyMatrix.zeros(0, 3)
+    assert (wide.nrows, wide.ncols) == (0, 3)
+    units = [[Scalar(int(i == k)) for i in range(3)] for k in range(3)]
+    assert nullspace(wide) == units
+    sol = solve_linear(wide, [])
+    assert sol.particular == [Scalar(0)] * 3
+    assert sol.homogeneous == units
+    tall = PolyMatrix.zeros(3, 0).transpose()
+    assert (tall.nrows, tall.ncols) == (0, 3)
+    assert tall == wide
+
+
+# ---------------------------------------------------------------------------
 # row reduction against a dense reference
 # ---------------------------------------------------------------------------
 
@@ -463,7 +598,7 @@ def test_exp_nilpotent_inverse():
 def dense_rref_reference(matrix):
     """Plain dense Gauss-Jordan over Q(sqrt2): every entry of every touched
     row is updated.  The reduced form is unique, so rref must equal it."""
-    rows = [list(r) for r in matrix.rows]
+    rows = [matrix.row(i) for i in range(matrix.nrows)]
     pivots = []
     r = 0
     for c in range(matrix.ncols):
@@ -510,7 +645,8 @@ def kernel_test_matrices(seed, count=48):
         elif kind == 1:
             a = random_sqrt2_matrix(rng, lo, hi + 2)
         elif kind == 2:
-            rows = [list(r) for r in random_sqrt2_matrix(rng, hi + 1, hi + 1).rows]
+            square = random_sqrt2_matrix(rng, hi + 1, hi + 1)
+            rows = [square.row(i) for i in range(hi + 1)]
             zi, zj = rng.randrange(hi + 1), rng.randrange(hi + 1)
             rows[zi] = [Scalar(0)] * (hi + 1)
             for row in rows:
