@@ -379,7 +379,7 @@ def moment_identity_check(cfg: KPConfig) -> Fraction:
             raise AssertionError("moment identity fails for the found constant")
     if not constant.is_rational():
         raise AssertionError("normalization constant is irrational")
-    value = constant.r0
+    value = Fraction(constant.r0)
     if MOMENT_CONSTANT is not None and value != MOMENT_CONSTANT:
         raise AssertionError(
             f"normalization constant {value} differs from the frozen {MOMENT_CONSTANT}"

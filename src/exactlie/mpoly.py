@@ -46,8 +46,19 @@ class MPoly:
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not match vars {vars}")
             cleaned[tuple(exps)] = coef
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "terms", cleaned)
+        self._init(tuple(vars), cleaned)
+
+    def _init(self, vars: Tuple[str, ...], terms: Dict[Exponents, Scalar]) -> None:
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", terms)
+
+    @staticmethod
+    def _make(vars: Tuple[str, ...], terms: Dict[Exponents, Scalar]) -> "MPoly":
+        """Wrap terms that already hold only nonzero Scalars under exponent
+        tuples of the right length."""
+        p = object.__new__(MPoly)
+        p._init(vars, terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -128,20 +139,28 @@ class MPoly:
         if isinstance(other, (int, Fraction, Scalar)):
             other = MPoly.constant(other, self.vars)
         self._check_vars(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                terms.pop(e, None)
+        # built from empty, not from a copy of self.terms: a copy keeps its
+        # source's table, deleted slots included, and reusing one raised the
+        # peak memory of `check` by about 0.4 MiB
+        a, b = self.terms, other.terms
+        terms: Dict[Exponents, Scalar] = {}
+        for e, c in a.items():
+            d = b.get(e)
+            if d is None:
+                terms[e] = c
             else:
-                terms[e] = s
-        return MPoly(self.vars, terms)
+                s = c + d
+                if not s.is_zero():
+                    terms[e] = s
+        for e, d in b.items():
+            if e not in a:
+                terms[e] = d
+        return MPoly._make(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -156,7 +175,7 @@ class MPoly:
             c = Scalar.coerce(other)
             if c.is_zero():
                 return MPoly.zero(self.vars)
-            return MPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return MPoly._make(self.vars, {e: k * c for e, k in self.terms.items()})
         self._check_vars(other)
         # iterate over the smaller operand outside for fewer dict rebuilds
         a, b = self.terms, other.terms
@@ -172,7 +191,7 @@ class MPoly:
                     acc.pop(e, None)
                 else:
                     acc[e] = s
-        return MPoly(self.vars, acc)
+        return MPoly._make(self.vars, acc)
 
     __rmul__ = __mul__
 

@@ -5,6 +5,14 @@ representing r0 + r1*sqrt(2).  Q(sqrt 2) is the smallest field containing
 all structure constants that appear downstream (the exceptional 7-dim
 representation needs 1/sqrt 2), and it is still a field with decidable
 equality, so every pipeline stays exact end to end.  No floats anywhere.
+
+Each component is stored as a Python int when it is integral and as a
+Fraction only when it is not: r0 and r1 are each an int (never a bool) or
+a Fraction whose denominator is not 1.  Most operands downstream are
+integers (structure constants, slice matrices, sampled points), and int
+arithmetic costs a fraction of Fraction arithmetic.  The constructor
+normalises raw input once; every arithmetic result is built by _make from
+components already in that form, folding integral Fractions back to int.
 """
 
 from __future__ import annotations
@@ -13,12 +21,21 @@ from fractions import Fraction
 from typing import Union
 
 RationalLike = Union[int, Fraction, str]
+Rational = Union[int, Fraction]
 
 
-def _frac(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
+def _fold(q: Rational) -> Rational:
+    """An int or Fraction component in stored form: integral values as int."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
+def _rational(value: RationalLike) -> Rational:
+    """Raw input (int, bool, Fraction, str) as a stored component."""
+    if type(value) is int:
         return value
-    return Fraction(value)
+    return _fold(value if isinstance(value, Fraction) else Fraction(value))
 
 
 class Scalar:
@@ -27,8 +44,8 @@ class Scalar:
     __slots__ = ("r0", "r1")
 
     def __init__(self, r0: RationalLike = 0, r1: RationalLike = 0):
-        object.__setattr__(self, "r0", _frac(r0))
-        object.__setattr__(self, "r1", _frac(r1))
+        _set_r0(self, _rational(r0))
+        _set_r1(self, _rational(r1))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -67,21 +84,25 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        other = Scalar._as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.r0 + other.r0, self.r1 + other.r1)
+        if type(other) is not Scalar:
+            other = Scalar._as_scalar(other)
+            if other is None:
+                return NotImplemented
+        b, d = self.r1, other.r1
+        return _make(_fold(self.r0 + other.r0), _fold(b + d) if b or d else 0)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.r0, -self.r1)
+        return _make(-self.r0, -self.r1)
 
     def __sub__(self, other):
-        other = Scalar._as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.r0 - other.r0, self.r1 - other.r1)
+        if type(other) is not Scalar:
+            other = Scalar._as_scalar(other)
+            if other is None:
+                return NotImplemented
+        b, d = self.r1, other.r1
+        return _make(_fold(self.r0 - other.r0), _fold(b - d) if b or d else 0)
 
     def __rsub__(self, other):
         other = Scalar._as_scalar(other)
@@ -90,14 +111,15 @@ class Scalar:
         return other - self
 
     def __mul__(self, other):
-        other = Scalar._as_scalar(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._as_scalar(other)
+            if other is None:
+                return NotImplemented
         a, b, c, d = self.r0, self.r1, other.r0, other.r1
         # (a + b s)(c + d s) = (ac + 2bd) + (ad + bc) s  with s^2 = 2
         if not b and not d:
-            return Scalar(a * c)
-        return Scalar(a * c + 2 * b * d, a * d + b * c)
+            return _make(_fold(a * c), 0)
+        return _make(_fold(a * c + 2 * b * d), _fold(a * d + b * c))
 
     __rmul__ = __mul__
 
@@ -106,9 +128,10 @@ class Scalar:
         if not a and not b:
             raise ZeroDivisionError("inverse of zero Scalar")
         # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2); the norm is nonzero since
-        # sqrt 2 is irrational.
+        # sqrt 2 is irrational.  Divide as Fraction: int / int would be a
+        # float.
         norm = a * a - 2 * b * b
-        return Scalar(a / norm, -b / norm)
+        return _make(_fold(Fraction(a, norm)), _fold(Fraction(-b, norm)))
 
     def __truediv__(self, other) -> "Scalar":
         return self * Scalar.coerce(other).inverse()
@@ -119,7 +142,7 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Scalar(1)
+        result = ONE
         base = self
         while exponent:
             if exponent & 1:
@@ -138,6 +161,8 @@ class Scalar:
         return self.r0 == other.r0 and self.r1 == other.r1
 
     def __hash__(self):
+        # hash(n) == hash(Fraction(n)), so the hash is that of the pair of
+        # Fractions whatever the stored form
         return hash((self.r0, self.r1))
 
     def sign_key(self) -> int:
@@ -160,27 +185,37 @@ class Scalar:
 
     # ---- rendering ----
 
-    @staticmethod
-    def _frac_str(q: Fraction) -> str:
-        return str(q)
-
     def __str__(self) -> str:
+        # str(n) == str(Fraction(n)): the text does not depend on the stored form
         a, b = self.r0, self.r1
         if not b:
-            return self._frac_str(a)
+            return str(a)
         if not a:
             if b == 1:
                 return "sqrt2"
             if b == -1:
                 return "-sqrt2"
-            return f"{self._frac_str(b)}*sqrt2"
+            return f"{b!s}*sqrt2"
         sep = " - " if b < 0 else " + "
         mag = -b if b < 0 else b
-        tail = "sqrt2" if mag == 1 else f"{self._frac_str(mag)}*sqrt2"
-        return f"{self._frac_str(a)}{sep}{tail}"
+        tail = "sqrt2" if mag == 1 else f"{mag!s}*sqrt2"
+        return f"{a!s}{sep}{tail}"
 
     def __repr__(self) -> str:
-        return f"Scalar({self.r0!r}, {self.r1!r})"
+        return f"Scalar({Fraction(self.r0)!r}, {Fraction(self.r1)!r})"
+
+
+_new = object.__new__
+_set_r0 = Scalar.r0.__set__
+_set_r1 = Scalar.r1.__set__
+
+
+def _make(r0: Rational, r1: Rational) -> Scalar:
+    """The Scalar r0 + r1*sqrt2 from components already in stored form."""
+    s = _new(Scalar)
+    _set_r0(s, r0)
+    _set_r1(s, r1)
+    return s
 
 
 ZERO = Scalar(0)

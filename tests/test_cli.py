@@ -111,8 +111,17 @@ def test_f4_verify(capsys):
     assert report["results"]["dims"]["2"] == 8
 
 
+def run_json_digest(capsys, argv):
+    """run_json, plus the sha256 of the JSON stdout as printed."""
+    code, out, _ = run(capsys, ["--emit", "json"] + argv)
+    return code, json.loads(out), hashlib.sha256(out.encode()).hexdigest()
+
+
 def test_g2_verify(capsys):
-    code, report = run_json(capsys, ["g2", "verify"])
+    code, report, digest = run_json_digest(capsys, ["g2", "verify"])
+    # the s3_model values are Fractions, so JSON strings; any change to
+    # the report's bytes shows here
+    assert digest == "c4dc6c423deea5132e4fba94252229081810ca7e186a2f2f5c3423b2778ad52f"
     assert code == 0
     names = [c["name"] for c in report["checks"]]
     assert "jacobi-identity" in names
@@ -164,7 +173,8 @@ def test_global_flags_both_positions(capsys):
 
 
 def test_check_aggregates_all_suites(capsys):
-    code, report = run_json(capsys, ["check"])
+    code, report, digest = run_json_digest(capsys, ["check"])
+    assert digest == "cea0e90b935811b91a3796c604b0b2c0fc46f7ec8acb6f7a7328c9842027e5b2"
     # two known failures: the odd-n sign of the hook reference form
     assert code == 1
     fails = [c["name"] for c in report["checks"] if c["status"] == "fail"]

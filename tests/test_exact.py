@@ -66,6 +66,74 @@ def test_scalar_zero_division():
         Scalar(0).inverse()
 
 
+def _assert_stored_form(x: Scalar):
+    """Each component is an int (not a bool) or a non-integral Fraction."""
+    for q in (x.r0, x.r1):
+        assert type(q) is int or (type(q) is Fraction and q.denominator != 1), repr(q)
+
+
+def test_scalar_integral_components_are_ints():
+    built = [
+        Scalar(), Scalar(3), Scalar(-2, 5), Scalar(Fraction(4, 2)), Scalar(Fraction(0)),
+        Scalar("6"), Scalar("-8/4", "0"), Scalar(True), Scalar(False, True),
+        Scalar.coerce(7), Scalar.coerce(Fraction(9, 3)), Scalar.sqrt2(),
+    ]
+    for x in built:
+        _assert_stored_form(x)
+        assert type(x.r0) is int and type(x.r1) is int
+    a, b = Scalar(3, -1), Scalar(-5, 2)
+    half = Scalar(Fraction(1, 2), Fraction(1, 2))
+    results = [
+        a + b, a - b, a * b, -a, a + 4, 4 + a, a - 4, 4 - a, a * 4, 4 * a,
+        half + half, half * 2, half - Scalar(Fraction(-1, 2), Fraction(1, 2)),
+        Scalar(Fraction(2, 3)) * Scalar(Fraction(3, 2)),
+        Scalar(Fraction(1, 3)) + Fraction(2, 3),
+        Scalar(Fraction(1, 2)).inverse(), Scalar(Fraction(-1, 4)) ** -2,
+        Scalar(6) / Scalar(3), Scalar(6) / 2, 6 / Scalar(Fraction(1, 2)),
+        Scalar(3, 2).inverse(),  # norm 9 - 8 = 1: 3 - 2*sqrt2
+        Scalar(3, 2) ** -1 * Scalar(3, 2), a ** 0, a ** 3,
+    ]
+    for x in results:
+        _assert_stored_form(x)
+        assert type(x.r0) is int and type(x.r1) is int, repr(x)
+
+
+def test_scalar_non_integral_components_are_fractions():
+    results = [
+        Scalar(Fraction(1, 2)), Scalar("3/4", "-1/6"), Scalar(1) / Scalar(3),
+        Scalar(2).inverse(), Scalar(1, 1).inverse() / 3, Scalar(2) ** -3,
+        Scalar(Fraction(1, 3)) + Scalar(Fraction(1, 3)), Scalar(Fraction(1, 2), 1) * 3,
+        Scalar(0, Fraction(1, 2)) * Scalar(0, Fraction(1, 3)), Scalar(5) - Fraction(1, 7),
+    ]
+    for x in results:
+        _assert_stored_form(x)
+        assert type(x.r0) is Fraction or type(x.r1) is Fraction, repr(x)
+    third = Scalar(1) / Scalar(3)
+    assert third.r0 == Fraction(1, 3) and type(third.r0) is Fraction
+    assert third.r1 == 0 and type(third.r1) is int
+
+
+def test_scalar_equal_across_constructions():
+    forms = [Scalar(Fraction(4, 2)), Scalar(2), Scalar("2"), Scalar("4/2"), Scalar(1) + 1]
+    assert all(x == forms[0] for x in forms)
+    assert len({hash(x) for x in forms}) == 1
+    assert len(set(forms)) == 1
+    table = {Scalar(Fraction(4, 2)): "two"}
+    assert table[Scalar(2)] == table[Scalar("2")] == "two"
+    assert Scalar(2) == 2 and Scalar(2) == Fraction(2) and Scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert hash(Scalar(Fraction(1, 2), 3)) == hash((Fraction(1, 2), Fraction(3)))
+
+
+def test_scalar_repr_and_str_are_pinned():
+    assert repr(Scalar(2)) == "Scalar(Fraction(2, 1), Fraction(0, 1))"
+    assert repr(Scalar(Fraction(-1, 2), 3)) == "Scalar(Fraction(-1, 2), Fraction(3, 1))"
+    assert str(Scalar(2)) == "2" and str(Scalar(0)) == "0"
+    assert str(Scalar(-3, 2)) == "-3 + 2*sqrt2"
+    assert str(Scalar(Fraction(1, 2), -1)) == "1/2 - sqrt2"
+    assert str(Scalar(0, -2)) == "-2*sqrt2"
+    assert Scalar(-3, 2).sign_key() == -1 and Scalar(Fraction(3, 2), -1).sign_key() == 1
+
+
 # ---------------------------------------------------------------------------
 # MPoly basics and canonical order
 # ---------------------------------------------------------------------------
