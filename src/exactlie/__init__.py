@@ -6,127 +6,4 @@ there is no floating point anywhere, so every identity check is an exact
 polynomial comparison.
 """
 
-from .scalar import Scalar, HALF_SQRT2
-from .mpoly import MPoly
-from .polymat import (
-    PolyMatrix,
-    charpoly,
-    charpoly_coefficients,
-    det_cofactor,
-    determinant,
-    exp_nilpotent,
-    invert,
-    nullspace,
-    pfaffian,
-    rank,
-    rref,
-    solve_linear,
-)
-from .liealg import (
-    chain_block,
-    hook_slice,
-    jm_triple,
-    jordan_type,
-    slodowy_slice,
-    standard_form,
-    valid_partition,
-)
-from .slicegeom import (
-    HOOK_VARS,
-    HookHypersurface,
-    derived_hook_f,
-    expected_hook_f,
-    hook_factorization,
-    hook_normal_form,
-    hook_pipeline,
-    normalize_to_hook_form,
-)
-from .classify import (
-    ClassificationVerdict,
-    OrbitLabel,
-    closure_leq,
-    dominance_leq,
-    enumerate_orbits,
-    exception_set_matches,
-    exceptional_partitions,
-    regular_partition,
-    subregular_singularity,
-)
-from .dualpair import (
-    KPConfig,
-    KPElement,
-    MOMENT_CONSTANT,
-    adjoint,
-    commutant_check,
-    default_config,
-    equivariance_check,
-    kp_find_element,
-    kp_maps,
-    moment_identity_check,
-    pfaffian_locus_check,
-    rank_chain_check,
-)
-from . import classify, dualpair, f4, g2, liealg, slicegeom
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Scalar",
-    "HALF_SQRT2",
-    "MPoly",
-    "PolyMatrix",
-    "charpoly",
-    "charpoly_coefficients",
-    "det_cofactor",
-    "determinant",
-    "exp_nilpotent",
-    "invert",
-    "nullspace",
-    "pfaffian",
-    "rank",
-    "rref",
-    "solve_linear",
-    "chain_block",
-    "hook_slice",
-    "jm_triple",
-    "jordan_type",
-    "slodowy_slice",
-    "standard_form",
-    "valid_partition",
-    "HOOK_VARS",
-    "HookHypersurface",
-    "derived_hook_f",
-    "expected_hook_f",
-    "hook_factorization",
-    "hook_normal_form",
-    "hook_pipeline",
-    "normalize_to_hook_form",
-    "ClassificationVerdict",
-    "OrbitLabel",
-    "closure_leq",
-    "dominance_leq",
-    "enumerate_orbits",
-    "exception_set_matches",
-    "exceptional_partitions",
-    "regular_partition",
-    "subregular_singularity",
-    "KPConfig",
-    "KPElement",
-    "MOMENT_CONSTANT",
-    "adjoint",
-    "commutant_check",
-    "default_config",
-    "equivariance_check",
-    "kp_find_element",
-    "kp_maps",
-    "moment_identity_check",
-    "pfaffian_locus_check",
-    "rank_chain_check",
-    "classify",
-    "dualpair",
-    "f4",
-    "g2",
-    "liealg",
-    "slicegeom",
-    "__version__",
-]

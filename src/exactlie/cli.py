@@ -509,21 +509,38 @@ def _kernel_suite(args) -> List[Row]:
         return "dims 1..4, 5 samples each"
 
     def roundtrip():
+        # every branch of the coefficient text: units, signs of the leading
+        # and of a later term, rationals, +-sqrt2, q*sqrt2, a +- b*sqrt2 of
+        # either sign, on constants, a variable, a power and a product
         vars = ("x", "y", "z")
-        for k in range(1000):
-            terms = {}
-            for _ in range(rng.randint(0, 6)):
-                exps = tuple(rng.randint(0, 4) for _ in vars)
-                terms[exps] = Scalar(
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                    Fraction(rng.randint(-3, 3)),
-                )
-            p = MPoly(vars, terms)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        coefs = [Scalar(a, b) for a, b in (
+            (1, 0), (-1, 0), (2, 0), (-3, 0), (half, 0), (Fraction(-5, 3), 0),
+            (0, 1), (0, -1), (0, Fraction(3, 2)), (0, -2), (1, 1), (2, -1),
+            (1, -1), (-half, 3), (3, -2), (-1, -third),
+        )]
+        monos = ((0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 3))
+        polys = [MPoly.zero(vars)]
+        polys += [MPoly.monomial(vars, e, c) for e in monos for c in coefs]
+        polys += [
+            MPoly(vars, {lead: c1, later: c2})
+            for lead, later in ((monos[3], monos[2]), (monos[1], monos[0]))
+            for c1 in coefs
+            for c2 in coefs
+        ]
+        for p in polys:
             if MPoly.from_text(p.to_text(), vars) != p:
-                raise AssertionError(f"text roundtrip fails at sample {k}")
+                raise AssertionError(f"text roundtrip fails for {p}")
             if MPoly.from_json(p.to_json()) != p:
-                raise AssertionError(f"json roundtrip fails at sample {k}")
-        return "1000 polynomials"
+                raise AssertionError(f"json roundtrip fails for {p}")
+        malformed = ("()", "x y", "2 3", "1/0*x", "(1 2)*x", "(sqrt3)*x", "x +", "w")
+        for text in malformed:
+            try:
+                MPoly.from_text(text, vars)
+            except ValueError:
+                continue
+            raise AssertionError(f"malformed text {text!r} parses")
+        return f"{len(polys)} polynomials, {len(malformed)} malformed texts rejected"
 
     return [
         (None, "kernel-pfaffian-squares-to-det", pf_squares),

@@ -27,7 +27,7 @@ from .scalar import Scalar
 #   tr((Y X* + X Y*) xi) = c * omega(xi X, Y);
 # discovered by solving on one basis pair and verifying on all of them,
 # then frozen here.
-MOMENT_CONSTANT: Optional[Fraction] = Fraction(1)
+MOMENT_CONSTANT = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -73,22 +73,32 @@ def adjoint(cfg: KPConfig, X: PolyMatrix) -> PolyMatrix:
     raise ValueError(f"shape {X.nrows}x{X.ncols} fits neither direction")
 
 
+def _preserves(m: PolyMatrix, G: PolyMatrix) -> bool:
+    """m lies in the isometry algebra of G: m^T G + G m = 0."""
+    return (m.transpose() * G + G * m).is_zero()
+
+
+def _rho(cfg: KPConfig, X: PolyMatrix, Xs: PolyMatrix) -> PolyMatrix:
+    """X*X, asserted to lie in the orthogonal algebra."""
+    rho = Xs * X
+    if not _preserves(rho, cfg.G_V):
+        raise AssertionError("X*X does not preserve the symmetric form")
+    return rho
+
+
 def kp_maps(cfg: KPConfig, X: PolyMatrix) -> Tuple[PolyMatrix, PolyMatrix]:
     """(XX*, X*X); membership in the two algebras is asserted exactly."""
     Xs = adjoint(cfg, X)
     pi = X * Xs
-    rho = Xs * X
-    if not (pi.transpose() * cfg.G_U + cfg.G_U * pi).is_zero():
+    if not _preserves(pi, cfg.G_U):
         raise AssertionError("XX* does not preserve the skew form")
-    if not (rho.transpose() * cfg.G_V + cfg.G_V * rho).is_zero():
-        raise AssertionError("X*X does not preserve the symmetric form")
-    return pi, rho
+    return pi, _rho(cfg, X, Xs)
 
 
 def pfaffian_locus_check(cfg: KPConfig, X: PolyMatrix) -> bool:
     """rank(X*X) <= 2n-2 < 2n, so the skew matrix G_V (X*X) = Xt G_U X
     must have vanishing pfaffian."""
-    _, rho = kp_maps(cfg, X)
+    rho = _rho(cfg, X, adjoint(cfg, X))
     return pfaffian(cfg.G_V * rho).is_zero()
 
 
@@ -234,7 +244,7 @@ def kp_find_element(n: int, i: int) -> KPElement:
         sol = solve_linear(Xt, [rhs.entry(r, j) for r in range(2 * n)])
         if sol is None:
             raise AssertionError("string model has no compatible skew form")
-        cols.append(sol.particular)
+        cols.append(sol)
     M_U = PolyMatrix([[cols[j][r] for j in range(du)] for r in range(du)])
     if not M_U.is_skew():
         raise AssertionError("derived form on U is not skew")
@@ -334,11 +344,9 @@ def _bracket_table(
 
 def commutant_check(cfg: KPConfig) -> Dict[str, int]:
     """Every entry of XX* Poisson-commutes with every entry of X*X,
-    as an exact polynomial identity in the entries of X."""
-    X = symbolic_element(cfg)
-    Xs = adjoint(cfg, X)
-    pi = X * Xs
-    rho = Xs * X
+    as an exact polynomial identity in the entries of X (kp_maps asserts
+    the two algebra memberships as polynomial identities too)."""
+    pi, rho = kp_maps(cfg, symbolic_element(cfg))
     pi_entries = [pi.entry(r, c) for r in range(pi.nrows) for c in range(pi.ncols)]
     rho_entries = [rho.entry(r, c) for r in range(rho.nrows) for c in range(rho.ncols)]
     brackets = _bracket_table(cfg, pi_entries, rho_entries)
@@ -380,7 +388,7 @@ def moment_identity_check(cfg: KPConfig) -> Fraction:
     if not constant.is_rational():
         raise AssertionError("normalization constant is irrational")
     value = Fraction(constant.r0)
-    if MOMENT_CONSTANT is not None and value != MOMENT_CONSTANT:
+    if value != MOMENT_CONSTANT:
         raise AssertionError(
             f"normalization constant {value} differs from the frozen {MOMENT_CONSTANT}"
         )
@@ -420,7 +428,7 @@ def _nilpotent_in_algebra(G: PolyMatrix, a: int, b: int, skew: bool) -> PolyMatr
     m = G.nrows
     for s in (1, -1):
         cand = PolyMatrix.from_entries(m, m, {(a, b): 1, (m - 1 - b, m - 1 - a): s})
-        if (cand.transpose() * G + G * cand).is_zero():
+        if _preserves(cand, G):
             return cand
     raise AssertionError("no mirrored generator preserves the form")
 

@@ -149,7 +149,7 @@ def ideal_membership_bounded(
     if sol is None:
         return None
     cofactors = [MPoly.zero(vars) for _ in generators]
-    for (gi, mono), value in zip(columns, sol.particular):
+    for (gi, mono), value in zip(columns, sol):
         if value:
             cofactors[gi] = cofactors[gi] + MPoly.monomial(vars, mono, value)
     check = MPoly.zero(vars)

@@ -86,7 +86,7 @@ def f4_roots() -> RootSystemF4:
         if sol is None:
             raise AssertionError("simple roots do not span")
         vals = []
-        for v in sol.particular:
+        for v in sol:
             if not v.is_rational() or v.r0.denominator != 1:
                 raise AssertionError(f"non-integral root coordinate {v}")
             vals.append(int(v.r0))

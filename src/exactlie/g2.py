@@ -50,13 +50,13 @@ SLICE_DEGREES = {"a": 2, "b": 2, "c": 2, "p": 3, "q": 3, "r": 3, "s": 3, "u": 4}
 # The reading of the two undefined symbols in the degree-6 slice identity,
 # discovered by scanning the four sign/order candidates and frozen after
 # the first run; see chi6_identity_scan.
-CHI6_READING: Optional[Tuple[str, str]] = ("z1", "-z2")
+CHI6_READING = ("z1", "-z2")
 
 # Normalization scalars (a, c) <- alpha*(e2-polarizations), b <- beta*...,
 # (q, r) <- kappa*..., (p, s) <- pi*(e3-polarizations) that make all five
 # quotient relations vanish on the polarized model; discovered by
 # s3_invariant_model and frozen after the first run.
-S3_NORMALIZATION: Optional[Dict[str, Fraction]] = {
+S3_NORMALIZATION = {
     "alpha": Fraction(2, 3),
     "beta": Fraction(1, 3),
     "kappa": Fraction(1, 3),
@@ -575,7 +575,7 @@ def chi6_identity_scan() -> Tuple[str, str]:
             winners.append(label)
     if len(winners) != 1:
         raise AssertionError(f"identity scan found {len(winners)} readings: {winners}")
-    if CHI6_READING is not None and winners[0] != CHI6_READING:
+    if winners[0] != CHI6_READING:
         raise AssertionError(f"scan winner {winners[0]} != frozen {CHI6_READING}")
     return winners[0]
 
@@ -749,6 +749,6 @@ def s3_invariant_model() -> Dict[str, Fraction]:
             break
     if found is None:
         raise AssertionError("no rational normalization found")
-    if S3_NORMALIZATION is not None and found != S3_NORMALIZATION:
+    if found != S3_NORMALIZATION:
         raise AssertionError(f"found {found} != frozen {S3_NORMALIZATION}")
     return found

@@ -378,22 +378,6 @@ def jm_triple(family: str, partition: Sequence[int]) -> NilpotentModel:
     return NilpotentModel(alg, Triple(x, y, h), tuple(parts), family, form)
 
 
-def b_family_model(n: int) -> Tuple[PolyMatrix, PolyMatrix]:
-    """Odd orthogonal model with Jordan blocks (2n-3, 3, 1): plain 1-chains
-    against alternating antidiagonal blocks.  Returns (form, x)."""
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    sizes = [2 * n - 3, 3, 1]
-    form_blocks = []
-    x_blocks = []
-    for s in sizes:
-        form_blocks.append(
-            PolyMatrix.from_entries(s, s, {(i - 1, s - i): (-1) ** (i - 1) for i in range(1, s + 1)})
-        )
-        x_blocks.append(PolyMatrix.from_entries(s, s, {(i, i + 1): 1 for i in range(s - 1)}))
-    return PolyMatrix.block_diag(form_blocks), PolyMatrix.block_diag(x_blocks)
-
-
 # ---------------------------------------------------------------------------
 # slices
 # ---------------------------------------------------------------------------
@@ -421,7 +405,7 @@ def _integer_diag(h: PolyMatrix) -> List[int]:
     return out
 
 
-def slodowy_slice(model: NilpotentModel, prefix: str = "c") -> SliceChart:
+def slodowy_slice(model: NilpotentModel) -> SliceChart:
     """Transverse slice chart at x: a graded basis of ker(ad y).  Basis
     vectors are computed weight by weight (ad h eigenvalue w), so each
     coordinate has the definite weight 2 - w."""
@@ -441,7 +425,7 @@ def slodowy_slice(model: NilpotentModel, prefix: str = "c") -> SliceChart:
             vec_weights.append(w)
     if len(vectors) != total:
         raise AssertionError("graded kernel misses part of ker(ad y)")
-    names = tuple(f"{prefix}{i + 1}" for i in range(len(vectors)))
+    names = tuple(f"c{i + 1}" for i in range(len(vectors)))
     coord_weights = tuple(2 - w for w in vec_weights)
     return SliceChart(model, names, tuple(vectors), coord_weights)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .scalar import Scalar
 
@@ -336,13 +336,6 @@ class MPoly:
 
     # ---- rendering ----
 
-    @staticmethod
-    def _coef_text(c: Scalar) -> Tuple[str, bool]:
-        """Return (text, needs_star) for a coefficient in front of a monomial."""
-        if c.is_rational():
-            return str(c.r0), True
-        return "(" + str(c) + ")", True
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"
@@ -356,12 +349,12 @@ class MPoly:
             mono = "*".join(factors)
             negate = c.sign_key() < 0
             body = -c if negate else c
+            coef = str(body) if body.is_rational() else f"({body})"
             if not mono:
-                text = str(body) if body.is_rational() else "(" + str(body) + ")"
+                text = coef
             elif body == Scalar(1):
                 text = mono
             else:
-                coef, _ = self._coef_text(body)
                 text = f"{coef}*{mono}"
             if not parts:
                 parts.append(("-" if negate else "") + text)
@@ -442,27 +435,27 @@ class MPoly:
             i += 1
             return v
 
-        def parse_signed_fraction() -> Fraction:
-            sgn = 1
-            while peek()[0] == "sign":
-                if take("sign") == "-":
-                    sgn = -sgn
-            return sgn * Fraction(take("frac"))
+        def take_fraction() -> Fraction:
+            num, _, den = take("frac").partition("/")
+            if den and int(den) == 0:
+                raise ValueError("zero denominator")
+            return Fraction(int(num), int(den or 1))
 
         def parse_paren_scalar() -> Scalar:
             take("lpar")
             r0 = Fraction(0)
             r1 = Fraction(0)
             first = True
-            while peek()[0] != "rpar":
+            while first or peek()[0] != "rpar":
+                # every component after the first starts with a sign
+                if not first and peek()[0] != "sign":
+                    raise ValueError(f"malformed coefficient at {peek()[1]!r}")
                 sgn = 1
                 while peek()[0] == "sign":
                     if take("sign") == "-":
                         sgn = -sgn
-                if not first and sgn == 1 and peek()[0] is None:
-                    raise ValueError("unterminated coefficient")
                 if peek()[0] == "frac":
-                    q = Fraction(take("frac"))
+                    q = take_fraction()
                     if peek() == ("star", "*"):
                         take("star")
                         if take("name") != "sqrt2":
@@ -483,6 +476,9 @@ class MPoly:
         result = MPoly.zero(vars)
         nvars = len(vars)
         while i < len(tokens):
+            # every term after the first starts with a sign
+            if i and peek()[0] != "sign":
+                raise ValueError(f"missing sign before {peek()[1]!r}")
             sgn = 1
             while peek()[0] == "sign":
                 if take("sign") == "-":
@@ -494,7 +490,7 @@ class MPoly:
             while expect_factor:
                 kind, val = peek()
                 if kind == "frac":
-                    coef = coef * Fraction(take("frac"))
+                    coef = coef * take_fraction()
                 elif kind == "lpar":
                     coef = coef * parse_paren_scalar()
                 elif kind == "name":

@@ -16,15 +16,13 @@ Characteristic polynomials come from Berkowitz's division-free algorithm
 exact over any coefficient ring; the cofactor determinant is kept as an
 independent cross-check for small sizes.  Row reduction, kernels and
 linear solving are implemented for Scalar entries only: rref reduces the
-matrix's own rows, rank, kernel, nullspace, solve_linear and invert each
-run one rref, and kernel, nullspace and solve_linear read their kernel
-bases with one reader.
+matrix's own rows, and rank, kernel, nullspace, solve_linear and invert
+each run one rref.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -501,13 +499,13 @@ def rank(matrix: PolyMatrix) -> int:
     return len(pivots)
 
 
-def _kernel(reduced: PolyMatrix, pivots: List[int], m: int) -> PolyMatrix:
-    """Kernel basis of the first m columns read off a reduced row echelon
-    form whose pivots all lie in those columns, as the rows of a matrix:
-    one vector per free column, in column order."""
+def kernel(matrix: PolyMatrix) -> PolyMatrix:
+    """Basis of the right kernel as the rows of a matrix, one vector per
+    free column, in column order (deterministic)."""
+    reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
     basis: List[Row] = []
-    for fc in range(m):
+    for fc in range(matrix.ncols):
         if fc in pivot_set:
             continue
         v: Row = {fc: ONE}
@@ -516,14 +514,7 @@ def _kernel(reduced: PolyMatrix, pivots: List[int], m: int) -> PolyMatrix:
             if x is not None:
                 v[pc] = -x
         basis.append(v)
-    return PolyMatrix._make(basis, m, ZERO)
-
-
-def kernel(matrix: PolyMatrix) -> PolyMatrix:
-    """Basis of the right kernel as the rows of a matrix, one vector per
-    free column, in column order (deterministic)."""
-    R, pivots = rref(matrix)
-    return _kernel(R, pivots, matrix.ncols)
+    return PolyMatrix._make(basis, matrix.ncols, ZERO)
 
 
 def nullspace(matrix: PolyMatrix) -> List[List[Scalar]]:
@@ -532,21 +523,15 @@ def nullspace(matrix: PolyMatrix) -> List[List[Scalar]]:
     return [basis.row(i) for i in range(basis.nrows)]
 
 
-@dataclass
-class LinearSolution:
-    particular: List[Scalar]
-    homogeneous: List[List[Scalar]]
-
-
-def solve_linear(matrix: PolyMatrix, rhs: Sequence) -> Optional[LinearSolution]:
-    """Solve A x = b over Q(sqrt2).  Returns None when the system is
+def solve_linear(matrix: PolyMatrix, rhs: Sequence) -> Optional[List[Scalar]]:
+    """One solution x of A x = b over Q(sqrt2): the particular solution
+    whose free coordinates are zero.  Returns None when the system is
     inconsistent (a value, not an exception: downstream searches treat "no
     solution" as an answer).
 
-    One elimination: [A | b] is reduced once.  When the system is
-    consistent no pivot lies in the b column, so the left block of
-    rref([A | b]) is rref(A), and both the particular solution and the
-    kernel basis are read off that one result."""
+    One elimination: [A | b] is reduced once, and the system is consistent
+    exactly when no pivot lies in the b column.  Callers that need the
+    solution space read kernel(A) themselves."""
     b = [_coerce_entry(x) for x in rhs]
     if len(b) != matrix.nrows:
         raise ValueError("rhs length mismatch")
@@ -560,10 +545,7 @@ def solve_linear(matrix: PolyMatrix, rhs: Sequence) -> Optional[LinearSolution]:
     particular = [ZERO] * m
     for row, pc in zip(R._rows, pivots):
         particular[pc] = row.get(m, ZERO)
-    basis = _kernel(R, pivots, m)
-    return LinearSolution(
-        particular=particular, homogeneous=[basis.row(i) for i in range(basis.nrows)]
-    )
+    return particular
 
 
 def invert(matrix: PolyMatrix) -> PolyMatrix:

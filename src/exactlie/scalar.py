@@ -220,5 +220,4 @@ def _make(r0: Rational, r1: Rational) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-SQRT2 = Scalar(0, 1)
 HALF_SQRT2 = Scalar(0, Fraction(1, 2))

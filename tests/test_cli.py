@@ -174,7 +174,7 @@ def test_global_flags_both_positions(capsys):
 
 def test_check_aggregates_all_suites(capsys):
     code, report, digest = run_json_digest(capsys, ["check"])
-    assert digest == "cea0e90b935811b91a3796c604b0b2c0fc46f7ec8acb6f7a7328c9842027e5b2"
+    assert digest == "7e5f6c921b06da70e31985bd5719942d018f4693d283a77cd5923d5116df2a5b"
     # two known failures: the odd-n sign of the hook reference form
     assert code == 1
     fails = [c["name"] for c in report["checks"] if c["status"] == "fail"]

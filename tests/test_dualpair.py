@@ -141,6 +141,16 @@ def test_entries_of_the_two_maps_commute():
         assert report["pairs"] == du * du * dv * dv
 
 
+def test_commutant_check_asserts_algebra_membership(monkeypatch):
+    # with the transpose in place of the form adjoint, XX* leaves sp(U);
+    # the symbolic check must say so rather than only compare brackets
+    import exactlie.dualpair as dualpair
+
+    monkeypatch.setattr(dualpair, "adjoint", lambda cfg, X: X.transpose())
+    with pytest.raises(AssertionError, match="preserve"):
+        commutant_check(default_config(2))
+
+
 def test_bracket_is_skew_on_a_sample_entry():
     cfg = default_config(2)
     X = symbolic_element(cfg)

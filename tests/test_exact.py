@@ -229,6 +229,14 @@ def test_mpoly_roundtrip_edge_cases():
         assert MPoly.from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize("text", ["()", "x y", "2 3", "1/0*x"])
+def test_mpoly_from_text_rejects_what_to_text_never_emits(text):
+    # an empty coefficient, two terms with no sign between them, and a zero
+    # denominator are malformed input, not 0, x + y, 5 or an internal error
+    with pytest.raises(ValueError):
+        MPoly.from_text(text, ("x", "y"))
+
+
 def test_divide_by_monic_in_var():
     vars = ("lam", "x", "y")
     rng = random.Random(7)
@@ -497,7 +505,7 @@ def test_rref_solve_invert():
     assert solve_linear(a, [1, 3]) is None  # inconsistent -> value, not raise
     sol = solve_linear(a, [1, 2])
     assert sol is not None
-    assert sol.particular[0] * 2 + sol.particular[1] == Scalar(1)
+    assert sol[0] * 2 + sol[1] == Scalar(1)
     b = PolyMatrix([[1, 2], [3, 5]])
     assert b * invert(b) == PolyMatrix.identity(2)
 
@@ -511,7 +519,7 @@ def test_solve_linear_random_consistency():
         b = [(a * PolyMatrix([[v] for v in x])).entry(i, 0) for i in range(n)]
         sol = solve_linear(a, b)
         assert sol is not None
-        ax = a * PolyMatrix([[v] for v in sol.particular])
+        ax = a * PolyMatrix([[v] for v in sol])
         assert all(ax.entry(i, 0) == b[i] for i in range(n))
 
 
@@ -650,9 +658,8 @@ def test_empty_matrices_keep_their_shape():
     assert (wide.nrows, wide.ncols) == (0, 3)
     units = [[Scalar(int(i == k)) for i in range(3)] for k in range(3)]
     assert nullspace(wide) == units
-    sol = solve_linear(wide, [])
-    assert sol.particular == [Scalar(0)] * 3
-    assert sol.homogeneous == units
+    assert rank(wide) == 0
+    assert solve_linear(wide, []) == [Scalar(0)] * 3
     tall = PolyMatrix.zeros(3, 0).transpose()
     assert (tall.nrows, tall.ncols) == (0, 3)
     assert tall == wide
@@ -759,12 +766,14 @@ def test_solve_linear_reads_kernel_from_one_elimination(monkeypatch):
         x = [Scalar(rng.randint(-3, 3), rng.choice((0, 1))) for _ in range(a.ncols)]
         b = [(a * column(x)).entry(i, 0) for i in range(a.nrows)]
         kernel = nullspace(a)
+        _, pivots = rref(a)
         calls.clear()
         sol = solve_linear(a, b)
         assert calls == [a.ncols + 1]  # one rref, of [A | b]
         assert sol is not None
-        assert sol.homogeneous == kernel
-        assert a * column(sol.particular) == column(b)
+        assert a * column(sol) == column(b)
+        # the particular solution: every free coordinate is zero
+        assert all(not sol[c] for c in range(a.ncols) if c not in pivots)
         for v in kernel:
             assert (a * column(v)).is_zero()
         assert len(kernel) == a.ncols - rank(a)
