@@ -314,30 +314,42 @@ def poisson_tensor(cfg: KPConfig) -> PolyMatrix:
 def _bracket_table(
     cfg: KPConfig, polys_a: List[MPoly], polys_b: List[MPoly]
 ) -> List[MPoly]:
-    """All brackets {f, g} for f in polys_a, g in polys_b, against the
-    constant tensor inverse to omega."""
+    """All brackets {f, g} = sum_{alpha, beta} pi_{alpha beta} d_alpha f
+    d_beta g for f in polys_a, g in polys_b, with pi the constant tensor
+    inverse to omega, row by row in polys_a.
+
+    The nonzero entries of pi are read once from its sparse rows.  Each f
+    becomes its Hamiltonian vector H_f[beta] = sum_alpha pi_{alpha beta}
+    d_alpha f and each g its gradient, both keeping only their nonzero
+    components; then {f, g} = sum_beta H_f[beta] d_beta g over the betas
+    that both carry."""
     names = coordinate_names(cfg.n)
-    pi_tensor = poisson_tensor(cfg)
-    pairs = [
-        (alpha, beta, pi_tensor.entry(alpha, beta))
-        for alpha in range(len(names))
-        for beta in range(len(names))
-        if not pi_tensor.entry(alpha, beta).is_zero()
-    ]
-    alphas = sorted({alpha for alpha, _, _ in pairs})
-    betas = sorted({beta for _, beta, _ in pairs})
-    dfs = [{a: f.derivative(names[a]) for a in alphas} for f in polys_a]
-    dgs = [{b: g.derivative(names[b]) for b in betas} for g in polys_b]
+    tensor_rows: Dict[int, List[Tuple[int, Scalar]]] = {}
+    for alpha, beta, coef in poisson_tensor(cfg).nonzeros():
+        tensor_rows.setdefault(alpha, []).append((beta, coef))
+
+    def gradient(p: MPoly) -> Dict[int, MPoly]:
+        used = {k for e in p.terms for k, x in enumerate(e) if x}
+        return {k: p.derivative(names[k]) for k in used}
+
+    hamiltonians = []
+    for f in polys_a:
+        h: Dict[int, MPoly] = {}
+        for alpha, df in gradient(f).items():
+            for beta, coef in tensor_rows.get(alpha, ()):
+                term = df * coef
+                h[beta] = h[beta] + term if beta in h else term
+        hamiltonians.append({beta: hb for beta, hb in h.items() if hb})
+    gradients = [gradient(g) for g in polys_b]
+    zero = MPoly.zero(names)
     out = []
-    for df in dfs:
-        for dg in dgs:
-            acc = MPoly.zero(names)
-            for alpha, beta, coef in pairs:
-                fa = df[alpha]
-                gb = dg[beta]
-                if fa.is_zero() or gb.is_zero():
-                    continue
-                acc = acc + coef * (fa * gb)
+    for h in hamiltonians:
+        for dg in gradients:
+            acc = zero
+            for beta, hb in h.items():
+                gb = dg.get(beta)
+                if gb is not None:
+                    acc = acc + hb * gb
             out.append(acc)
     return out
 

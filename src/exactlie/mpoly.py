@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .scalar import Scalar
@@ -184,7 +185,7 @@ class MPoly:
         acc: Dict[Exponents, Scalar] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 prev = acc.get(e)
                 s = ca * cb if prev is None else prev + ca * cb
                 if s.is_zero():
@@ -216,14 +217,14 @@ class MPoly:
 
     def derivative(self, var: str) -> "MPoly":
         idx = self.vars.index(var)
+        # e -> e - e_idx is injective on the terms kept, so each result term
+        # is written once, and c * k is nonzero for c nonzero and k >= 1
         terms: Dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
             k = e[idx]
-            if k == 0:
-                continue
-            ne = e[:idx] + (k - 1,) + e[idx + 1:]
-            terms[ne] = terms.get(ne, Scalar(0)) + c * k
-        return MPoly(self.vars, terms)
+            if k:
+                terms[e[:idx] + (k - 1,) + e[idx + 1:]] = c * k
+        return MPoly._make(self.vars, terms)
 
     def coefficient_in(self, var: str, power: int) -> "MPoly":
         """Coefficient of var**power, returned over the same variable tuple
@@ -435,6 +436,22 @@ class MPoly:
             i += 1
             return v
 
+        def take_sign(first: bool) -> int:
+            """The sign before a term or a coefficient component: at most
+            one sign token, which must be there after the first and may
+            only be a minus on the first, as to_text writes it."""
+            k, v = peek()
+            if k != "sign":
+                if not first:
+                    raise ValueError(f"missing sign before {v!r}")
+                return 1
+            if first and v == "+":
+                raise ValueError("leading '+'")
+            take("sign")
+            if peek()[0] == "sign":
+                raise ValueError("repeated sign")
+            return -1 if v == "-" else 1
+
         def take_fraction() -> Fraction:
             num, _, den = take("frac").partition("/")
             if den and int(den) == 0:
@@ -447,13 +464,7 @@ class MPoly:
             r1 = Fraction(0)
             first = True
             while first or peek()[0] != "rpar":
-                # every component after the first starts with a sign
-                if not first and peek()[0] != "sign":
-                    raise ValueError(f"malformed coefficient at {peek()[1]!r}")
-                sgn = 1
-                while peek()[0] == "sign":
-                    if take("sign") == "-":
-                        sgn = -sgn
+                sgn = take_sign(first)
                 if peek()[0] == "frac":
                     q = take_fraction()
                     if peek() == ("star", "*"):
@@ -476,14 +487,7 @@ class MPoly:
         result = MPoly.zero(vars)
         nvars = len(vars)
         while i < len(tokens):
-            # every term after the first starts with a sign
-            if i and peek()[0] != "sign":
-                raise ValueError(f"missing sign before {peek()[1]!r}")
-            sgn = 1
-            while peek()[0] == "sign":
-                if take("sign") == "-":
-                    sgn = -sgn
-            coef = Scalar(sgn)
+            coef = Scalar(take_sign(i == 0))
             exps = [0] * nvars
             expect_factor = True
             saw_any = False

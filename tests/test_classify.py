@@ -52,11 +52,60 @@ def test_dominance_basic_facts():
     assert dominance_leq([5], [5])
 
 
+def _pairwise_dominance(p, q):
+    # an oracle kept apart from the package: running sums, parts past the
+    # end of a partition read as zero
+    if sum(p) != sum(q):
+        return False
+    sp = sq = 0
+    for k in range(max(len(p), len(q))):
+        sp += p[k] if k < len(p) else 0
+        sq += q[k] if k < len(q) else 0
+        if sp > sq:
+            return False
+    return True
+
+
+def _pairwise_relations(m):
+    parts = list(partitions_of(m))
+    return sum(_pairwise_dominance(p, q) for p in parts for q in parts)
+
+
+def test_dominance_sweep_relation_equals_pairwise_order():
+    from exactlie.classify import _dominance_masks
+
+    for m in range(1, 13):
+        parts, rows, cols = _dominance_masks(m)
+        assert parts == list(partitions_of(m))
+        for i, p in enumerate(parts):
+            for j, q in enumerate(parts):
+                assert dominance_leq(p, q) == _pairwise_dominance(p, q)
+                assert (rows[i] >> j) & 1 == dominance_leq(p, q)
+                assert (cols[i] >> j) & 1 == dominance_leq(q, p)
+
+
 def test_dominance_is_a_partial_order_up_to_16():
+    # the sweep's relation counts, pinned against the pairwise oracle
     for m in range(1, 17):
-        report = dominance_axioms_check(m)
-        assert report["partitions"] >= 1
-    assert dominance_axioms_check(16)["partitions"] == 231
+        assert dominance_axioms_check(m)["relations"] == _pairwise_relations(m)
+    assert dominance_axioms_check(16) == {"partitions": 231, "relations": 22025}
+
+
+def test_dominance_sweep_reads_the_shared_partial_sums(monkeypatch):
+    # comparing the padded parts instead of their running sums is still a
+    # partial order, but a smaller one; the sweep must count its pairs
+    import exactlie.classify as classify
+
+    monkeypatch.setattr(
+        classify, "_partial_sums", lambda p, width: tuple(p) + (0,) * (width - len(p))
+    )
+    assert not dominance_leq([2, 2, 1, 1], [3, 3])
+    assert dominance_axioms_check(6)["relations"] != _pairwise_relations(6)
+    assert dominance_axioms_check(6)["relations"] == sum(
+        all(x <= y for x, y in zip(p + (0,) * 6, q + (0,) * 6))
+        for p in partitions_of(6)
+        for q in partitions_of(6)
+    )
 
 
 def test_closure_order_needs_valid_labels():

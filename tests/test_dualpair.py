@@ -6,6 +6,7 @@ import pytest
 from exactlie.dualpair import (
     KPConfig,
     MOMENT_CONSTANT,
+    _bracket_table,
     adjoint,
     commutant_check,
     default_config,
@@ -17,6 +18,7 @@ from exactlie.dualpair import (
     pfaffian_locus_check,
     poisson_tensor,
     rank_chain_check,
+    coordinate_names,
     symbolic_element,
 )
 from exactlie.liealg import make_algebra, standard_form
@@ -160,6 +162,54 @@ def test_bracket_is_skew_on_a_sample_entry():
 
     entry = pi.entry(0, 1)
     assert _bracket_table(cfg, [entry], [entry])[0].is_zero()
+
+
+def _entries(m):
+    return [m.entry(r, c) for r in range(m.nrows) for c in range(m.ncols)]
+
+
+def _naive_brackets(cfg, polys_a, polys_b):
+    # sum_{alpha, beta} pi_{alpha beta} d_alpha f d_beta g, every entry of
+    # the full tensor read as a dense row
+    names = coordinate_names(cfg.n)
+    tensor = poisson_tensor(cfg)
+    dense = [tensor.row(alpha) for alpha in range(len(names))]
+    da = [[f.derivative(v) for v in names] for f in polys_a]
+    db = [[g.derivative(v) for v in names] for g in polys_b]
+    out = []
+    for df in da:
+        for dg in db:
+            acc = df[0] - df[0]
+            for alpha, row in enumerate(dense):
+                for beta, coef in enumerate(row):
+                    if coef:
+                        acc = acc + coef * (df[alpha] * dg[beta])
+            out.append(acc)
+    return out
+
+
+def test_bracket_table_equals_the_naive_double_sum():
+    cfg = default_config(2)
+    pi, rho = kp_maps(cfg, symbolic_element(cfg))
+    for a, b in ((pi, rho), (pi, pi), (rho, rho)):
+        assert _bracket_table(cfg, _entries(a), _entries(b)) == _naive_brackets(
+            cfg, _entries(a), _entries(b)
+        )
+    cfg = default_config(3)
+    pi, rho = kp_maps(cfg, symbolic_element(cfg))
+    assert _bracket_table(cfg, _entries(pi), _entries(rho)) == _naive_brackets(
+        cfg, _entries(pi), _entries(rho)
+    )
+
+
+def test_bracket_table_does_not_vanish_on_xx_star_with_itself():
+    # entries of XX* span a copy of sp(U) and do not commute with each
+    # other, so a table of zeros cannot pass for the commutant
+    for n, nonzero in ((2, 10), (3, 164), (4, 654)):
+        cfg = default_config(n)
+        pi, _ = kp_maps(cfg, symbolic_element(cfg))
+        table = _bracket_table(cfg, _entries(pi), _entries(pi))
+        assert sum(1 for b in table if b) == nonzero
 
 
 def test_moment_identity_constant_is_frozen():

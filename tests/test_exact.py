@@ -229,10 +229,17 @@ def test_mpoly_roundtrip_edge_cases():
         assert MPoly.from_json(p.to_json()) == p
 
 
-@pytest.mark.parametrize("text", ["()", "x y", "2 3", "1/0*x"])
+@pytest.mark.parametrize(
+    "text",
+    ["()", "x y", "2 3", "1/0*x",
+     "--x", "- -x", "x + -y", "x - -y", "(+1)*x", "(--1)*x", "+x"],
+)
 def test_mpoly_from_text_rejects_what_to_text_never_emits(text):
     # an empty coefficient, two terms with no sign between them, and a zero
-    # denominator are malformed input, not 0, x + y, 5 or an internal error
+    # denominator are malformed input, not 0, x + y, 5 or an internal error;
+    # to_text writes at most one sign before a term or a coefficient
+    # component and never a leading '+', so the last seven, which read as
+    # x, x, x - y, x + y, x, x and x if any run of signs is taken, are too
     with pytest.raises(ValueError):
         MPoly.from_text(text, ("x", "y"))
 

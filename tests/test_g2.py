@@ -126,6 +126,27 @@ def test_embedding_is_homomorphism_on_all_pairs():
             assert expected == images[i] * images[j] - images[j] * images[i]
 
 
+def test_embedding_check_catches_one_perturbed_basis_bracket(monkeypatch):
+    # add x_i y_j * b_k to [x, y]: a bilinear bracket that differs from the
+    # model on the basis pair (E12, v1) alone
+    right = g2.g2_bracket
+    i, j, k = 0, 8, 11
+
+    def perturbed(e, f):
+        c = g2.g2_coords(e)[i] * g2.g2_coords(f)[j]
+        zero = c - c
+        return right(e, f) + g2.g2_combination(
+            [c if m == k else zero for m in range(14)]
+        )
+
+    basis = g2_basis()
+    assert perturbed(basis[i], basis[j]) != right(basis[i], basis[j])
+    assert perturbed(basis[j], basis[i]) == right(basis[j], basis[i])
+    monkeypatch.setattr(g2, "g2_bracket", perturbed)
+    with pytest.raises(AssertionError, match="not a homomorphism"):
+        g2.embedding_homomorphism_full()
+
+
 def test_embedding_is_injective():
     cols = []
     for e in g2_basis():
