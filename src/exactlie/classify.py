@@ -330,15 +330,24 @@ def monotonicity_check(family: str, n: int) -> int:
     table = {}
     for row in enumerate_orbits(family, n):
         table[tuple(row["partition"])] = row["b2"]
+    # the order comes from _dominance_masks, restricted to the table's
+    # partitions: bit j of rows[i] says parts[i] <= parts[j]
+    parts, rows, _ = _dominance_masks(sum(next(iter(table))))
+    index = {p: i for i, p in enumerate(parts)}
+    inside = sum(1 << index[d] for d in table)
     count = 0
     for d, bd in table.items():
-        for dp, bdp in table.items():
-            if d != dp and dominance_leq(d, dp):
-                if bd > bdp:
-                    raise AssertionError(
-                        f"b2({list(d)})={bd} > b2({list(dp)})={bdp} in {family}{n}"
-                    )
-                count += 1
+        i = index[d]
+        above = rows[i] & inside & ~(1 << i)
+        count += bin(above).count("1")
+        while above:
+            low = above & -above
+            dp = parts[low.bit_length() - 1]
+            if bd > table[dp]:
+                raise AssertionError(
+                    f"b2({list(d)})={bd} > b2({list(dp)})={table[dp]} in {family}{n}"
+                )
+            above ^= low
     return count
 
 

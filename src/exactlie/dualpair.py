@@ -18,7 +18,7 @@ from fractions import Fraction
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .liealg import jordan_type, make_algebra, standard_form
+from .liealg import jordan_type, make_algebra, preserves_form, standard_form
 from .mpoly import MPoly
 from .polymat import PolyMatrix, exp_nilpotent, invert, pfaffian, rank, solve_linear
 from .scalar import Scalar
@@ -73,15 +73,10 @@ def adjoint(cfg: KPConfig, X: PolyMatrix) -> PolyMatrix:
     raise ValueError(f"shape {X.nrows}x{X.ncols} fits neither direction")
 
 
-def _preserves(m: PolyMatrix, G: PolyMatrix) -> bool:
-    """m lies in the isometry algebra of G: m^T G + G m = 0."""
-    return (m.transpose() * G + G * m).is_zero()
-
-
 def _rho(cfg: KPConfig, X: PolyMatrix, Xs: PolyMatrix) -> PolyMatrix:
     """X*X, asserted to lie in the orthogonal algebra."""
     rho = Xs * X
-    if not _preserves(rho, cfg.G_V):
+    if not preserves_form(rho, cfg.G_V, symmetric=True):
         raise AssertionError("X*X does not preserve the symmetric form")
     return rho
 
@@ -90,7 +85,7 @@ def kp_maps(cfg: KPConfig, X: PolyMatrix) -> Tuple[PolyMatrix, PolyMatrix]:
     """(XX*, X*X); membership in the two algebras is asserted exactly."""
     Xs = adjoint(cfg, X)
     pi = X * Xs
-    if not _preserves(pi, cfg.G_U):
+    if not preserves_form(pi, cfg.G_U, symmetric=False):
         raise AssertionError("XX* does not preserve the skew form")
     return pi, _rho(cfg, X, Xs)
 
@@ -440,7 +435,7 @@ def _nilpotent_in_algebra(G: PolyMatrix, a: int, b: int, skew: bool) -> PolyMatr
     m = G.nrows
     for s in (1, -1):
         cand = PolyMatrix.from_entries(m, m, {(a, b): 1, (m - 1 - b, m - 1 - a): s})
-        if _preserves(cand, G):
+        if preserves_form(cand, G, symmetric=not skew):
             return cand
     raise AssertionError("no mirrored generator preserves the form")
 

@@ -10,13 +10,14 @@ The exceptional block model (g2.g2_algebra) is one too.
 
 make_algebra cuts sl/so/sp out of gl_m by a bilinear form (or
 tracelessness for type A).  Its elements are PolyMatrix values, and so
-are the sl2-triples, the chart vectors and ad(x): membership evaluates
-M^T G + G M (or the trace), and a coordinate readout takes the entries at
-the basis' free positions (the diagonal partial sums for sl) and is
-checked by recombining it.  Nilpotent elements come with adapted bases:
-each Jordan block gets the chain basis whose form is the alternating
-binomial antidiagonal, which keeps every structure constant rational and
-makes the printed models downstream reproducible literally.
+are the sl2-triples, the chart vectors and ad(x): membership tests
+M^T G + G M = 0 through the one product G M (or tests the trace), and a
+coordinate readout takes the entries at the basis' free positions (the
+diagonal partial sums for sl) and is checked by recombining it.
+Nilpotent elements come with adapted bases: each Jordan block gets the
+chain basis whose form is the alternating binomial antidiagonal, which
+keeps every structure constant rational and makes the printed models
+downstream reproducible literally.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ def standard_form(family: str, size: int) -> PolyMatrix:
 
 def bracket(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
     return x * y - y * x
+
+
+def preserves_form(x: PolyMatrix, g: PolyMatrix, symmetric: bool) -> bool:
+    """x^T g + g x = 0 for a symmetric form g (symmetric=True) or a skew
+    one, by one product: with y = g x, x^T g is y^T for symmetric g and
+    -y^T for skew g, so the sum vanishes exactly when y is skew,
+    respectively symmetric."""
+    y = g * x
+    return y.is_skew() if symmetric else y.is_symmetric()
 
 
 @dataclass(frozen=True)
@@ -213,7 +223,7 @@ def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> L
         free = [divmod(p, size) for p in _free_positions(solutions)]
 
         def member(x: PolyMatrix) -> bool:
-            return (x.transpose() * g + g * x).is_zero()
+            return preserves_form(x, g, family == "so")
 
         def readout(x: PolyMatrix) -> List[Scalar]:
             return [x.entry(i, j) for i, j in free]

@@ -15,9 +15,11 @@ Characteristic polynomials come from Berkowitz's division-free algorithm
 (Inf. Process. Lett. 18, 1984), which uses only ring operations and so is
 exact over any coefficient ring; the cofactor determinant is kept as an
 independent cross-check for small sizes.  Row reduction, kernels and
-linear solving are implemented for Scalar entries only: rref reduces the
-matrix's own rows, and rank, kernel, nullspace, solve_linear and invert
-each run one rref.
+linear solving are implemented for Scalar entries only: rref is sparse
+Gauss-Jordan elimination on copies of the matrix's rows that takes, for
+each column, the sparsest row still free as the pivot row, which keeps
+fill-in low and, the reduced form being unique, leaves the result as it
+is; rank, kernel, nullspace, solve_linear and invert each run one rref.
 """
 
 from __future__ import annotations
@@ -457,41 +459,69 @@ def exp_nilpotent(matrix: PolyMatrix) -> PolyMatrix:
 
 def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
     """Reduced row echelon form over Q(sqrt2) with the pivot columns.
-    Deterministic: first nonzero entry in column order is the pivot.
 
-    Each pivot step touches only the rows with an entry in the pivot
-    column, and only at the pivot row's nonzero columns; entries that
-    cancel are dropped."""
+    Sparse Gauss-Jordan elimination, column by column.  The candidates for
+    column c are the rows that are not pivot rows yet and hold an entry in
+    c; the pivot row is the candidate with the fewest stored entries, the
+    lowest row index breaking ties (Markowitz's rule restricted to rows,
+    Management Science 3, 1957), which keeps fill-in low.  The choice
+    cannot change the result: over a field every matrix has exactly one
+    reduced row echelon form, its pivot columns are those where the rank of
+    the leading columns grows, and a row that never becomes a pivot row
+    ends up empty.  The rows come back as the pivot rows in pivot-column
+    order, then the empty rows.
+
+    A column -> rows index, updated whenever an entry fills in or cancels,
+    hands each step the rows that hold column c, so neither the candidate
+    search nor the elimination scans all rows.  A step touches those rows
+    only at the pivot row's nonzero columns."""
     rows = [dict(r) for r in matrix._rows]
     n, m = len(rows), matrix.ncols
+    holders: List[set] = [set() for _ in range(m)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    is_pivot = [False] * n
     pivots: List[int] = []
-    r = 0
+    order: List[int] = []
     for c in range(m):
-        if r == n:
+        if len(order) == n:
             break
-        pivot_row = next((i for i in range(r, n) if c in rows[i]), None)
-        if pivot_row is None:
+        held = holders[c]
+        best = min(((len(rows[i]), i) for i in held if not is_pivot[i]), default=None)
+        if best is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        prow = rows[r] = {j: x * inv for j, x in rows[r].items()}
-        for i, row in enumerate(rows):
-            f = row.get(c)
-            if f is None or i == r:
+        p = best[1]
+        inv = rows[p][c].inverse()
+        prow = rows[p] = {j: x * inv for j, x in rows[p].items()}
+        # the pivot row's other entries, negated once for all target rows
+        update = [(j, -x) for j, x in prow.items() if j != c]
+        for i in held:
+            if i == p:
                 continue
-            for j, x in prow.items():
+            row = rows[i]
+            f = row.pop(c)
+            for j, x in update:
                 v = row.get(j)
                 if v is None:
-                    row[j] = -(f * x)
+                    row[j] = f * x
+                    holders[j].add(i)
                 else:
-                    v = v - f * x
+                    v = v + f * x
                     if v:
                         row[j] = v
                     else:
                         del row[j]
+                        holders[j].discard(i)
+        # column c is now held by p alone, and no later pivot row holds it,
+        # so no later step reads or updates its index; freeing it keeps the
+        # peak memory at that of the unindexed elimination
+        holders[c] = None
+        is_pivot[p] = True
         pivots.append(c)
-        r += 1
-    return PolyMatrix._make(rows, m, matrix.zero), pivots
+        order.append(p)
+    out = [rows[p] for p in order] + [row for i, row in enumerate(rows) if not is_pivot[i]]
+    return PolyMatrix._make(out, m, matrix.zero), pivots
 
 
 def rank(matrix: PolyMatrix) -> int:

@@ -205,6 +205,40 @@ def test_b2_monotone_along_closures():
     assert monotonicity_check("G", 2) == 3
 
 
+def test_monotonicity_counts_the_pairs_of_the_pairwise_order():
+    # the pairs come from the bitmask order; the oracle compares every
+    # ordered pair of the table's partitions
+    pinned = {"B": [3, 15, 62, 176, 503], "C": [3, 20, 73, 230, 651]}
+    for family, counts in pinned.items():
+        for n, count in zip(range(2, 7), counts):
+            table = [tuple(r["partition"]) for r in enumerate_orbits(family, n)]
+            oracle = sum(
+                _pairwise_dominance(p, q) for p in table for q in table if p != q
+            )
+            assert monotonicity_check(family, n) == oracle == count
+    for n in range(3, 6):
+        table = [tuple(r["partition"]) for r in enumerate_orbits("D", n)]
+        assert monotonicity_check("D", n) == sum(
+            _pairwise_dominance(p, q) for p in set(table) for q in set(table) if p != q
+        )
+
+
+def test_monotonicity_reports_a_drop_in_b2(monkeypatch):
+    import exactlie.classify as classify
+
+    real = classify.enumerate_orbits
+
+    def dropped(family, n):
+        # the table's first partition, the subregular one, gets b2 = -1,
+        # below every partition it dominates
+        rows = real(family, n)
+        return [dict(rows[0], b2=-1)] + rows[1:]
+
+    monkeypatch.setattr(classify, "enumerate_orbits", dropped)
+    with pytest.raises(AssertionError, match="> b2"):
+        monotonicity_check("B", 3)
+
+
 def test_enumerate_c3_by_hand():
     rows = enumerate_orbits("C", 3)
     table = {tuple(r["partition"]): (r["b2"], r["star"]) for r in rows}

@@ -757,6 +757,147 @@ def test_rref_matches_dense_reference():
         assert rank(a) == len(pivots)
 
 
+def first_row_rref(matrix):
+    """The earlier sparse Gauss-Jordan, kept as the oracle for rref's pivot
+    choice: for each column the first remaining row with an entry there is
+    the pivot row, swapped into place.  Returns (rows as dicts, pivots)."""
+    rows = [{j: x for j, x in enumerate(matrix.row(i)) if x} for i in range(matrix.nrows)]
+    n, pivots, r = len(rows), [], 0
+    for c in range(matrix.ncols):
+        if r == n:
+            break
+        pivot_row = next((i for i in range(r, n) if c in rows[i]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        prow = rows[r] = {j: x * inv for j, x in rows[r].items()}
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, x in prow.items():
+                v = row.get(j, Scalar(0)) - f * x
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def stored_entries(rows):
+    """Every nonzero entry with its text and the types of its stored
+    components, so that equal values in another stored form differ."""
+    return [
+        sorted((j, str(x), type(x.r0), type(x.r1)) for j, x in row.items()) for row in rows
+    ]
+
+
+def assert_rref_matches_first_row_oracle(a):
+    got, pivots = rref(a)
+    want, want_pivots = first_row_rref(a)
+    assert pivots == want_pivots
+    assert (got.nrows, got.ncols) == (a.nrows, a.ncols)
+    got_rows = [{j: x for j, x in enumerate(got.row(i)) if x} for i in range(got.nrows)]
+    assert stored_entries(got_rows) == stored_entries(want)
+    return pivots
+
+
+def sparse_test_matrices(seed, sqrt2, count=24):
+    """Seeded sparse matrices: tall, wide, square rank-deficient (six rows
+    that are combinations of other rows, shuffled in) and zero matrices."""
+    rng = random.Random(seed)
+
+    def entry():
+        r1 = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if sqrt2 and rng.random() < 0.4 else 0
+        return Scalar(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)), r1)
+
+    def sparse(n, m, density):
+        return [
+            [entry() if rng.random() < density else Scalar(0) for _ in range(m)]
+            for _ in range(n)
+        ]
+
+    out = [PolyMatrix.zeros(7, 5), PolyMatrix.zeros(3, 9)]
+    for k in range(count):
+        small, large = rng.randint(3, 10), rng.randint(12, 24)
+        kind = k % 3
+        if kind == 0:
+            rows = sparse(large, small, 0.25)
+        elif kind == 1:
+            rows = sparse(small, large, 0.25)
+        else:
+            rows = sparse(large - 6, large, 0.12)
+            for _ in range(6):
+                p, q = rng.sample(range(len(rows)), 2)
+                c = entry()
+                rows.append([x + c * y for x, y in zip(rows[p], rows[q])])
+            rng.shuffle(rows)
+        out.append(PolyMatrix(rows))
+    return out
+
+
+@pytest.mark.parametrize("sqrt2", [False, True], ids=["Q", "Q(sqrt2)"])
+def test_rref_matches_the_first_row_oracle_on_sparse_matrices(sqrt2):
+    deficient = 0
+    for a in sparse_test_matrices(71 + sqrt2, sqrt2):
+        pivots = assert_rref_matches_first_row_oracle(a)
+        deficient += len(pivots) < min(a.nrows, a.ncols)
+    assert deficient >= 8
+
+
+def test_rref_on_the_inconsistent_z1_squared_system(monkeypatch):
+    # z1^2 is not in the Jacobian ideal of the g2 slice hypersurface: the
+    # b column of the augmented system is a pivot column
+    from exactlie import g2
+
+    f = g2.example_f()
+    partials = [f.derivative(v) for v in g2.VARS7]
+    weights = {v: g2.SLICE_DEGREES[v] for v in g2.VARS7}
+    z1 = g2.slice_relations(g2.VARS7)["z1"]
+    seen = []
+    inner = polymat.rref
+
+    def recorded(matrix):
+        seen.append(matrix)
+        return inner(matrix)
+
+    monkeypatch.setattr(polymat, "rref", recorded)
+    assert ideal_membership_bounded(z1 * z1, partials, weights, 6) is None
+    (augmented,) = seen
+    monkeypatch.setattr(polymat, "rref", inner)
+    assert augmented.ncols - 1 in assert_rref_matches_first_row_oracle(augmented)
+
+
+def test_rref_pivot_choice_avoids_arrowhead_fill_in(monkeypatch):
+    # a dense first row, and a first-column and a diagonal entry in every
+    # other row: taking row 0 as the first pivot row fills in every row,
+    # about n^3 / 2 products; a sparsest-row pivot keeps every row at two
+    # entries
+    n = 30
+    entries = {(0, j): j + 1 for j in range(n)}
+    for i in range(1, n):
+        entries[(i, 0)] = 1
+        entries[(i, i)] = i + 2
+    a = PolyMatrix.from_entries(n, n, entries)
+    products = []
+    mul = Scalar.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    got, pivots = rref(a)
+    assert len(products) < 3 * n * n
+    monkeypatch.setattr(Scalar, "__mul__", mul)
+    assert pivots == list(range(n))
+    assert got == PolyMatrix.identity(n)
+    assert_rref_matches_first_row_oracle(a)
+
+
 def test_solve_linear_reads_kernel_from_one_elimination(monkeypatch):
     calls = []
     inner = polymat.rref

@@ -19,6 +19,7 @@ from exactlie.liealg import (
     jm_triple,
     jordan_type,
     make_algebra,
+    preserves_form,
     slodowy_slice,
     standard_form,
     transversality_check,
@@ -333,6 +334,68 @@ def test_coords_outside_the_algebra_raises():
         )
         with pytest.raises(ValueError, match="not in"):
             alg.coords(bumped)
+
+
+def _two_product_preserves(x: PolyMatrix, g: PolyMatrix) -> bool:
+    # the defining formula, kept as the oracle: x^T g + g x = 0
+    return (x.transpose() * g + g * x).is_zero()
+
+
+def _random_form(rng: random.Random, size: int, symmetric: bool) -> PolyMatrix:
+    entries = {}
+    for i in range(size):
+        for j in range(i + (0 if symmetric else 1), size):
+            v = Scalar(rng.randint(-3, 3), rng.choice((0, 0, 1)))
+            entries[(i, j)] = v
+            if i != j:
+                entries[(j, i)] = v if symmetric else -v
+    return PolyMatrix.from_entries(size, size, entries)
+
+
+def test_one_product_isometry_test_matches_the_two_product_formula():
+    rng = random.Random(61)
+    seen = {True: 0, False: 0}
+    for family, size in (("so", 4), ("so", 5), ("sp", 4), ("sp", 6)):
+        symmetric = family == "so"
+        g = standard_form(family, size)
+        alg = make_algebra(family, size, g)
+        members = [rand_combination(alg, rng) for _ in range(8)]
+        bumped = [
+            m + PolyMatrix.from_entries(
+                size, size, {(rng.randrange(size), rng.randrange(size)): rng.choice((1, -2))}
+            )
+            for m in members
+        ]
+        noise = [
+            PolyMatrix([[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)])
+            for _ in range(8)
+        ]
+        # the standard form, and a random form of the same symmetry (for
+        # which the members above are generally not members)
+        for form in (g, _random_form(rng, size, symmetric)):
+            for x in members + bumped + noise:
+                want = _two_product_preserves(x, form)
+                assert preserves_form(x, form, symmetric) == want
+                seen[want] += 1
+    assert seen[True] >= 32 and seen[False] > 100
+
+
+def test_isometry_test_sees_a_violation_on_the_diagonal_only():
+    # x = E_(size-1-k, k) has g x = E_kk for the antidiagonal so form, so
+    # x^T g + g x = 2 E_kk: skew fails on the diagonal and nowhere else
+    rng = random.Random(67)
+    for size in (3, 4, 5):
+        g = standard_form("so", size)
+        alg = make_algebra("so", size, g)
+        for k in range(size):
+            member = rand_combination(alg, rng)
+            x = member + PolyMatrix.from_entries(size, size, {(size - 1 - k, k): 1})
+            violation = x.transpose() * g + g * x
+            assert list(violation.nonzeros()) == [(k, k, Scalar(2))]
+            assert preserves_form(member, g, True)
+            assert not preserves_form(x, g, True)
+            with pytest.raises(ValueError, match="not in"):
+                alg.coords(x)
 
 
 def test_coords_recombination_catches_a_wrong_readout(monkeypatch):
