@@ -10,12 +10,7 @@ form-composition vanishes identically.
 import argparse
 from random import Random
 
-from exactlie.dualpair import (
-    default_config,
-    kp_find_element,
-    kp_maps,
-    pfaffian_locus_check,
-)
+from exactlie.dualpair import kp_find_element, kp_maps, pfaffian_locus_check
 from exactlie.liealg import jordan_type
 from exactlie.polymat import PolyMatrix
 
@@ -36,8 +31,7 @@ def main():
     for i in range(elt.X.nrows):
         print("  [" + " ".join(f"{str(e):>3}" for e in elt.X.row(i)) + "]")
 
-    cfg = default_config(args.n)
-    pi, rho = kp_maps(cfg, elt.X)
+    pi, rho = kp_maps(elt.X)
     print(f"check: jordan_type(pi) = {jordan_type(pi)}, jordan_type(rho) = {jordan_type(rho)}")
 
     rng = Random(args.seed)
@@ -48,7 +42,7 @@ def main():
                 for _ in range(2 * args.n - 2)
             ]
         )
-        if not pfaffian_locus_check(cfg, X):
+        if not pfaffian_locus_check(X):
             raise SystemExit("pfaffian locus violated (should be impossible)")
     print(f"pfaffian of the composed form vanished on all {args.samples} random samples")
 

@@ -392,38 +392,38 @@ def cmd_f4(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pf_locus_samples(cfg, samples: int, seed: int) -> str:
+def _pf_locus_samples(n: int, samples: int, seed: int) -> str:
     rng = Random(seed)
-    du, dv = 2 * cfg.n - 2, 2 * cfg.n
+    du, dv = 2 * n - 2, 2 * n
     for _ in range(samples):
         X = PolyMatrix([[rng.randint(-4, 4) for _ in range(dv)] for _ in range(du)])
-        if not dp.pfaffian_locus_check(cfg, X):
+        if not dp.pfaffian_locus_check(X):
             raise AssertionError("pfaffian locus violated")
     return f"{samples} samples"
 
 
-def _moment(cfg) -> str:
-    return f"constant {dp.moment_identity_check(cfg)}"
+def _moment(n: int) -> str:
+    return f"constant {dp.moment_identity_check(n)}"
 
 
-def _dualpair_rows(cfg, element, seed: int) -> List[Row]:
-    n, i = element.n, element.i
-    want_pi = (2 * n - i - 1,) if i == 1 else (2 * n - i - 1, i - 1)
-    witnessed = element.rho_type == (2 * n - i, i) and element.pi_type == want_pi
+def _dualpair_rows(element, seed: int) -> List[Row]:
+    """Rows of one dualpair report; kp_find_element has already asserted
+    the witness's Jordan types, so that row only reports them."""
+    n = element.n
     types = f"rho {list(element.rho_type)}, pi {list(element.pi_type)}"
     rows = [
-        ("witness-jordan-types", None, lambda: _expect(witnessed, types)),
-        ("pfaffian-locus", None, lambda: _pf_locus_samples(cfg, 25, seed)),
+        ("witness-jordan-types", None, lambda: types),
+        ("pfaffian-locus", None, lambda: _pf_locus_samples(n, 25, seed)),
         ("equivariance", None,
-         lambda: f"{dp.equivariance_check(cfg, samples=5, seed=seed)} identities"),
+         lambda: f"{dp.equivariance_check(n, samples=5, seed=seed)} identities"),
         ("rank-chains", None,
-         lambda: f"{dp.rank_chain_check(cfg, samples=10, seed=seed)} samples"),
+         lambda: f"{dp.rank_chain_check(n, samples=10, seed=seed)} samples"),
     ]
     if n <= 4:
         rows.append(("poisson-commutant", None,
-                     lambda: f"{dp.commutant_check(cfg)['pairs']} bracket pairs"))
+                     lambda: f"{dp.commutant_check(n)['pairs']} bracket pairs"))
     if n <= 3:
-        rows.append(("moment-identity", None, lambda: _moment(cfg)))
+        rows.append(("moment-identity", None, lambda: _moment(n)))
     return rows
 
 
@@ -437,11 +437,11 @@ def _dualpair_suite(args) -> Iterable[Row]:
         yield (None, f"dualpair-witness-{n}-{i}", partial(_witness, n, i))
     for n in (3, 4):
         yield (None, f"dualpair-pf-locus-n{n}",
-               lambda n=n: _pf_locus_samples(dp.default_config(n), 100, args.seed))
+               lambda n=n: _pf_locus_samples(n, 100, args.seed))
     for n in (2, 3, 4):
         yield (None, f"dualpair-commutant-n{n}",
-               lambda n=n: f"{dp.commutant_check(dp.default_config(n))['pairs']} pairs")
-    yield (None, "dualpair-moment-identity", lambda: _moment(dp.default_config(3)))
+               lambda n=n: f"{dp.commutant_check(n)['pairs']} pairs")
+    yield (None, "dualpair-moment-identity", lambda: _moment(3))
 
 
 def cmd_dualpair(args) -> int:
@@ -450,7 +450,6 @@ def cmd_dualpair(args) -> int:
         return _fail_input("need n >= 2")
     if not (1 <= i <= n) or (i % 2 == 0 and i != n):
         return _fail_input("need 1 <= i <= n with i odd or i = n")
-    cfg = dp.default_config(n)
     inputs = {"n": n, "i": i, "seed": args.seed}
     try:
         element = dp.kp_find_element(n, i)
@@ -463,7 +462,7 @@ def cmd_dualpair(args) -> int:
         "pi_type": list(element.pi_type),
         "moment_constant": dp.MOMENT_CONSTANT,
     }
-    checks = _run(_dualpair_rows(cfg, element, args.seed), SUB)
+    checks = _run(_dualpair_rows(element, args.seed), SUB)
     return _emit(args, "dualpair", inputs, results, checks)
 
 

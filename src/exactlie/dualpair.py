@@ -1,24 +1,31 @@
 """Commuting moment maps on linear maps between an orthogonal and a
 symplectic vector space.
 
-V carries a symmetric form, U a skew one, and every X: V -> U gets an
-adjoint X* with (Xv, u)_U = (v, X*u)_V.  The two compositions XX* and
-X*X land in the symplectic respectively orthogonal algebra, and their
+The forms are fixed: G_V = standard_form("so", 2n) on V = Q^2n and
+G_U = standard_form("sp", 2n-2) on U = Q^(2n-2), so every function takes
+n or reads it from the shape (2n-2) x 2n of X: V -> U.  X has the adjoint
+X* = G_V^-1 Xt G_U, with (Xv, u)_U = (v, X*u)_V.  The two compositions XX*
+and X*X land in the symplectic respectively orthogonal algebra, and their
 entries Poisson-commute for the constant symplectic structure
-omega(A, B) = 2 tr(A B*) on the space of maps.  Witness elements with
-prescribed Jordan-type pairs are built from two strings of basis
-vectors and then transported to the standard forms; the transport is
-exact, so the certificates are too.
+omega(A, B) = 2 tr(A B*) on the space of maps.  Both forms are signed
+permutation matrices with G_V^-1 = G_V and G_U^-1 = -G_U, so the adjoint
+and the Poisson tensor inverse to omega have closed forms and nothing is
+inverted.  Witness elements with prescribed Jordan-type pairs are built
+from two strings of basis vectors and then transported to the standard
+forms; the transport is exact, so the certificates are too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .liealg import jordan_type, make_algebra, preserves_form, standard_form
+from .liealg import (
+    jordan_type, make_algebra, power_ranks, preserves_form, standard_form,
+)
 from .mpoly import MPoly
 from .polymat import PolyMatrix, exp_nilpotent, invert, pfaffian, rank, solve_linear
 from .scalar import Scalar
@@ -30,28 +37,20 @@ from .scalar import Scalar
 MOMENT_CONSTANT = Fraction(1)
 
 
-@dataclass(frozen=True)
-class KPConfig:
-    n: int
-    G_V: PolyMatrix
-    G_U: PolyMatrix
-    # inverses of the two forms, computed once when the config is built
-    G_V_inv: PolyMatrix = field(init=False, repr=False, compare=False)
-    G_U_inv: PolyMatrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if self.G_V.nrows != 2 * self.n or not self.G_V.is_symmetric():
-            raise ValueError("G_V must be symmetric of size 2n")
-        if self.G_U.nrows != 2 * self.n - 2 or not self.G_U.is_skew():
-            raise ValueError("G_U must be skew of size 2n-2")
-        object.__setattr__(self, "G_V_inv", invert(self.G_V))
-        object.__setattr__(self, "G_U_inv", invert(self.G_U))
+@lru_cache(maxsize=None)
+def _forms(n: int) -> Tuple[PolyMatrix, PolyMatrix]:
+    """(G_V, G_U), the standard forms on V = Q^2n and U = Q^(2n-2)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return standard_form("so", 2 * n), standard_form("sp", 2 * n - 2)
 
 
-def default_config(n: int) -> KPConfig:
-    return KPConfig(n, standard_form("so", 2 * n), standard_form("sp", 2 * n - 2))
+def _n_of(X: PolyMatrix) -> int:
+    """n for a map X: V -> U, which has shape (2n-2) x 2n."""
+    n = X.ncols // 2
+    if (X.nrows, X.ncols) != (2 * n - 2, 2 * n):
+        raise ValueError(f"shape {X.nrows}x{X.ncols} is not (2n-2)x2n")
+    return n
 
 
 @dataclass(frozen=True)
@@ -63,38 +62,35 @@ class KPElement:
     pi_type: Tuple[int, ...]
 
 
-def adjoint(cfg: KPConfig, X: PolyMatrix) -> PolyMatrix:
-    """Form adjoint, dispatched on direction by shape."""
-    dv, du = 2 * cfg.n, 2 * cfg.n - 2
-    if (X.nrows, X.ncols) == (du, dv):
-        return cfg.G_V_inv * X.transpose() * cfg.G_U
-    if (X.nrows, X.ncols) == (dv, du):
-        return cfg.G_U_inv * X.transpose() * cfg.G_V
-    raise ValueError(f"shape {X.nrows}x{X.ncols} fits neither direction")
+def adjoint(X: PolyMatrix) -> PolyMatrix:
+    """X* = G_V^-1 Xt G_U = G_V Xt G_U for X: V -> U."""
+    G_V, G_U = _forms(_n_of(X))
+    return G_V * X.transpose() * G_U
 
 
-def _rho(cfg: KPConfig, X: PolyMatrix, Xs: PolyMatrix) -> PolyMatrix:
+def _rho(X: PolyMatrix, Xs: PolyMatrix, G_V: PolyMatrix) -> PolyMatrix:
     """X*X, asserted to lie in the orthogonal algebra."""
     rho = Xs * X
-    if not preserves_form(rho, cfg.G_V, symmetric=True):
+    if not preserves_form(rho, G_V, symmetric=True):
         raise AssertionError("X*X does not preserve the symmetric form")
     return rho
 
 
-def kp_maps(cfg: KPConfig, X: PolyMatrix) -> Tuple[PolyMatrix, PolyMatrix]:
+def kp_maps(X: PolyMatrix) -> Tuple[PolyMatrix, PolyMatrix]:
     """(XX*, X*X); membership in the two algebras is asserted exactly."""
-    Xs = adjoint(cfg, X)
+    G_V, G_U = _forms(_n_of(X))
+    Xs = adjoint(X)
     pi = X * Xs
-    if not preserves_form(pi, cfg.G_U, symmetric=False):
+    if not preserves_form(pi, G_U, symmetric=False):
         raise AssertionError("XX* does not preserve the skew form")
-    return pi, _rho(cfg, X, Xs)
+    return pi, _rho(X, Xs, G_V)
 
 
-def pfaffian_locus_check(cfg: KPConfig, X: PolyMatrix) -> bool:
+def pfaffian_locus_check(X: PolyMatrix) -> bool:
     """rank(X*X) <= 2n-2 < 2n, so the skew matrix G_V (X*X) = Xt G_U X
     must have vanishing pfaffian."""
-    rho = _rho(cfg, X, adjoint(cfg, X))
-    return pfaffian(cfg.G_V * rho).is_zero()
+    G_V = _forms(_n_of(X))[0]
+    return pfaffian(G_V * _rho(X, adjoint(X), G_V)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +244,7 @@ def kp_find_element(n: int, i: int) -> KPElement:
     T = _split_transport(M_V, skew=False)
     R = _split_transport(M_U, skew=True)
     X0 = invert(R) * Xm * T
-    cfg = default_config(n)
-    pi, rho = kp_maps(cfg, X0)
+    pi, rho = kp_maps(X0)
     if rank(X0) != du:
         raise AssertionError("witness is not surjective")
     rho_type = jordan_type(rho)
@@ -272,9 +267,10 @@ def coordinate_names(n: int) -> Tuple[str, ...]:
     return tuple(f"x{r}_{c}" for r in range(2 * n - 2) for c in range(2 * n))
 
 
-def symbolic_element(cfg: KPConfig) -> PolyMatrix:
-    names = coordinate_names(cfg.n)
-    du, dv = 2 * cfg.n - 2, 2 * cfg.n
+def symbolic_element(n: int) -> PolyMatrix:
+    _forms(n)  # raises ValueError for n < 2
+    names = coordinate_names(n)
+    du, dv = 2 * n - 2, 2 * n
     return PolyMatrix(
         [
             [MPoly.variable(names[r * dv + c], names) for c in range(dv)]
@@ -283,32 +279,21 @@ def symbolic_element(cfg: KPConfig) -> PolyMatrix:
     )
 
 
-def omega_matrix(cfg: KPConfig) -> PolyMatrix:
-    """Coefficient matrix of omega(A, B) = 2 tr(A B*) on matrix units:
-    omega(E_ab, E_cd) = 2 (G_V^-1)_bd (G_U)_ca."""
-    du, dv = 2 * cfg.n - 2, 2 * cfg.n
-    Minv = cfg.G_V_inv
-    rows = []
-    for a in range(du):
-        for b in range(dv):
-            row = []
-            for c in range(du):
-                for d in range(dv):
-                    row.append(2 * Minv.entry(b, d) * cfg.G_U.entry(c, a))
-            rows.append(row)
-    omega = PolyMatrix(rows)
-    if not omega.is_skew():
-        raise AssertionError("omega is not skew")
-    return omega
+def poisson_tensor(n: int) -> PolyMatrix:
+    """The inverse of omega(E_ab, E_cd) = 2 (G_V^-1)_bd (G_U)_ca, which on
+    the coordinates a * 2n + b is 2 G_Ut (x) G_V^-1: 1/2 G_U (x) G_V."""
+    G_V, G_U = _forms(n)
+    dv = 2 * n
+    size = (2 * n - 2) * dv
+    entries = {
+        (a * dv + b, c * dv + d): u * v
+        for a, c, u in G_U.nonzeros()
+        for b, d, v in G_V.nonzeros()
+    }
+    return PolyMatrix.from_entries(size, size, entries).scale(Fraction(1, 2))
 
 
-def poisson_tensor(cfg: KPConfig) -> PolyMatrix:
-    return invert(omega_matrix(cfg))
-
-
-def _bracket_table(
-    cfg: KPConfig, polys_a: List[MPoly], polys_b: List[MPoly]
-) -> List[MPoly]:
+def _bracket_table(n: int, polys_a: List[MPoly], polys_b: List[MPoly]) -> List[MPoly]:
     """All brackets {f, g} = sum_{alpha, beta} pi_{alpha beta} d_alpha f
     d_beta g for f in polys_a, g in polys_b, with pi the constant tensor
     inverse to omega, row by row in polys_a.
@@ -318,9 +303,9 @@ def _bracket_table(
     d_alpha f and each g its gradient, both keeping only their nonzero
     components; then {f, g} = sum_beta H_f[beta] d_beta g over the betas
     that both carry."""
-    names = coordinate_names(cfg.n)
+    names = coordinate_names(n)
     tensor_rows: Dict[int, List[Tuple[int, Scalar]]] = {}
-    for alpha, beta, coef in poisson_tensor(cfg).nonzeros():
+    for alpha, beta, coef in poisson_tensor(n).nonzeros():
         tensor_rows.setdefault(alpha, []).append((beta, coef))
 
     def gradient(p: MPoly) -> Dict[int, MPoly]:
@@ -349,40 +334,48 @@ def _bracket_table(
     return out
 
 
-def commutant_check(cfg: KPConfig) -> Dict[str, int]:
+def commutant_check(n: int) -> Dict[str, int]:
     """Every entry of XX* Poisson-commutes with every entry of X*X,
     as an exact polynomial identity in the entries of X (kp_maps asserts
     the two algebra memberships as polynomial identities too)."""
-    pi, rho = kp_maps(cfg, symbolic_element(cfg))
+    pi, rho = kp_maps(symbolic_element(n))
     pi_entries = [pi.entry(r, c) for r in range(pi.nrows) for c in range(pi.ncols)]
     rho_entries = [rho.entry(r, c) for r in range(rho.nrows) for c in range(rho.ncols)]
-    brackets = _bracket_table(cfg, pi_entries, rho_entries)
+    brackets = _bracket_table(n, pi_entries, rho_entries)
     violations = sum(0 if b.is_zero() else 1 for b in brackets)
     if violations:
         raise AssertionError(f"{violations} bracket pairs fail to commute")
-    return {"n": cfg.n, "pairs": len(brackets), "violations": 0}
+    return {"n": n, "pairs": len(brackets), "violations": 0}
 
 
-def moment_identity_check(cfg: KPConfig) -> Fraction:
+def moment_identity_check(n: int) -> Fraction:
     """tr((Y X* + X Y*) xi) = c * omega(xi X, Y) for every matrix unit Y
     and every xi in the symplectic algebra, in symbolic X; discovers the
     constant c on the first nondegenerate pair, verifies it on all of
-    them, and returns it."""
-    du, dv = 2 * cfg.n - 2, 2 * cfg.n
-    X = symbolic_element(cfg)
-    Xs = adjoint(cfg, X)
-    constant: Optional[Scalar] = None
-    pairs = []
-    alg = make_algebra("sp", du, cfg.G_U)
+    them, and returns it.
+
+    omega(xi X, Y) = 2 tr(xi X Y*), so both sides are traces against xi
+    of a matrix that depends on Y alone: S = Y X* + X Y* and P = X Y*
+    are formed once per Y, and tr(S xi) and tr(P xi) are read as sums of
+    S_ij xi_ji and P_ij xi_ji over the nonzero entries of xi."""
+    du, dv = 2 * n - 2, 2 * n
+    X = symbolic_element(n)
+    Xs = adjoint(X)
+    alg = make_algebra("sp", du, _forms(n)[1])
+    xi_entries = []
     for xi in alg.basis:
         alg.coords(xi)  # raises ValueError unless xi lies in the algebra
+        xi_entries.append(list(xi.nonzeros()))
+    constant: Optional[Scalar] = None
+    pairs = []
     for c_ in range(du):
         for d_ in range(dv):
             Y = PolyMatrix.from_entries(du, dv, {(c_, d_): 1})
-            Ys = adjoint(cfg, Y)
-            for xi in alg.basis:
-                lhs = ((Y * Xs + X * Ys) * xi).trace()
-                rhs = 2 * ((xi * X) * Ys).trace()
+            P = X * adjoint(Y)
+            S = Y * Xs + P
+            for entries in xi_entries:
+                lhs = sum((S.entry(i, j) * v for j, i, v in entries), X.zero)
+                rhs = 2 * sum((P.entry(i, j) * v for j, i, v in entries), X.zero)
                 pairs.append((lhs, rhs))
                 if constant is None and not rhs.is_zero():
                     exps = next(iter(rhs.terms))
@@ -402,14 +395,15 @@ def moment_identity_check(cfg: KPConfig) -> Fraction:
     return value
 
 
-def equivariance_check(cfg: KPConfig, samples: int = 5, seed: int = 0) -> int:
+def equivariance_check(n: int, samples: int = 5, seed: int = 0) -> int:
     """pi(B X A^-1) = B pi(X) B^-1 and rho(B X A^-1) = A rho(X) A^-1 for
     exactly-constructed isometries A, B (exponentials of nilpotent
     algebra elements); returns the number of identities verified."""
     rng = Random(seed)
-    du, dv = 2 * cfg.n - 2, 2 * cfg.n
-    eta = _nilpotent_in_algebra(cfg.G_V, 0, 1, skew=False)
-    xi = _nilpotent_in_algebra(cfg.G_U, 0, 1, skew=True)
+    G_V, G_U = _forms(n)
+    du, dv = 2 * n - 2, 2 * n
+    eta = _nilpotent_in_algebra(G_V, 0, 1, skew=False)
+    xi = _nilpotent_in_algebra(G_U, 0, 1, skew=True)
     A = exp_nilpotent(eta)
     A_inv = exp_nilpotent(eta.scale(Scalar(-1)))
     B = exp_nilpotent(xi)
@@ -419,8 +413,8 @@ def equivariance_check(cfg: KPConfig, samples: int = 5, seed: int = 0) -> int:
         X = PolyMatrix(
             [[rng.randint(-4, 4) for _ in range(dv)] for _ in range(du)]
         )
-        pi, rho = kp_maps(cfg, X)
-        pi2, rho2 = kp_maps(cfg, B * X * A_inv)
+        pi, rho = kp_maps(X)
+        pi2, rho2 = kp_maps(B * X * A_inv)
         if pi2 != B * pi * B_inv:
             raise AssertionError("XX* fails equivariance")
         if rho2 != A * rho * A_inv:
@@ -440,10 +434,10 @@ def _nilpotent_in_algebra(G: PolyMatrix, a: int, b: int, skew: bool) -> PolyMatr
     raise AssertionError("no mirrored generator preserves the form")
 
 
-def rank_chain_check(cfg: KPConfig, samples: int = 20, seed: int = 0) -> int:
+def rank_chain_check(n: int, samples: int = 20, seed: int = 0) -> int:
     """r_k(XX*) <= r_k(X*X) <= r_{k-1}(XX*) on random surjective X."""
     rng = Random(seed)
-    du, dv = 2 * cfg.n - 2, 2 * cfg.n
+    du, dv = 2 * n - 2, 2 * n
     done = 0
     while done < samples:
         X = PolyMatrix(
@@ -451,20 +445,11 @@ def rank_chain_check(cfg: KPConfig, samples: int = 20, seed: int = 0) -> int:
         )
         if rank(X) != du:
             continue
-        pi, rho = kp_maps(cfg, X)
-        rp = _rank_sequence(pi, dv)
-        rr = _rank_sequence(rho, dv)
+        pi, rho = kp_maps(X)
+        rp = power_ranks(pi, dv)
+        rr = power_ranks(rho, dv)
         for k in range(1, dv):
             if not (rp[k] <= rr[k] <= rp[k - 1]):
                 raise AssertionError(f"rank chain broken at power {k}")
         done += 1
     return done
-
-
-def _rank_sequence(m: PolyMatrix, upto: int) -> List[int]:
-    out = [m.nrows]
-    power = PolyMatrix.identity(m.nrows)
-    for _ in range(upto):
-        power = power * m
-        out.append(rank(power))
-    return out

@@ -252,21 +252,25 @@ def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> L
 # ---------------------------------------------------------------------------
 
 
+def power_ranks(m: PolyMatrix, upto: int) -> List[int]:
+    """[rank m^0, rank m^1, ..., rank m^upto] for a square m; once a power
+    is zero every later one is too, and no further power is formed."""
+    ranks = [m.nrows]
+    power = PolyMatrix.identity(m.nrows)
+    for _ in range(upto):
+        if ranks[-1] == 0:
+            break
+        power = power * m
+        ranks.append(rank(power))
+    return ranks + [0] * (upto + 1 - len(ranks))
+
+
 def jordan_type(m: PolyMatrix) -> Tuple[int, ...]:
     """Partition of the size of a nilpotent matrix by Jordan block sizes."""
     n = m.nrows
-    ranks = [n]
-    power = PolyMatrix.identity(n)
-    for _ in range(n + 1):
-        power = power * m
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
+    ranks = power_ranks(m, n + 1)
     if ranks[-1] != 0:
         raise ValueError("matrix is not nilpotent")
-    while len(ranks) < n + 2:
-        ranks.append(0)
     parts: List[int] = []
     for j in range(1, n + 1):
         mult = ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]

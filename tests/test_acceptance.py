@@ -203,7 +203,6 @@ def test_criterion_7_orthosymplectic_witnesses():
 
     rng = Random(0)
     for n in (3, 4):
-        cfg = dp.default_config(n)
         for _ in range(100):
             X = PolyMatrix(
                 [
@@ -211,16 +210,16 @@ def test_criterion_7_orthosymplectic_witnesses():
                     for _ in range(2 * n - 2)
                 ]
             )
-            assert dp.pfaffian_locus_check(cfg, X)
+            assert dp.pfaffian_locus_check(X)
 
     for n in (2, 3, 4):
-        report = dp.commutant_check(dp.default_config(n))
+        report = dp.commutant_check(n)
         assert report["violations"] == 0
         assert report["pairs"] == (2 * n - 2) ** 2 * (2 * n) ** 2
 
     assert dp.MOMENT_CONSTANT == Fraction(1)
     for n in (2, 3):
-        assert dp.moment_identity_check(dp.default_config(n)) == dp.MOMENT_CONSTANT
+        assert dp.moment_identity_check(n) == dp.MOMENT_CONSTANT
 
 
 def test_criterion_8_kernel_properties():

@@ -4,17 +4,15 @@ from random import Random
 import pytest
 
 from exactlie.dualpair import (
-    KPConfig,
     MOMENT_CONSTANT,
     _bracket_table,
+    _forms,
     adjoint,
     commutant_check,
-    default_config,
     equivariance_check,
     kp_find_element,
     kp_maps,
     moment_identity_check,
-    omega_matrix,
     pfaffian_locus_check,
     poisson_tensor,
     rank_chain_check,
@@ -22,7 +20,7 @@ from exactlie.dualpair import (
     symbolic_element,
 )
 from exactlie.liealg import make_algebra, standard_form
-from exactlie.polymat import PolyMatrix, pfaffian, rank
+from exactlie.polymat import PolyMatrix, invert, pfaffian, rank
 
 
 def random_x(n, rng, bound=4):
@@ -31,60 +29,79 @@ def random_x(n, rng, bound=4):
     )
 
 
+def forms(n):
+    return standard_form("so", 2 * n), standard_form("sp", 2 * n - 2)
+
+
+def omega_matrix(n):
+    # omega(E_ab, E_cd) = 2 (G_V^-1)_bd (G_U)_ca entry by entry, with G_V
+    # inverted by row reduction: the oracle for the closed-form tensor
+    G_V, G_U = forms(n)
+    G_V_inv = invert(G_V)
+    du, dv = 2 * n - 2, 2 * n
+    return PolyMatrix(
+        [
+            [
+                2 * G_V_inv.entry(b, d) * G_U.entry(c, a)
+                for c in range(du)
+                for d in range(dv)
+            ]
+            for a in range(du)
+            for b in range(dv)
+        ]
+    )
+
+
 def test_config_validation():
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError):
+            _forms(n)
     with pytest.raises(ValueError):
-        KPConfig(1, standard_form("so", 2), standard_form("sp", 2))
-    with pytest.raises(ValueError):
-        KPConfig(3, standard_form("sp", 6), standard_form("sp", 4))
-    with pytest.raises(ValueError):
-        KPConfig(3, standard_form("so", 6), standard_form("so", 4))
-    default_config(3)
+        commutant_check(1)
+    for n in (2, 3, 4, 5):
+        G_V, G_U = _forms(n)
+        assert (G_V, G_U) == forms(n)
+        # the identities that replace the two stored inverses
+        assert invert(G_V) == G_V
+        assert invert(G_U) == G_U.scale(-1)
 
 
 def test_adjoint_defining_identity():
-    cfg = default_config(3)
     rng = Random(7)
-    for _ in range(5):
-        X = random_x(3, rng)
-        Xs = adjoint(cfg, X)
-        # (Xv, u)_U = (v, X*u)_V on all basis pairs, as one matrix identity
-        assert X.transpose() * cfg.G_U == cfg.G_V * Xs
-
-
-def test_adjoint_is_an_antiinvolution():
-    cfg = default_config(3)
-    rng = Random(11)
-    for _ in range(5):
-        X = random_x(3, rng)
-        assert adjoint(cfg, adjoint(cfg, X)) == X.scale(-1)
-    with pytest.raises(ValueError):
-        adjoint(cfg, PolyMatrix.zeros(3, 3))
+    for n in (2, 3, 4):
+        G_V, G_U = forms(n)
+        for _ in range(5):
+            X = random_x(n, rng)
+            Xs = adjoint(X)
+            assert Xs == invert(G_V) * X.transpose() * G_U
+            # (Xv, u)_U = (v, X*u)_V on all basis pairs, as one matrix identity
+            assert X.transpose() * G_U == G_V * Xs
+    for rows, cols in ((3, 3), (6, 4), (4, 5)):
+        with pytest.raises(ValueError):
+            adjoint(PolyMatrix.zeros(rows, cols))
 
 
 def test_zero_element():
-    cfg = default_config(3)
     X = PolyMatrix.zeros(4, 6)
-    assert adjoint(cfg, X).is_zero()
-    pi, rho = kp_maps(cfg, X)
+    assert adjoint(X).is_zero()
+    pi, rho = kp_maps(X)
     assert pi.is_zero() and rho.is_zero()
-    assert pfaffian_locus_check(cfg, X)
+    assert pfaffian_locus_check(X)
 
 
 def test_kp_maps_land_in_the_right_algebras():
     rng = Random(3)
     for n in (2, 3):
-        cfg = default_config(n)
         for _ in range(10):
-            pi, rho = kp_maps(cfg, random_x(n, rng))  # asserts membership
+            pi, rho = kp_maps(random_x(n, rng))  # asserts membership
             assert pi.nrows == 2 * n - 2 and rho.nrows == 2 * n
 
 
 def test_pfaffian_locus():
     rng = Random(5)
     for n in (3, 4):
-        cfg = default_config(n)
         for _ in range(30):
-            assert pfaffian_locus_check(cfg, random_x(n, rng))
+            assert pfaffian_locus_check(random_x(n, rng))
     # negative control: a nondegenerate skew matrix has nonzero pfaffian
     assert not pfaffian(standard_form("sp", 6)).is_zero()
     assert not pfaffian(standard_form("sp", 8)).is_zero()
@@ -113,31 +130,31 @@ def test_witness_rejects_bad_indices():
 
 
 def test_omega_is_symplectic():
-    for n in (2, 3, 4):
-        cfg = default_config(n)
-        omega = omega_matrix(cfg)
+    for n in (2, 3, 4, 5):
+        omega = omega_matrix(n)
         dim = 2 * n * (2 * n - 2)
         assert omega.nrows == dim
         assert omega.is_skew()
-        tensor = poisson_tensor(cfg)
+        tensor = poisson_tensor(n)
         assert (omega * tensor) == PolyMatrix.identity(dim)
+        assert invert(omega) == tensor
 
 
 def test_sp_basis_dimension_and_membership():
     for n in (2, 3):
-        cfg = default_config(n)
         du = 2 * n - 2
-        alg = make_algebra("sp", du, cfg.G_U)
+        G_U = forms(n)[1]
+        alg = make_algebra("sp", du, G_U)
         basis = alg.basis
         assert len(basis) == du * (du + 1) // 2
         for k, xi in enumerate(basis):
             assert alg.coords(xi) == [int(i == k) for i in range(len(basis))]
-            assert (xi.transpose() * cfg.G_U + cfg.G_U * xi).is_zero()
+            assert (xi.transpose() * G_U + G_U * xi).is_zero()
 
 
 def test_entries_of_the_two_maps_commute():
     for n in (2, 3, 4):
-        report = commutant_check(default_config(n))
+        report = commutant_check(n)
         assert report["violations"] == 0
         du, dv = 2 * n - 2, 2 * n
         assert report["pairs"] == du * du * dv * dv
@@ -148,31 +165,36 @@ def test_commutant_check_asserts_algebra_membership(monkeypatch):
     # the symbolic check must say so rather than only compare brackets
     import exactlie.dualpair as dualpair
 
-    monkeypatch.setattr(dualpair, "adjoint", lambda cfg, X: X.transpose())
+    monkeypatch.setattr(dualpair, "adjoint", lambda X: X.transpose())
     with pytest.raises(AssertionError, match="preserve"):
-        commutant_check(default_config(2))
+        commutant_check(2)
+
+
+def test_moment_identity_fails_with_the_transpose_as_adjoint(monkeypatch):
+    import exactlie.dualpair as dualpair
+
+    monkeypatch.setattr(dualpair, "adjoint", lambda X: X.transpose())
+    with pytest.raises(AssertionError, match="moment identity fails"):
+        moment_identity_check(2)
 
 
 def test_bracket_is_skew_on_a_sample_entry():
-    cfg = default_config(2)
-    X = symbolic_element(cfg)
-    Xs = adjoint(cfg, X)
-    pi = X * Xs
-    from exactlie.dualpair import _bracket_table
-
+    X = symbolic_element(2)
+    pi = X * adjoint(X)
     entry = pi.entry(0, 1)
-    assert _bracket_table(cfg, [entry], [entry])[0].is_zero()
+    assert _bracket_table(2, [entry], [entry])[0].is_zero()
 
 
 def _entries(m):
     return [m.entry(r, c) for r in range(m.nrows) for c in range(m.ncols)]
 
 
-def _naive_brackets(cfg, polys_a, polys_b):
+def _naive_brackets(n, polys_a, polys_b):
     # sum_{alpha, beta} pi_{alpha beta} d_alpha f d_beta g, every entry of
-    # the full tensor read as a dense row
-    names = coordinate_names(cfg.n)
-    tensor = poisson_tensor(cfg)
+    # the full tensor read as a dense row; the tensor is omega inverted by
+    # row reduction, not the closed form that _bracket_table reads
+    names = coordinate_names(n)
+    tensor = invert(omega_matrix(n))
     dense = [tensor.row(alpha) for alpha in range(len(names))]
     da = [[f.derivative(v) for v in names] for f in polys_a]
     db = [[g.derivative(v) for v in names] for g in polys_b]
@@ -189,16 +211,14 @@ def _naive_brackets(cfg, polys_a, polys_b):
 
 
 def test_bracket_table_equals_the_naive_double_sum():
-    cfg = default_config(2)
-    pi, rho = kp_maps(cfg, symbolic_element(cfg))
+    pi, rho = kp_maps(symbolic_element(2))
     for a, b in ((pi, rho), (pi, pi), (rho, rho)):
-        assert _bracket_table(cfg, _entries(a), _entries(b)) == _naive_brackets(
-            cfg, _entries(a), _entries(b)
+        assert _bracket_table(2, _entries(a), _entries(b)) == _naive_brackets(
+            2, _entries(a), _entries(b)
         )
-    cfg = default_config(3)
-    pi, rho = kp_maps(cfg, symbolic_element(cfg))
-    assert _bracket_table(cfg, _entries(pi), _entries(rho)) == _naive_brackets(
-        cfg, _entries(pi), _entries(rho)
+    pi, rho = kp_maps(symbolic_element(3))
+    assert _bracket_table(3, _entries(pi), _entries(rho)) == _naive_brackets(
+        3, _entries(pi), _entries(rho)
     )
 
 
@@ -206,26 +226,25 @@ def test_bracket_table_does_not_vanish_on_xx_star_with_itself():
     # entries of XX* span a copy of sp(U) and do not commute with each
     # other, so a table of zeros cannot pass for the commutant
     for n, nonzero in ((2, 10), (3, 164), (4, 654)):
-        cfg = default_config(n)
-        pi, _ = kp_maps(cfg, symbolic_element(cfg))
-        table = _bracket_table(cfg, _entries(pi), _entries(pi))
+        pi, _ = kp_maps(symbolic_element(n))
+        table = _bracket_table(n, _entries(pi), _entries(pi))
         assert sum(1 for b in table if b) == nonzero
 
 
 def test_moment_identity_constant_is_frozen():
     assert MOMENT_CONSTANT == Fraction(1)
     for n in (2, 3):
-        value = moment_identity_check(default_config(n))
+        value = moment_identity_check(n)
         # a Fraction, not the int a Scalar stores: reports print it as text
         assert type(value) is Fraction
         assert value == MOMENT_CONSTANT
 
 
 def test_equivariance_under_exact_isometries():
-    assert equivariance_check(default_config(2), samples=5, seed=1) == 10
-    assert equivariance_check(default_config(3), samples=5, seed=2) == 10
+    assert equivariance_check(2, samples=5, seed=1) == 10
+    assert equivariance_check(3, samples=5, seed=2) == 10
 
 
 def test_rank_chains():
-    assert rank_chain_check(default_config(3), samples=20, seed=0) == 20
-    assert rank_chain_check(default_config(4), samples=10, seed=1) == 10
+    assert rank_chain_check(3, samples=20, seed=0) == 20
+    assert rank_chain_check(4, samples=10, seed=1) == 10

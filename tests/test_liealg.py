@@ -19,13 +19,14 @@ from exactlie.liealg import (
     jm_triple,
     jordan_type,
     make_algebra,
+    power_ranks,
     preserves_form,
     slodowy_slice,
     standard_form,
     transversality_check,
     valid_partition,
 )
-from exactlie.polymat import PolyMatrix, rank, solve_linear
+from exactlie.polymat import PolyMatrix, invert, rank, solve_linear
 from exactlie.scalar import ONE, Scalar
 
 
@@ -134,6 +135,56 @@ def test_jordan_type_by_rank_sequence():
     assert jordan_type(PolyMatrix.zeros(4, 4)) == (1, 1, 1, 1)
     x5, _, _ = chain_block(5)
     assert jordan_type(x5) == (5,)
+
+
+def _power_loop_ranks(m, upto):
+    # every power up to m^upto, with no early stop
+    out = [m.nrows]
+    power = PolyMatrix.identity(m.nrows)
+    for _ in range(upto):
+        power = power * m
+        out.append(rank(power))
+    return out
+
+
+def test_power_ranks_equals_the_full_power_loop(monkeypatch):
+    rng = random.Random(17)
+    for size in (1, 2, 3, 4, 5, 6):
+        for _ in range(4):
+            # strictly upper triangular (nilpotent), conjugated by a
+            # unipotent change of basis so the rank drops are not trivial
+            nil = PolyMatrix.from_entries(size, size, {
+                (i, j): rng.randint(-2, 2)
+                for i in range(size) for j in range(i + 1, size)
+            })
+            unip = PolyMatrix.from_entries(size, size, {
+                (i, j): 1 if i == j else rng.randint(-1, 1)
+                for i in range(size) for j in range(i, size)
+            })
+            full = PolyMatrix(
+                [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+            )
+            conj = unip * nil * invert(unip)
+            for m in (nil, conj, full, PolyMatrix.zeros(size, size)):
+                for upto in (0, 1, size, size + 2):
+                    assert power_ranks(m, upto) == _power_loop_ranks(m, upto)
+    # once a power is zero, no further power is formed or ranked
+    x4, _, _ = chain_block(4)
+    calls = []
+    real = liealg.rank
+    monkeypatch.setattr(liealg, "rank", lambda m: calls.append(1) or real(m))
+    assert power_ranks(x4, 10) == [4, 3, 2, 1, 0] + [0] * 6
+    assert len(calls) == 4
+
+
+def test_jordan_type_rejects_a_matrix_that_is_not_nilpotent():
+    for m in (
+        PolyMatrix.identity(3),
+        PolyMatrix([[0, 1], [1, 0]]),
+        PolyMatrix.block_diag([chain_block(3)[0], PolyMatrix([[2]])]),
+    ):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_type(m)
 
 
 def test_valid_partition_rules():
