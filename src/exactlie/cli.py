@@ -282,6 +282,10 @@ def _g2_rows(f: MPoly, seed: int, bound: int) -> List[Row]:
     def certificates():
         return g2mod.singular_locus_certificates(bound=bound)
 
+    def form_line():
+        g2mod.invariant_form()
+        return "1-dimensional"
+
     def s3_model():
         model = g2mod.s3_invariant_model()
         return ", ".join(f"{k}={v}" for k, v in sorted(model.items()))
@@ -290,8 +294,7 @@ def _g2_rows(f: MPoly, seed: int, bound: int) -> List[Row]:
         ("jacobi-identity", "g2-jacobi", lambda: f"{g2mod.jacobi_full()} triples"),
         ("embedding-homomorphism", "g2-embedding",
          lambda: f"{g2mod.embedding_homomorphism_full()} pairs"),
-        ("invariant-form-line", None,
-         lambda: "1-dimensional" if g2mod.invariant_form() is not None else ""),
+        ("invariant-form-line", None, form_line),
         ("slice-structure", "g2-slice-structure",
          lambda: json.dumps(g2mod.slice_structure_check(), sort_keys=True)),
         ("chi2-closed-form", None,

@@ -6,7 +6,9 @@ coordinate readout that rejects elements outside the algebra, and the
 linear combination that inverts it.  ad(x) is read from dim brackets
 [x, b_k]; the sparse structure-constant table, on which the Jacobi
 identity is a contraction, is read from the basis brackets on first use.
-The exceptional block model (g2.g2_algebra) is one too.
+The exceptional algebra (g2.g2_algebra) is one too: its elements are
+rational 7x7 PolyMatrix values like those of sl/so/sp, and its bracket is
+the printed block formula.
 
 make_algebra cuts sl/so/sp out of gl_m by a bilinear form (or
 tracelessness for type A).  Its elements are PolyMatrix values, and so

@@ -1,10 +1,12 @@
 """Exact scalars in Q(sqrt 2).
 
 Every number in this package is a Scalar: a pair (r0, r1) of rationals
-representing r0 + r1*sqrt(2).  Q(sqrt 2) is the smallest field containing
-all structure constants that appear downstream (the exceptional 7-dim
-representation needs 1/sqrt 2), and it is still a field with decidable
-equality, so every pipeline stays exact end to end.  No floats anywhere.
+representing r0 + r1*sqrt(2).  Every structure constant the package
+builds is rational (the exceptional 7-dim representation is the rational
+conjugate of the printed one, whose vector blocks carry 1/sqrt 2), so a
+sqrt 2 part comes only from text or JSON input.  Q(sqrt 2) is still a
+field with decidable equality, so every pipeline stays exact end to end.
+No floats anywhere.
 
 Each component is stored as a Python int when it is integral and as a
 Fraction only when it is not: r0 and r1 are each an int (never a bool) or
@@ -220,4 +222,3 @@ def _make(r0: Rational, r1: Rational) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-HALF_SQRT2 = Scalar(0, Fraction(1, 2))

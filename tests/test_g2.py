@@ -17,7 +17,6 @@ from exactlie.g2 import (
     SLICE_DEGREES,
     VARS7,
     VARS8,
-    G2Elt,
     _fraction_root,
     chi2_closed,
     chi6_closed,
@@ -27,13 +26,15 @@ from exactlie.g2 import (
     example_f,
     g2_basis,
     g2_bracket,
+    g2_blocks,
+    g2_combination,
     g2_element,
-    g2_embed_so7,
     g2_hypersurface,
     g2_slice_xi,
     g2_triple,
     invariant_form,
     jacobi_full,
+    xi_directions,
     random_element,
     s3_invariant_model,
     s3_polarizations,
@@ -63,9 +64,10 @@ def test_bracket_antisymmetry_on_basis():
 def test_sl3_part_closes():
     a1 = g2_element([[0, 1, 0], [0, 0, 0], [0, 0, 0]], (0, 0, 0), (0, 0, 0))
     a2 = g2_element([[0, 0, 0], [1, 0, 0], [0, 0, 0]], (0, 0, 0), (0, 0, 0))
-    br = g2_bracket(a1, a2)
-    assert br.v.is_zero() and br.w.is_zero()
-    assert br.a == a1.a * a2.a - a2.a * a1.a
+    a, v, w = g2_blocks(g2_bracket(a1, a2))
+    assert v.is_zero() and w.is_zero()
+    b1, b2 = g2_blocks(a1)[0], g2_blocks(a2)[0]
+    assert a == b1 * b2 - b2 * b1
 
 
 def test_vw_pairing_order_and_factor():
@@ -78,8 +80,8 @@ def test_vw_pairing_order_and_factor():
     vw = PolyMatrix([[Scalar(Fraction(3, 4) * v[i] * w[j]) for j in range(3)] for i in range(3)])
     wv = sum(v[i] * w[i] for i in range(3))
     expected = vw - PolyMatrix.identity(3).scale(Fraction(wv, 4))
-    assert g2_bracket(xw, xv).a == expected
-    assert g2_bracket(xv, xw).a == -expected
+    assert g2_blocks(g2_bracket(xw, xv))[0] == expected
+    assert g2_blocks(g2_bracket(xv, xw))[0] == -expected
 
 
 def test_jacobi_sampled_triples():
@@ -109,7 +111,7 @@ def test_jacobi_full_catches_a_wrong_h2_readout(monkeypatch):
     def h2_from_a22(e):
         # H2 = diag(0, 1, -1) carries A11 + A22, not A22
         out = right(e)
-        out[7] = e.a.entry(1, 1)
+        out[7] = g2_blocks(e)[0].entry(1, 1)
         return out
 
     monkeypatch.setattr(g2, "g2_coords", h2_from_a22)
@@ -117,13 +119,11 @@ def test_jacobi_full_catches_a_wrong_h2_readout(monkeypatch):
         jacobi_full()
 
 
-def test_embedding_is_homomorphism_on_all_pairs():
+def test_bracket_is_commutator_on_all_pairs():
     basis = g2_basis()
-    images = [g2_embed_so7(e) for e in basis]
-    for i in range(14):
-        for j in range(14):
-            expected = g2_embed_so7(g2_bracket(basis[i], basis[j]))
-            assert expected == images[i] * images[j] - images[j] * images[i]
+    for x in basis:
+        for y in basis:
+            assert g2_bracket(x, y) == x * y - y * x
 
 
 def test_embedding_check_catches_one_perturbed_basis_bracket(monkeypatch):
@@ -147,12 +147,11 @@ def test_embedding_check_catches_one_perturbed_basis_bracket(monkeypatch):
         g2.embedding_homomorphism_full()
 
 
-def test_embedding_is_injective():
-    cols = []
-    for e in g2_basis():
-        m = g2_embed_so7(e)
-        cols.append([m.entry(i, j) for i in range(7) for j in range(7)])
-    matrix = PolyMatrix([[cols[j][k] for j in range(14)] for k in range(49)])
+def test_basis_matrices_are_independent():
+    basis = g2_basis()
+    for m in basis:
+        assert (m.nrows, m.ncols) == (7, 7)
+    matrix = PolyMatrix([[m.entry(i, j) for i in range(7) for j in range(7)] for m in basis])
     assert rank(matrix) == 14
 
 
@@ -162,9 +161,73 @@ def test_invariant_form_is_block_exchange():
     for i in range(3):
         assert g.entry(i, i + 4) == Scalar(1)
         assert g.entry(i + 4, i) == Scalar(1)
-    assert g.entry(3, 3) == Scalar(1)
+    assert g.entry(3, 3) == Scalar(2)
     total = sum(1 for i in range(7) for j in range(7) if g.entry(i, j))
     assert total == 7
+
+
+HALF_SQRT2 = Scalar(0, Fraction(1, 2))
+
+
+def printed_rho(a, v, w):
+    """The printed embedding of the blocks (A, v, w), entry lists of
+    Scalars or polynomials: vector blocks carry 1/sqrt(2), the
+    cross-product blocks 1/2."""
+    al = HALF_SQRT2
+    zero = a[0][0] - a[0][0]
+
+    def cross(c):
+        # u -> c x u, halved
+        return [
+            [zero, -c[2] * Fraction(1, 2), c[1] * Fraction(1, 2)],
+            [c[2] * Fraction(1, 2), zero, -c[0] * Fraction(1, 2)],
+            [-c[1] * Fraction(1, 2), c[0] * Fraction(1, 2), zero],
+        ]
+
+    mv, mw = cross(v), cross(w)
+    rows = [a[i] + [v[i] * al] + mw[i] for i in range(3)]
+    rows.append([-(x * al) for x in w] + [zero] + [-(x * al) for x in v])
+    rows += [mv[i] + [w[i] * al] + [-a[j][i] for j in range(3)] for i in range(3)]
+    return PolyMatrix(rows)
+
+
+def generic_blocks():
+    names = g2.BASIS_NAMES
+    xs = [MPoly.variable(n, names) for n in names]
+    e12, e13, e21, e23, e31, e32, h1, h2 = xs[:8]
+    a = [[h1, e12, e13], [e21, h2 - h1, e23], [e31, e32, -h2]]
+    return xs, a, xs[8:11], xs[11:14]
+
+
+def test_model_is_the_rational_conjugate_of_the_printed_embedding():
+    # D^-1 rho D with D = diag(1, 1, 1, sqrt2, 1, 1, 1): column 3 times
+    # sqrt2, row 3 divided by it
+    xs, a, v, w = generic_blocks()
+    rho = printed_rho(a, v, w)
+    d = [Scalar(1)] * 3 + [Scalar.sqrt2()] + [Scalar(1)] * 3
+    conj = PolyMatrix(
+        [[rho.entry(i, j) * (d[j] / d[i]) for j in range(7)] for i in range(7)]
+    )
+    assert conj == g2_combination(xs)
+
+
+def test_printed_embedding_preserves_the_exchange_form():
+    _, a, v, w = generic_blocks()
+    rho = printed_rho(a, v, w)
+    exchange = {(3, 3): 1}
+    for i in range(3):
+        exchange[(i, i + 4)] = exchange[(i + 4, i)] = 1
+    g = PolyMatrix.from_entries(7, 7, exchange)
+    assert (rho.transpose() * g + g * rho).is_zero()
+    assert any(not c.is_rational() for _, _, x in rho.nonzeros() for c in x.terms.values())
+
+
+def test_no_sqrt2_in_the_model():
+    x = g2_slice_xi()
+    polys = [p for _, _, p in x.nonzeros()]
+    assert all(c.is_rational() for p in polys for c in p.terms.values())
+    matrices = [*g2_basis(), *g2_triple(), *xi_directions().values(), invariant_form()]
+    assert all(c.is_rational() for m in matrices for _, _, c in m.nonzeros())
 
 
 def test_chi2_on_vector_pair():
@@ -182,12 +245,11 @@ def test_closed_formulas_match_charpoly_on_random_points():
 def test_charpoly_extraction_against_cofactor_oracle():
     rng = random.Random(11)
     e = random_element(rng)
-    rho = g2_embed_so7(e)
     lam = MPoly.variable("t", ("t",))
     shifted = PolyMatrix(
         [
             [
-                lam * (1 if i == j else 0) - MPoly.constant(rho.entry(i, j), ("t",))
+                lam * (1 if i == j else 0) - MPoly.constant(e.entry(i, j), ("t",))
                 for j in range(7)
             ]
             for i in range(7)
@@ -197,6 +259,18 @@ def test_charpoly_extraction_against_cofactor_oracle():
     c2, c6 = chi_from_charpoly(e)
     assert det.coefficient((5,)) == c2
     assert det.coefficient((1,)) == c6
+
+
+def test_slice_element_is_the_printed_chart():
+    a, b, c, p, q, r, s, u = (MPoly.variable(n, VARS8) for n in VARS8)
+    zero = MPoly.zero(VARS8)
+    one = MPoly.constant(1, VARS8)
+    printed = g2_element(
+        [[-b / 2, one, zero], [u, -b / 2, p], [s, zero, b]],
+        (zero, 2 * q, c),
+        (2 * r, zero, a),
+    )
+    assert g2_slice_xi() == printed
 
 
 def test_triple_and_slice_structure():
@@ -333,6 +407,16 @@ def test_combination_and_coords_on_the_basis():
         assert g2.g2_coords(b) == unit
 
 
+def test_coords_reject_an_so7_element_outside_g2():
+    # a skew top-right block with w = 0 preserves the invariant form, but
+    # g2 ties that block to the w entries of column 3 and row 3
+    e = PolyMatrix.from_entries(7, 7, {(0, 5): 1, (1, 4): -1})
+    g = invariant_form()
+    assert (e.transpose() * g + g * e).is_zero()
+    with pytest.raises(ValueError, match="not in g2"):
+        g2.g2_coords(e)
+
+
 def test_coords_and_ad_reject_an_a_block_with_a_trace():
     # diag(1, 0, 0) would read as H1 = H2 = 1, which recombines to
     # diag(1, 0, -1): a readout for an element outside g2
@@ -353,11 +437,13 @@ def test_random_element_is_traceless():
     rng = random.Random(3)
     for _ in range(10):
         e = random_element(rng)
-        assert e.a.trace() == Scalar(0)
+        assert g2_blocks(e)[0].trace() == Scalar(0)
 
 
-def test_g2elt_shape_validation():
+def test_g2_element_shape_validation():
     with pytest.raises(ValueError):
-        G2Elt(PolyMatrix.zeros(2, 2), PolyMatrix.zeros(3, 1), PolyMatrix.zeros(1, 3))
+        g2_element(PolyMatrix.zeros(2, 2), PolyMatrix.zeros(3, 1), PolyMatrix.zeros(1, 3))
     with pytest.raises(ValueError):
-        G2Elt(PolyMatrix.zeros(3, 3), PolyMatrix.zeros(1, 3), PolyMatrix.zeros(1, 3))
+        g2_element(PolyMatrix.zeros(3, 3), PolyMatrix.zeros(1, 3), PolyMatrix.zeros(1, 3))
+    with pytest.raises(ValueError):
+        g2_element([[0] * 3] * 3, (0, 0), (0, 0, 0))
