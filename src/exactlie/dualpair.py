@@ -68,29 +68,25 @@ def adjoint(X: PolyMatrix) -> PolyMatrix:
     return G_V * X.transpose() * G_U
 
 
-def _rho(X: PolyMatrix, Xs: PolyMatrix, G_V: PolyMatrix) -> PolyMatrix:
-    """X*X, asserted to lie in the orthogonal algebra."""
-    rho = Xs * X
-    if not preserves_form(rho, G_V, symmetric=True):
-        raise AssertionError("X*X does not preserve the symmetric form")
-    return rho
-
-
 def kp_maps(X: PolyMatrix) -> Tuple[PolyMatrix, PolyMatrix]:
     """(XX*, X*X); membership in the two algebras is asserted exactly."""
     G_V, G_U = _forms(_n_of(X))
     Xs = adjoint(X)
-    pi = X * Xs
+    pi, rho = X * Xs, Xs * X
     if not preserves_form(pi, G_U, symmetric=False):
         raise AssertionError("XX* does not preserve the skew form")
-    return pi, _rho(X, Xs, G_V)
+    if not preserves_form(rho, G_V, symmetric=True):
+        raise AssertionError("X*X does not preserve the symmetric form")
+    return pi, rho
 
 
 def pfaffian_locus_check(X: PolyMatrix) -> bool:
-    """rank(X*X) <= 2n-2 < 2n, so the skew matrix G_V (X*X) = Xt G_U X
-    must have vanishing pfaffian."""
-    G_V = _forms(_n_of(X))[0]
-    return pfaffian(G_V * _rho(X, adjoint(X), G_V)).is_zero()
+    """rank(X*X) <= 2n-2 < 2n, so the matrix G_V (X*X) = Xt G_U X (as
+    G_V^2 = I) must have vanishing pfaffian.  It is formed once, as
+    Xt (G_U X); pfaffian raises ValueError unless it is skew, which is
+    exactly the condition that X*X preserve G_V."""
+    G_U = _forms(_n_of(X))[1]
+    return pfaffian(X.transpose() * (G_U * X)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +294,15 @@ def _bracket_table(n: int, polys_a: List[MPoly], polys_b: List[MPoly]) -> List[M
     d_beta g for f in polys_a, g in polys_b, with pi the constant tensor
     inverse to omega, row by row in polys_a.
 
-    The nonzero entries of pi are read once from its sparse rows.  Each f
-    becomes its Hamiltonian vector H_f[beta] = sum_alpha pi_{alpha beta}
-    d_alpha f and each g its gradient, both keeping only their nonzero
-    components; then {f, g} = sum_beta H_f[beta] d_beta g over the betas
-    that both carry."""
+    The entries of 2 pi are +-1, read once from the rows of
+    poisson_tensor(n).  Each f becomes its doubled Hamiltonian vector
+    H_f[beta] = sum_alpha 2 pi_{alpha beta} d_alpha f and each g its
+    gradient, both keeping only nonzero components; 2 {f, g} is one
+    MPoly.dot of H_f[beta] d_beta g over the betas that both carry, halved
+    once if nonzero, so integer f and g need no Fraction arithmetic."""
     names = coordinate_names(n)
     tensor_rows: Dict[int, List[Tuple[int, Scalar]]] = {}
-    for alpha, beta, coef in poisson_tensor(n).nonzeros():
+    for alpha, beta, coef in poisson_tensor(n).scale(2).nonzeros():
         tensor_rows.setdefault(alpha, []).append((beta, coef))
 
     def gradient(p: MPoly) -> Dict[int, MPoly]:
@@ -314,23 +311,19 @@ def _bracket_table(n: int, polys_a: List[MPoly], polys_b: List[MPoly]) -> List[M
 
     hamiltonians = []
     for f in polys_a:
-        h: Dict[int, MPoly] = {}
+        pairs: Dict[int, list] = {}
         for alpha, df in gradient(f).items():
             for beta, coef in tensor_rows.get(alpha, ()):
-                term = df * coef
-                h[beta] = h[beta] + term if beta in h else term
-        hamiltonians.append({beta: hb for beta, hb in h.items() if hb})
+                pairs.setdefault(beta, []).append((df, coef))
+        hamiltonians.append(
+            {beta: hb for beta, ps in pairs.items() if (hb := MPoly.dot(names, ps))}
+        )
     gradients = [gradient(g) for g in polys_b]
-    zero = MPoly.zero(names)
     out = []
     for h in hamiltonians:
         for dg in gradients:
-            acc = zero
-            for beta, hb in h.items():
-                gb = dg.get(beta)
-                if gb is not None:
-                    acc = acc + hb * gb
-            out.append(acc)
+            b = MPoly.dot(names, [(hb, dg[beta]) for beta, hb in h.items() if beta in dg])
+            out.append(b * Fraction(1, 2) if b else b)
     return out
 
 
@@ -359,6 +352,7 @@ def moment_identity_check(n: int) -> Fraction:
     are formed once per Y, and tr(S xi) and tr(P xi) are read as sums of
     S_ij xi_ji and P_ij xi_ji over the nonzero entries of xi."""
     du, dv = 2 * n - 2, 2 * n
+    names = coordinate_names(n)
     X = symbolic_element(n)
     Xs = adjoint(X)
     alg = make_algebra("sp", du, _forms(n)[1])
@@ -374,8 +368,8 @@ def moment_identity_check(n: int) -> Fraction:
             P = X * adjoint(Y)
             S = Y * Xs + P
             for entries in xi_entries:
-                lhs = sum((S.entry(i, j) * v for j, i, v in entries), X.zero)
-                rhs = 2 * sum((P.entry(i, j) * v for j, i, v in entries), X.zero)
+                lhs = MPoly.dot(names, [(S.entry(i, j), v) for j, i, v in entries])
+                rhs = 2 * MPoly.dot(names, [(P.entry(i, j), v) for j, i, v in entries])
                 pairs.append((lhs, rhs))
                 if constant is None and not rhs.is_zero():
                     exps = next(iter(rhs.terms))

@@ -100,7 +100,9 @@ class LieAlgebra:
         Every basis bracket is read into coordinates once.  Raises
         AssertionError unless recombining those coordinates gives back the
         bracket exactly, so a readout that loses a coordinate, or a bracket
-        that leaves the span of the basis, is caught here."""
+        that leaves the span of the basis, is caught here.  The readouts
+        recombine too, but a readout swapped in without that check (the
+        tests drop a coordinate or misread h2) is caught only here."""
         table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         for i, x in enumerate(self.basis):
             for j, y in enumerate(self.basis):

@@ -4,12 +4,12 @@ PolyMatrix is the one matrix type.  It stores only its nonzero entries,
 grouped by row (_rows[i] maps a column to a nonzero entry), with its width
 and its ring's zero kept explicitly: an entry that is not stored reads as
 that zero, and a 0 x m matrix keeps its m columns.  Entries are Scalars
-or MPolys (anything with ring arithmetic and truthiness).  Ints and
-Fractions become Scalars once, when raw entries come in through
-PolyMatrix(rows) or, for Scalar matrices, PolyMatrix.from_entries; every
-other operation touches only stored entries and drops the ones that cancel.
-Other modules read entries through entry, row, column and nonzeros, never
-through the row storage.
+or MPolys.  Ints and Fractions become Scalars once, when raw entries come
+in through PolyMatrix(rows) or, for Scalar matrices,
+PolyMatrix.from_entries; every other operation touches only stored entries
+and drops the ones that cancel.  A product sums each entry once, in the
+kernel of its ring.  Other modules read entries through entry, row, column
+and nonzeros, never through the row storage.
 
 Characteristic polynomials come from Berkowitz's division-free algorithm
 (Inf. Process. Lett. 18, 1984), which uses only ring operations and so is
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .mpoly import MPoly
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, matrix_product
 
 Row = Dict[int, object]
 
@@ -195,22 +195,26 @@ class PolyMatrix:
         )
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The matrix product, by one kernel per ring: scalar.matrix_product
+        for two Scalar matrices, else one MPoly.dot per entry (a Scalar is a
+        constant there).  A factor that is not a matrix scales."""
         if not isinstance(other, PolyMatrix):
             return self.scale(other)
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in matrix product")
         brows = other._rows
-        out: List[Row] = []
+        zero = self.zero * other.zero
+        if type(zero) is Scalar:
+            return PolyMatrix._make(matrix_product(self._rows, brows), other.ncols, zero)
+        vars, dot = zero.vars, MPoly.dot
+        out = []
         for arow in self._rows:
-            acc: Row = {}
+            pairs: Dict[int, list] = {}
             for t, a in arow.items():
                 for j, b in brows[t].items():
-                    v = acc.get(j)
-                    acc[j] = a * b if v is None else v + a * b
-            if not all(acc.values()):
-                acc = {j: v for j, v in acc.items() if v}
-            out.append(acc)
-        return PolyMatrix._make(out, other.ncols, self.zero * other.zero)
+                    pairs.setdefault(j, []).append((a, b))
+            out.append({j: v for j, ps in pairs.items() if (v := dot(vars, ps))})
+        return PolyMatrix._make(out, other.ncols, zero)
 
     def __pow__(self, k: int) -> "PolyMatrix":
         if not self.is_square():

@@ -15,12 +15,15 @@ integers (structure constants, slice matrices, sampled points), and int
 arithmetic costs a fraction of Fraction arithmetic.  The constructor
 normalises raw input once; every arithmetic result is built by _make from
 components already in that form, folding integral Fractions back to int.
+
+matrix_product, the kernel of Scalar matrix products, is the one place
+outside Scalar that reads the components: it sums each entry on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Dict, List, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
 Rational = Union[int, Fraction]
@@ -73,7 +76,7 @@ class Scalar:
         return not self.r1
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.r0 or self.r1)
 
     # ---- arithmetic ----
 
@@ -218,6 +221,42 @@ def _make(r0: Rational, r1: Rational) -> Scalar:
     _set_r0(s, r0)
     _set_r1(s, r1)
     return s
+
+
+def matrix_product(a_rows: Sequence[Dict], b_rows: Sequence[Dict]) -> List[Dict]:
+    """The sparse rows (column -> nonzero Scalar) of A B from those of A
+    and B.  Each entry is summed once on the components, from its first
+    product (0 + Fraction takes the slow reflected path), with a sqrt 2
+    sum only where an operand has a sqrt 2 part."""
+    out = []
+    for a_row in a_rows:
+        s0: Dict[int, Rational] = {}
+        s1 = None
+        for t, a in a_row.items():
+            a0, a1 = a.r0, a.r1
+            for j, b in b_rows[t].items():
+                b0, b1 = b.r0, b.r1
+                if a1 or b1:
+                    # (a0 + a1 s)(b0 + b1 s) = (a0 b0 + 2 a1 b1) + (a0 b1 + a1 b0) s
+                    p, q = a0 * b0 + 2 * a1 * b1, a0 * b1 + a1 * b0
+                    if s1 is None:
+                        s1 = {}
+                    v = s1.get(j)
+                    s1[j] = q if v is None else v + q
+                else:
+                    p = a0 * b0
+                v = s0.get(j)
+                s0[j] = p if v is None else v + p
+        if not s0:
+            out.append(s0)
+            continue
+        row: Dict[int, Scalar] = {}
+        for j, v in s0.items():
+            w = 0 if s1 is None else _fold(s1.get(j, 0))
+            if v or w:
+                row[j] = _make(_fold(v), w)
+        out.append(row)
+    return out
 
 
 ZERO = Scalar(0)

@@ -107,6 +107,32 @@ def test_pfaffian_locus():
     assert not pfaffian(standard_form("sp", 8)).is_zero()
 
 
+def test_pfaffian_locus_matrix_equals_g_v_times_rho():
+    # the skew matrix as formed before pfaffian_locus_check read it as
+    # Xt (G_U X): G_V times rho = X*X, with X* from the adjoint
+    rng = Random(11)
+    for n in (2, 3, 4, 5):
+        G_V, G_U = forms(n)
+        for _ in range(4):
+            X = random_x(n, rng)
+            old = G_V * (adjoint(X) * X)
+            assert old == X.transpose() * (G_U * X)
+            assert pfaffian_locus_check(X) == pfaffian(old).is_zero()
+
+
+def test_pfaffian_locus_rejects_a_symmetric_form_on_u(monkeypatch):
+    # with a symmetric form in place of G_U, X*X leaves the orthogonal
+    # algebra and Xt G_U X is not skew: the membership check must bite
+    import exactlie.dualpair as dualpair
+
+    symmetric = {n: (standard_form("so", 2 * n), standard_form("so", 2 * n - 2)) for n in (3, 4)}
+    monkeypatch.setattr(dualpair, "_forms", symmetric.__getitem__)
+    rng = Random(13)
+    for n in (3, 4):
+        with pytest.raises(ValueError, match="skew"):
+            pfaffian_locus_check(random_x(n, rng))
+
+
 def test_witness_elements_prescribed_types():
     cases = {
         (3, 3): ((3, 3), (2, 2)),

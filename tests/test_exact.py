@@ -673,6 +673,167 @@ def test_empty_matrices_keep_their_shape():
 
 
 # ---------------------------------------------------------------------------
+# products summed once per entry, against the term loop
+# ---------------------------------------------------------------------------
+
+
+def sparse_rows(m):
+    rows = [{} for _ in range(m.nrows)]
+    for i, j, x in m.nonzeros():
+        rows[i][j] = x
+    return rows
+
+
+def term_loop_product(a, b):
+    """The rows of a * b as a loop over terms sums them: one ring product
+    per term and one sum per partial sum, cancelled entries dropped."""
+    b_rows = sparse_rows(b)
+    out = []
+    for arow in sparse_rows(a):
+        acc = {}
+        for t, x in arow.items():
+            for j, y in b_rows[t].items():
+                v = acc.get(j)
+                acc[j] = x * y if v is None else v + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def assert_product_matches_term_loop(a, b):
+    got = a * b
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    assert all(x for _, _, x in got.nonzeros())
+    assert sparse_rows(got) == term_loop_product(a, b)
+    return got
+
+
+SCALAR_KINDS = {
+    "int": lambda rng: Scalar(rng.randint(-3, 3)),
+    "fraction": lambda rng: Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4))),
+    "sqrt2": lambda rng: Scalar(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice((0, 0, 1, -1, Fraction(1, 2)))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_KINDS))
+def test_scalar_product_matches_the_term_loop(kind):
+    rng = random.Random(83)
+    entry = SCALAR_KINDS[kind]
+    for _ in range(60):
+        n, k, m = (rng.randint(0, 6) for _ in range(3))
+        density = rng.choice((0.2, 0.5, 1.0))
+        a, b = (
+            PolyMatrix.from_entries(r, c, {
+                (i, j): entry(rng) for i in range(r) for j in range(c) if rng.random() < density
+            })
+            for r, c in ((n, k), (k, m))
+        )
+        got = assert_product_matches_term_loop(a, b)
+        for _, _, x in got.nonzeros():
+            # stored form: an integral component is an int
+            assert all(type(q) is int or q.denominator != 1 for q in (x.r0, x.r1))
+
+
+def test_scalar_product_drops_entries_that_cancel():
+    s = Scalar.sqrt2()
+    half = Fraction(1, 2)
+    a = PolyMatrix([[1, 1, 0], [s, 1, 0], [0, 0, 0], [half, half, s]])
+    b = PolyMatrix([[1, s], [-1, -2], [0, 1]])
+    got = assert_product_matches_term_loop(a, b)
+    # 1 - 1, sqrt2 * sqrt2 - 2 and the empty third row store nothing
+    assert sparse_rows(got) == [
+        {1: Scalar(-2, 1)}, {0: Scalar(-1, 1)}, {}, {1: Scalar(-1, Fraction(3, 2))}
+    ]
+    # 1/2 + 1/2 sums to the int 1, and sqrt2 - sqrt2 to the int 0
+    c = PolyMatrix([[half, half, s]]) * PolyMatrix([[1], [1], [0]])
+    assert (type(c.entry(0, 0).r0), type(c.entry(0, 0).r1)) == (int, int)
+
+
+def test_products_of_empty_shapes():
+    for n, k, m in ((0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (2, 3, 2)):
+        got = assert_product_matches_term_loop(PolyMatrix.zeros(n, k), PolyMatrix.zeros(k, m))
+        assert got == PolyMatrix.zeros(n, m)
+    x = MPoly.variable("x", ORACLE_VARS)
+    got = PolyMatrix.zeros(0, 2) * PolyMatrix([[x, 1], [2, x]])
+    assert (got.nrows, got.ncols, got.zero) == (0, 2, MPoly.zero(ORACLE_VARS))
+
+
+def test_mixed_scalar_and_polynomial_products_match_the_term_loop():
+    rng = random.Random(89)
+    zero = MPoly.zero(ORACLE_VARS)
+    cancelled = 0
+    for _ in range(40):
+        n, k, m = (rng.randint(0, 4) for _ in range(3))
+        s = as_matrix(reference_rows(rng, n, k, small_sqrt2_entry, Scalar(0)), n, k, Scalar(0))
+        p = as_matrix(reference_rows(rng, k, m, small_mpoly_entry, zero), k, m, zero)
+        q = as_matrix(reference_rows(rng, m, n, small_mpoly_entry, zero), m, n, zero)
+        for a, b in ((s, p), (q, s), (p, q)):
+            got = assert_product_matches_term_loop(a, b)
+            assert got.zero == zero
+            cancelled += sum(
+                1 for i in range(a.nrows) for j in range(b.ncols)
+                if not got.entry(i, j)
+                and any(a.entry(i, t) and b.entry(t, j) for t in range(a.ncols))
+            )
+    assert cancelled
+
+
+def test_mpoly_dot_is_the_sum_of_products():
+    vars = ("x", "y", "z")
+    rng = random.Random(97)
+
+    def poly():
+        terms = {
+            tuple(rng.randint(0, 2) for _ in vars): SCALAR_KINDS["sqrt2"](rng)
+            for _ in range(rng.randint(0, 4))
+        }
+        return MPoly(vars, terms)
+
+    for _ in range(50):
+        pairs = [
+            (poly(), rng.choice((poly(), SCALAR_KINDS["sqrt2"](rng))))
+            for _ in range(rng.randint(0, 5))
+        ]
+        pairs = [pair if rng.random() < 0.5 else pair[::-1] for pair in pairs]
+        want = MPoly.zero(vars)
+        for p, q in pairs:
+            want = want + p * q
+        assert MPoly.dot(vars, pairs) == want
+    p, q = poly() + MPoly.variable("x", vars), poly() + 1
+    assert MPoly.dot(vars, [(p, q), (-p, q)]).terms == {}
+    assert MPoly.dot(vars, [(p, Scalar(2)), (Scalar(-2), p)]).terms == {}
+    assert MPoly.dot(vars, [(Scalar(3), Scalar(Fraction(1, 3)))]) == MPoly.constant(1, vars)
+    assert MPoly.dot(vars, []) == MPoly.zero(vars)
+    other = MPoly.variable("x", ("x", "y"))
+    for pairs in ([(other, p)], [(p, other)], [(other, Scalar(1))], [(other, other)]):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            MPoly.dot(vars, pairs)
+
+
+def test_scalar_product_sums_each_entry_once(monkeypatch):
+    # the term loop makes one Scalar product per term: 8 * 6 * 8 = 384
+    # for 64 entries
+    rng = random.Random(101)
+    a = PolyMatrix([[rng.randint(1, 9) for _ in range(6)] for _ in range(8)])
+    b = PolyMatrix([[rng.randint(1, 9) for _ in range(8)] for _ in range(6)])
+    want = term_loop_product(a, b)
+    products = []
+    mul = Scalar.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    got = a * b
+    monkeypatch.setattr(Scalar, "__mul__", mul)
+    assert sum(len(row) for row in want) == 64
+    assert len(products) < 64
+    assert sparse_rows(got) == want
+
+
+# ---------------------------------------------------------------------------
 # row reduction against a dense reference
 # ---------------------------------------------------------------------------
 
