@@ -36,11 +36,11 @@ the test suite.
 
 g2_algebra() is the model as a liealg.LieAlgebra on these matrices, like
 sl/so/sp, with g2_coords as its readout (ValueError for a matrix outside
-g2).  ad(x) comes from 14 block brackets.  The Jacobi sweep runs on the
-algebra's structure constants: the bracket of each of the 196 basis pairs
-is read into basis coordinates and must recombine exactly, one symbolic
-bracket of two generic elements must equal the table's bilinear form, and
-then all 2744 ordered basis triples are summed over the table.
+g2); jacobi_full sweeps its structure constants.  The minimal-orbit slice
+is a liealg.SliceChart on it, as the hook slice is on sp(2n): g2_chart()
+puts the coordinates a..u on xi_directions() at g2_triple's x,
+slice_structure_check runs liealg's triple and chart checks on it, and
+slice_invariants takes the slice element from slicegeom.slice_matrix.
 """
 
 from __future__ import annotations
@@ -51,13 +51,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .elim import MembershipCertificate, ideal_membership_bounded
-from .liealg import LieAlgebra
-from .mpoly import MPoly
-from .polymat import (
-    PolyMatrix, charpoly_coefficients, det_cofactor, linear_combination, nullspace, rank,
+from .elim import MembershipCertificate, eliminate_triangular, ideal_membership_bounded
+from .liealg import (
+    LieAlgebra, NilpotentModel, SliceChart, Triple, check_chart, check_triple, jordan_type,
+    transversality_check,
 )
-from .scalar import Scalar
+from .mpoly import MPoly
+from .polymat import PolyMatrix, charpoly_coefficients, det_cofactor, nullspace
+from .scalar import ZERO, Scalar
+from .slicegeom import slice_matrix
 
 VARS8 = ("a", "b", "c", "p", "q", "r", "s", "u")
 VARS7 = ("a", "b", "c", "p", "q", "r", "s")
@@ -235,21 +237,17 @@ def invariant_form() -> PolyMatrix:
     matrix X.  Solved from scratch; the solution space must be a line, and
     the generator normalized to G[0, 4] = 1 is the exchange form with
     middle entry 2 (D G D for the form of rho, see the module docstring)."""
-    idx = {}
-    for i in range(7):
-        for j in range(i, 7):
-            idx[(i, j)] = len(idx)
-    rows: List[List[Scalar]] = []
-    for r in g2_basis():
-        for i in range(7):
-            for j in range(7):
-                # (r^T G + G r)_{ij} = sum_k r_{ki} G_{kj} + G_{ik} r_{kj}
-                row = [Scalar(0)] * len(idx)
-                for k in range(7):
-                    row[idx[(min(k, j), max(k, j))]] += r.entry(k, i)
-                    row[idx[(min(i, k), max(i, k))]] += r.entry(k, j)
-                rows.append(row)
-    kernel = nullspace(PolyMatrix(rows))
+    idx = {p: k for k, p in enumerate((i, j) for i in range(7) for j in range(i, 7))}
+    constraints: Dict[Tuple[int, int], Scalar] = {}
+    for b, r in enumerate(g2_basis()):
+        # an entry x = r_(k,t) enters (r^T G + G r) at (t, c) and (c, t)
+        # as x G_(k,c), for every c; row 49b + 7i + j holds entry (i, j)
+        for k, t, x in r.nonzeros():
+            for c in range(7):
+                col = idx[min(k, c), max(k, c)]
+                for row in (49 * b + 7 * t + c, 49 * b + 7 * c + t):
+                    constraints[row, col] = constraints.get((row, col), ZERO) + x
+    kernel = nullspace(PolyMatrix.from_entries(49 * 14, len(idx), constraints))
     if len(kernel) != 1:
         raise AssertionError(f"invariant form space has dimension {len(kernel)}")
     vec = kernel[0]
@@ -426,40 +424,28 @@ def xi_directions() -> Dict[str, PolyMatrix]:
     }
 
 
-def g2_slice_xi(vars: Tuple[str, ...] = VARS8) -> PolyMatrix:
-    """The slice element x + sum_k c_k d_k over the chart coordinates c_k
-    and their directions d_k in xi_directions(), with polynomial entries
-    in vars."""
+def g2_chart() -> SliceChart:
+    """The chart a..u on xi_directions() at g2_triple's x, with weights
+    SLICE_DEGREES; slice_structure_check verifies it."""
+    x, h, y = g2_triple()
+    model = NilpotentModel(g2_algebra(), Triple(x, y, h), jordan_type(x), "g2", None)
     dirs = xi_directions()
-    coeffs = [MPoly.constant(1, vars)] + [MPoly.variable(n, vars) for n in dirs]
-    return linear_combination(coeffs, [g2_triple()[0], *dirs.values()], 7, 7)
+    weights = tuple(SLICE_DEGREES[n] for n in dirs)
+    return SliceChart(model, tuple(dirs), tuple(dirs.values()), weights)
 
 
 def slice_structure_check() -> Dict[str, int]:
-    """Triple relations, transversality data and the grading of the chart."""
-    x, h, y = g2_triple()
-    if g2_bracket(h, x) != x.scale(Scalar(2)):
-        raise AssertionError("[h, x] != 2x")
-    if g2_bracket(h, y) != y.scale(Scalar(-2)):
-        raise AssertionError("[h, y] != -2y")
-    if g2_bracket(x, y) != h:
-        raise AssertionError("[x, y] != h")
-    alg = g2_algebra()
-    kernel = nullspace(alg.ad_matrix(y))
-    if len(kernel) != 8:
-        raise AssertionError(f"dim ker(ad y) = {len(kernel)}, want 8")
-    dirs = xi_directions()
-    coord_rows = []
-    for name, d in dirs.items():
-        if not g2_bracket(y, d).is_zero():
-            raise AssertionError(f"direction {name} is not in ker(ad y)")
-        weight = 2 - SLICE_DEGREES[name]
-        if g2_bracket(h, d) != d.scale(Scalar(weight)):
-            raise AssertionError(f"direction {name} has the wrong h-weight")
-        coord_rows.append(alg.coords(d))
-    if rank(PolyMatrix(coord_rows)) != 8:
-        raise AssertionError("slice directions are dependent")
-    return {"kernel_dim": 8, "orbit_dim": 14 - 8, "algebra_dim": 14}
+    """Triple relations, the grading and span of the chart, and
+    transversality: dim ker(ad y) + rank(ad x) = 14."""
+    chart = g2_chart()
+    model = chart.model
+    check_triple(model.algebra, model.triple)
+    check_chart(chart)
+    report = transversality_check(model)
+    if not report["transversal"]:
+        raise AssertionError("slice and orbit dimensions do not add up to 14")
+    return {"kernel_dim": report["slice_dim"], "orbit_dim": report["orbit_dim"],
+            "algebra_dim": report["algebra_dim"]}
 
 
 @lru_cache(maxsize=None)
@@ -467,7 +453,7 @@ def slice_invariants() -> Tuple[MPoly, MPoly]:
     """(chi2(xi), chi6(xi)) as exact polynomials in the eight chart
     coordinates, from the characteristic polynomial of the slice
     element."""
-    c2, c6 = chi_from_charpoly(g2_slice_xi())
+    c2, c6 = chi_from_charpoly(slice_matrix(g2_chart(), VARS8))
     a, b, c, u = (MPoly.variable(n, VARS8) for n in ("a", "b", "c", "u"))
     want = -2 * (u - Fraction(3, 4) * (a * c - b * b))
     if c2 != want:
@@ -534,11 +520,9 @@ def g2_hypersurface() -> MPoly:
     """Eliminate u via chi2 = 0 and return -2 chi6(xi) restricted to the
     resulting chart; must reproduce the seven-variable polynomial of the
     quotient model exactly."""
-    _, c6 = slice_invariants()
-    a, b, c = (MPoly.variable(n, VARS8) for n in ("a", "b", "c"))
-    u_value = Fraction(3, 4) * (a * c - b * b)
-    restricted = c6.substitute({"u": u_value})
-    f = (-2 * restricted).with_vars(VARS7)
+    c2, c6 = slice_invariants()
+    subs, _ = eliminate_triangular([c2], ["u"])
+    f = (-2 * c6.substitute(subs)).with_vars(VARS7)
     if f != example_f():
         raise AssertionError("slice hypersurface differs from the quotient model")
     return f

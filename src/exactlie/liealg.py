@@ -20,6 +20,11 @@ Nilpotent elements come with adapted bases: each Jordan block gets the
 chain basis whose form is the alternating binomial antidiagonal, which
 keeps every structure constant rational and makes the printed models
 downstream reproducible literally.
+
+SliceChart is the one slice type, for sl/so/sp and g2 alike: coordinate
+vectors at x with their weights.  check_triple is the one sl2-triple
+check and check_chart the one chart check; both use only the algebra's
+coords and bracket.
 """
 
 from __future__ import annotations
@@ -230,7 +235,10 @@ def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> L
             return preserves_form(x, g, family == "so")
 
         def readout(x: PolyMatrix) -> List[Scalar]:
-            return [x.entry(i, j) for i, j in free]
+            # the stored entries, read once; a free position holding none
+            # reads as zero
+            stored = {(i, j): v for i, j, v in x.nonzeros()}
+            return [stored.get(p, x.zero) for p in free]
 
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -341,7 +349,23 @@ class NilpotentModel:
     triple: Triple
     partition: Tuple[int, ...]
     family: str
-    form: Optional[PolyMatrix]  # None for sl
+    form: Optional[PolyMatrix]  # None for sl and g2
+
+    @cached_property
+    def slice_dim(self) -> int:
+        """dim ker(ad y), computed once per model."""
+        return len(nullspace(self.algebra.ad_matrix(self.triple.y)))
+
+
+def check_triple(alg: LieAlgebra, triple: Triple) -> None:
+    """x, y, h lie in alg (else coords raises ValueError) and satisfy the
+    sl2 relations under alg's bracket (else AssertionError)."""
+    x, y, h = triple.x, triple.y, triple.h
+    for m in (x, y, h):
+        alg.coords(m)
+    b = alg.bracket
+    if b(x, y) != h or b(h, x) != x.scale(2) or b(h, y) != y.scale(-2):
+        raise AssertionError("sl2 relations fail")
 
 
 def jm_triple(family: str, partition: Sequence[int]) -> NilpotentModel:
@@ -382,18 +406,13 @@ def jm_triple(family: str, partition: Sequence[int]) -> NilpotentModel:
                 pair[(i, m + c)] = v
                 pair[(m + c, i)] = v * sign
             forms.append(PolyMatrix.from_entries(2 * m, 2 * m, pair))
-    x = PolyMatrix.block_diag(xs)
-    y = PolyMatrix.block_diag(ys)
-    h = PolyMatrix.block_diag(hs)
+    triple = Triple(*(PolyMatrix.block_diag(blocks) for blocks in (xs, ys, hs)))
     form = None if family == "sl" else PolyMatrix.block_diag(forms)
     alg = make_algebra(family, size, form)
-    for m_ in (x, y, h):
-        alg.coords(m_)  # raises ValueError if the triple escapes the algebra
-    if bracket(x, y) != h or bracket(h, x) != x.scale(2) or bracket(h, y) != y.scale(-2):
-        raise AssertionError("sl2 relations fail")
-    if jordan_type(x) != tuple(parts):
+    check_triple(alg, triple)
+    if jordan_type(triple.x) != tuple(parts):
         raise AssertionError("constructed nilpotent has the wrong Jordan type")
-    return NilpotentModel(alg, Triple(x, y, h), tuple(parts), family, form)
+    return NilpotentModel(alg, triple, tuple(parts), family, form)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +422,9 @@ def jm_triple(family: str, partition: Sequence[int]) -> NilpotentModel:
 
 @dataclass
 class SliceChart:
+    """Coordinates c_k = names[k] on x + sum_k c_k vectors[k]; c_k has
+    weight w = coord_weights[k], so [h, vectors[k]] = (2 - w) vectors[k]."""
+
     model: NilpotentModel
     names: Tuple[str, ...]
     vectors: Tuple[PolyMatrix, ...]
@@ -413,39 +435,44 @@ class SliceChart:
         return len(self.names)
 
 
-def _integer_diag(h: PolyMatrix) -> List[int]:
-    out = []
-    for i in range(h.nrows):
-        v = h.entry(i, i)
-        if not v.is_rational() or v.r0.denominator != 1:
-            raise ValueError("h is not an integer diagonal matrix")
-        out.append(int(v.r0))
-    return out
+def check_chart(chart: SliceChart) -> SliceChart:
+    """The chart, once its vectors are shown to be a graded basis of
+    ker(ad y) under the algebra's bracket (else AssertionError) lying in
+    the algebra (else coords raises ValueError)."""
+    model = chart.model
+    alg, y, h = model.algebra, model.triple.y, model.triple.h
+    coord_rows = []
+    for name, v, w in zip(chart.names, chart.vectors, chart.coord_weights):
+        if not alg.bracket(y, v).is_zero():
+            raise AssertionError(f"chart vector {name} is not in ker(ad y)")
+        if alg.bracket(h, v) != v.scale(2 - w):
+            raise AssertionError(f"chart vector {name} has the wrong weight")
+        coord_rows.append(alg.coords(v))
+    if rank(PolyMatrix(coord_rows)) != len(coord_rows):
+        raise AssertionError("chart vectors are dependent")
+    if model.slice_dim != len(coord_rows):
+        raise AssertionError("chart does not span ker(ad y)")
+    return chart
 
 
 def slodowy_slice(model: NilpotentModel) -> SliceChart:
     """Transverse slice chart at x: a graded basis of ker(ad y).  Basis
     vectors are computed weight by weight (ad h eigenvalue w), so each
     coordinate has the definite weight 2 - w."""
-    alg = model.algebra
-    y, h = model.triple.y, model.triple.h
-    ady = alg.ad_matrix(y)
-    adh = alg.ad_matrix(h)
-    hdiag = _integer_diag(h)
-    weights = sorted({a - b for a in hdiag for b in hdiag}, reverse=True)
-    total = len(nullspace(ady))
+    alg, h = model.algebra, model.triple.h
+    ady, adh = alg.ad_matrix(model.triple.y), alg.ad_matrix(h)
+    # the ad h eigenvalues of a diagonal h; check_chart catches any other h
+    hdiag = [h.entry(i, i) for i in range(h.nrows)]
+    weights = sorted({int((a - b).r0) for a in hdiag for b in hdiag}, reverse=True)
     vectors: List[PolyMatrix] = []
-    vec_weights: List[int] = []
+    coord_weights: List[int] = []
     for w in weights:
         shifted = adh - PolyMatrix.identity(alg.dim).scale(Scalar(w))
         for coeffs in nullspace(PolyMatrix.vstack(ady, shifted)):
             vectors.append(alg.combination(coeffs))
-            vec_weights.append(w)
-    if len(vectors) != total:
-        raise AssertionError("graded kernel misses part of ker(ad y)")
+            coord_weights.append(2 - w)
     names = tuple(f"c{i + 1}" for i in range(len(vectors)))
-    coord_weights = tuple(2 - w for w in vec_weights)
-    return SliceChart(model, names, tuple(vectors), coord_weights)
+    return check_chart(SliceChart(model, names, tuple(vectors), tuple(coord_weights)))
 
 
 def hook_slice(n: int) -> SliceChart:
@@ -453,13 +480,11 @@ def hook_slice(n: int) -> SliceChart:
 
     Coordinates: t_1..t_(n-1) pair with y^(2j-1)/(2j-1)! in the long block,
     a and b with the two hook-mixing matrices, and x, y, z fill the small
-    symplectic block as [[y, -z], [x, -y]].  Every vector is verified to be
-    an h-eigenvector spanning ker(ad y) inside the algebra.
+    symplectic block as [[y, -z], [x, -y]].  check_chart verifies it.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
     model = jm_triple("sp", [2 * n - 2, 1, 1])
-    alg = model.algebra
     m = 2 * n - 2
     size = 2 * n
 
@@ -486,28 +511,15 @@ def hook_slice(n: int) -> SliceChart:
         names.append(name)
         weights.append(weight)
 
-    y, h = model.triple.y, model.triple.h
-    coord_rows = []
-    for v, w in zip(vectors, weights):
-        if not bracket(y, v).is_zero():
-            raise AssertionError("chart vector is not in ker(ad y)")
-        if bracket(h, v) != v.scale(2 - w):
-            raise AssertionError("chart vector has the wrong weight")
-        coord_rows.append(alg.coords(v))  # raises ValueError if v escapes sp
-    if rank(PolyMatrix(coord_rows)) != len(vectors):
-        raise AssertionError("chart vectors are dependent")
-    if len(nullspace(alg.ad_matrix(y))) != len(vectors):
-        raise AssertionError("chart does not span ker(ad y)")
-    return SliceChart(model, tuple(names), tuple(vectors), tuple(weights))
+    return check_chart(SliceChart(model, tuple(names), tuple(vectors), tuple(weights)))
 
 
 def transversality_check(model: NilpotentModel) -> Dict[str, int]:
-    """Dimension bookkeeping at x: slice dim + orbit dim = algebra dim."""
+    """Dimension bookkeeping at x: slice dim + orbit dim = algebra dim,
+    the orbit dimension being rank(ad x)."""
     alg = model.algebra
-    adx = alg.ad_matrix(model.triple.x)
-    ady = alg.ad_matrix(model.triple.y)
-    slice_dim = len(nullspace(ady))
-    orbit_dim = rank(adx)
+    slice_dim = model.slice_dim
+    orbit_dim = rank(alg.ad_matrix(model.triple.x))
     return {
         "algebra_dim": alg.dim,
         "slice_dim": slice_dim,

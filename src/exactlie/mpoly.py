@@ -102,11 +102,6 @@ class MPoly:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, var: str) -> int:
         idx = self.vars.index(var)
         if not self.terms:

@@ -203,7 +203,10 @@ class PolyMatrix:
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in matrix product")
         brows = other._rows
-        zero = self.zero * other.zero
+        # the ring zero, taken rather than multiplied: a polynomial one wins
+        zero = self.zero if type(self.zero) is MPoly else other.zero
+        if type(other.zero) is MPoly and other.zero.vars != zero.vars:
+            raise ValueError(f"variable mismatch: {other.zero.vars} vs {zero.vars}")
         if type(zero) is Scalar:
             return PolyMatrix._make(matrix_product(self._rows, brows), other.ncols, zero)
         vars, dot = zero.vars, MPoly.dot

@@ -6,7 +6,8 @@ sp_2n) is: form the generic slice element s = x + sum c_k V_k, take
 det(lam I - s), kill the intermediate lambda-coefficients by solving for
 the t-coordinates (each enters linearly with a constant coefficient, so the
 elimination is triangular and exact), and read off the constant coefficient
-as the defining equation f of the slice singularity.
+as the defining equation f of the slice singularity.  slice_matrix forms
+the slice element of any chart, g2's included.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, Optional, Tuple
 from .elim import eliminate_triangular
 from .liealg import SliceChart, chain_block, hook_slice
 from .mpoly import MPoly, divide_by_monic_in_var
-from .polymat import PolyMatrix, charpoly, pfaffian
+from .polymat import PolyMatrix, charpoly, linear_combination, pfaffian
 from .scalar import Scalar
 
 LAMBDA = "lam"
@@ -36,11 +37,11 @@ class SliceInvariants:
 
 
 def slice_matrix(chart: SliceChart, vars: Tuple[str, ...]) -> PolyMatrix:
-    """The generic slice element x + sum c_k V_k as a polynomial matrix."""
-    s = chart.model.triple.x.map_entries(lambda c: MPoly.constant(c, vars))
-    for name, vec in zip(chart.names, chart.vectors):
-        s = s + vec.scale(MPoly.variable(name, vars))
-    return s
+    """The generic slice element x + sum c_k V_k as a polynomial matrix in
+    vars, which name every chart coordinate."""
+    x = chart.model.triple.x
+    coeffs = [MPoly.constant(1, vars)] + [MPoly.variable(n, vars) for n in chart.names]
+    return linear_combination(coeffs, [x, *chart.vectors], x.nrows, x.ncols)
 
 
 def restrict_invariants(chart: SliceChart) -> SliceInvariants:

@@ -454,8 +454,9 @@ def test_hook_slice_charpoly_against_sympy():
 def test_g2_slice_chi_against_sympy():
     sympy = pytest.importorskip("sympy")
     from exactlie import g2
+    from exactlie.slicegeom import slice_matrix
 
-    xi = g2.g2_slice_xi()
+    xi = slice_matrix(g2.g2_chart(), g2.VARS8)
     symbols = {name: sympy.Symbol(name) for name in g2.VARS8}
     want = sympy_charpoly_coefficients(xi, symbols)
     c2, c6 = g2.chi_from_charpoly(xi)
@@ -757,6 +758,20 @@ def test_products_of_empty_shapes():
     x = MPoly.variable("x", ORACLE_VARS)
     got = PolyMatrix.zeros(0, 2) * PolyMatrix([[x, 1], [2, x]])
     assert (got.nrows, got.ncols, got.zero) == (0, 2, MPoly.zero(ORACLE_VARS))
+
+
+def test_product_of_polynomial_matrices_on_other_variables_raises():
+    # the ring zero is taken from the factors, not multiplied, so the
+    # variable check must still fire when a factor is all zero
+    x = MPoly.variable("x", ("x",))
+    y = MPoly.variable("y", ("y",))
+    full_x, full_y = PolyMatrix([[x, 1], [2, x]]), PolyMatrix([[y, 1], [2, y]])
+    zero_x, zero_y = PolyMatrix.zeros(2, 2, x - x), PolyMatrix.zeros(2, 2, y - y)
+    for a, b in ((full_x, full_y), (full_x, zero_y), (zero_x, full_y), (zero_x, zero_y)):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            a * b
+    assert (zero_x * PolyMatrix.identity(2)).zero == x - x
+    assert (PolyMatrix.identity(2) * zero_y).zero == y - y
 
 
 def test_mixed_scalar_and_polynomial_products_match_the_term_loop():

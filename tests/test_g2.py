@@ -25,12 +25,13 @@ from exactlie.g2 import (
     chi_from_charpoly,
     example_f,
     g2_basis,
+    g2_algebra,
     g2_bracket,
     g2_blocks,
     g2_combination,
     g2_element,
+    g2_chart,
     g2_hypersurface,
-    g2_slice_xi,
     g2_triple,
     invariant_form,
     jacobi_full,
@@ -43,10 +44,11 @@ from exactlie.g2 import (
     slice_relations,
     slice_structure_check,
 )
-from exactlie.elim import ideal_membership_bounded
+from exactlie.elim import eliminate_triangular, ideal_membership_bounded
 from exactlie.mpoly import MPoly
 from exactlie.polymat import PolyMatrix, charpoly, det_cofactor, rank
 from exactlie.scalar import Scalar
+from exactlie.slicegeom import slice_matrix
 
 
 def test_bracket_antisymmetry_on_basis():
@@ -223,7 +225,7 @@ def test_printed_embedding_preserves_the_exchange_form():
 
 
 def test_no_sqrt2_in_the_model():
-    x = g2_slice_xi()
+    x = slice_matrix(g2_chart(), VARS8)
     polys = [p for _, _, p in x.nonzeros()]
     assert all(c.is_rational() for p in polys for c in p.terms.values())
     matrices = [*g2_basis(), *g2_triple(), *xi_directions().values(), invariant_form()]
@@ -270,12 +272,49 @@ def test_slice_element_is_the_printed_chart():
         (zero, 2 * q, c),
         (2 * r, zero, a),
     )
-    assert g2_slice_xi() == printed
+    assert slice_matrix(g2_chart(), VARS8) == printed
 
 
 def test_triple_and_slice_structure():
     report = slice_structure_check()
     assert report == {"kernel_dim": 8, "orbit_dim": 6, "algebra_dim": 14}
+
+
+def test_g2_chart_is_a_slice_chart_on_the_algebra():
+    chart = g2_chart()
+    model = chart.model
+    assert model.family == "g2" and model.algebra.names == g2_algebra().names
+    # x = E12 acts on both 3-dimensional pieces: two 2-blocks
+    assert model.partition == (2, 2, 1, 1, 1)
+    assert chart.names == VARS8
+    assert chart.coord_weights == tuple(SLICE_DEGREES[n] for n in VARS8)
+
+
+def test_slice_structure_check_rejects_a_doubled_y(monkeypatch):
+    x, h, y = g2_triple()
+    monkeypatch.setattr(g2, "g2_triple", lambda: (x, h, y.scale(2)))
+    with pytest.raises(AssertionError, match="sl2 relations fail"):
+        slice_structure_check()
+
+
+def test_slice_structure_check_rejects_a_direction_outside_the_kernel(monkeypatch):
+    dirs = xi_directions()
+    x = g2_triple()[0]
+    monkeypatch.setattr(g2, "xi_directions", lambda: {**dirs, "q": dirs["q"] + x})
+    with pytest.raises(AssertionError, match="chart vector q is not in ker"):
+        slice_structure_check()
+
+
+def test_slice_invariants_run_no_chart_check(monkeypatch):
+    # the chart checks and the invariant form belong to the structure
+    # check; the invariants and the hypersurface only read the chart
+    def forbidden(*args):
+        raise RuntimeError("not on the slice-invariants path")
+
+    for name in ("check_chart", "check_triple", "transversality_check", "invariant_form"):
+        monkeypatch.setattr(g2, name, forbidden)
+    c2, c6 = slice_invariants.__wrapped__()
+    assert (c2, c6) == slice_invariants()
 
 
 def test_triple_is_nilpotent_pair():
@@ -289,6 +328,9 @@ def test_chi2_of_slice_element():
     c2, _ = slice_invariants()
     a, b, c, u = (MPoly.variable(n, VARS8) for n in ("a", "b", "c", "u"))
     assert c2 == -2 * (u - Fraction(3, 4) * (a * c - b * b))
+    # the value g2_hypersurface eliminates u by
+    subs, residuals = eliminate_triangular([c2], ["u"])
+    assert subs == {"u": Fraction(3, 4) * (a * c - b * b)} and residuals == []
 
 
 def test_chi6_identity_reading_frozen():

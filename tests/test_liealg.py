@@ -9,12 +9,14 @@ import pytest
 
 from exactlie import liealg
 from exactlie.classify import partitions_of
-from exactlie.g2 import g2_algebra
+from exactlie.g2 import g2_algebra, g2_chart
 from exactlie.liealg import (
     LieAlgebra,
     block_form,
     bracket,
     chain_block,
+    check_chart,
+    check_triple,
     hook_slice,
     jm_triple,
     jordan_type,
@@ -303,6 +305,62 @@ def test_transversality():
     report2 = transversality_check(jm_triple("so", [3, 1]))
     assert report2["transversal"] == 1
     assert report2["slice_dim"] == 2
+
+
+# the shared checks on the hook chart and on the g2 chart
+CHARTS = {"hook-n3": lambda: hook_slice(3), "g2": g2_chart}
+
+
+def _with_vector(chart, k, v):
+    vectors = list(chart.vectors)
+    vectors[k] = v
+    return dataclasses.replace(chart, vectors=tuple(vectors))
+
+
+@pytest.mark.parametrize("which", sorted(CHARTS))
+def test_chart_check_rejects_each_broken_chart(which):
+    chart = CHARTS[which]()
+    assert check_chart(chart) is chart
+    # x lies in the algebra but not in ker(ad y): [y, x] = -h
+    with pytest.raises(AssertionError, match="not in ker"):
+        check_chart(_with_vector(chart, 0, chart.model.triple.x))
+    weights = list(chart.coord_weights)
+    weights[0] += 1
+    with pytest.raises(AssertionError, match="wrong weight"):
+        check_chart(dataclasses.replace(chart, coord_weights=tuple(weights)))
+    # one vector twice, under two coordinates of one weight
+    i, j = next(
+        (i, j) for i in range(chart.dim) for j in range(i + 1, chart.dim)
+        if chart.coord_weights[i] == chart.coord_weights[j]
+    )
+    with pytest.raises(AssertionError, match="dependent"):
+        check_chart(_with_vector(chart, j, chart.vectors[i]))
+    dropped = dataclasses.replace(
+        chart, names=chart.names[1:], vectors=chart.vectors[1:],
+        coord_weights=chart.coord_weights[1:],
+    )
+    with pytest.raises(AssertionError, match="does not span"):
+        check_chart(dropped)
+
+
+@pytest.mark.parametrize("which", sorted(CHARTS))
+def test_triple_check_rejects_a_doubled_y(which):
+    model = CHARTS[which]().model
+    check_triple(model.algebra, model.triple)
+    doubled = dataclasses.replace(model.triple, y=model.triple.y.scale(2))
+    with pytest.raises(AssertionError, match="sl2 relations fail"):
+        check_triple(model.algebra, doubled)
+
+
+def test_chart_check_rejects_a_vector_outside_the_algebra():
+    chart = hook_slice(2)
+    # diag(0, 0, 1, 0) commutes with y and has ad h eigenvalue 0, but is
+    # not in sp4: on the small block sp2 = sl2 is traceless
+    gl_only = PolyMatrix.from_entries(4, 4, {(2, 2): 1})
+    weights = (2,) + chart.coord_weights[1:]
+    outside = dataclasses.replace(_with_vector(chart, 0, gl_only), coord_weights=weights)
+    with pytest.raises(ValueError, match="not in sp4"):
+        check_chart(outside)
 
 
 def test_regular_so_slice_has_rank_many_coordinates():
