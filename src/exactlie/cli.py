@@ -538,7 +538,9 @@ def _kernel_suite(args) -> List[Row]:
                 raise AssertionError(f"text roundtrip fails for {p}")
             if MPoly.from_json(p.to_json()) != p:
                 raise AssertionError(f"json roundtrip fails for {p}")
-        malformed = ("()", "x y", "2 3", "1/0*x", "(1 2)*x", "(sqrt3)*x", "x +", "w")
+        malformed = (
+            "()", "x y", "2 3", "1/0*x", "(1 2)*x", "(sqrt3)*x", "x +", "w", "+x", "x + - y",
+        )
         for text in malformed:
             try:
                 MPoly.from_text(text, vars)

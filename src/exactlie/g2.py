@@ -36,11 +36,13 @@ the test suite.
 
 g2_algebra() is the model as a liealg.LieAlgebra on these matrices, like
 sl/so/sp, with g2_coords as its readout (ValueError for a matrix outside
-g2); jacobi_full sweeps its structure constants.  The minimal-orbit slice
+g2); jacobi_full sweeps its structure constants, which LieAlgebra.table
+reads from one bracket of two generic elements.  The minimal-orbit slice
 is a liealg.SliceChart on it, as the hook slice is on sp(2n): g2_chart()
 puts the coordinates a..u on xi_directions() at g2_triple's x,
-slice_structure_check runs liealg's triple and chart checks on it, and
-slice_invariants takes the slice element from slicegeom.slice_matrix.
+slice_structure_check runs liealg's triple and chart checks on it and
+checks the Jordan type of x, and slice_invariants takes the slice element
+from slicegeom.slice_matrix.
 """
 
 from __future__ import annotations
@@ -354,21 +356,16 @@ def _generic_coefficients() -> Tuple[List[MPoly], List[MPoly]]:
 
 def jacobi_full() -> int:
     """Jacobi identity over every ordered basis triple (all 14^3 of
-    them, no symmetry shortcuts); returns the count.
+    them); returns the count.
 
-    The triples are summed over g2_algebra()'s structure constants.  The
-    table is read from g2_bracket on the 196 basis pairs through g2_coords,
-    and each pair must recombine exactly.  One symbolic bracket of two
-    generic elements in 28 coordinates must then equal the table's
-    bilinear form, so the table is g2_bracket on every input, and the
-    contraction sum_m c_yz^m c_xm^l decides the same identity as
-    [x, [y, z]] for the block bracket."""
-    alg = g2_algebra()
-    xs, ys = _generic_coefficients()
-    generic = g2_bracket(g2_combination(xs), g2_combination(ys))
-    if generic != g2_combination(alg.bracket_coords(xs, ys)):
-        raise AssertionError("the structure constants differ from the bracket")
-    return alg.jacobi()
+    The triples are summed over g2_algebra()'s structure constants, which
+    LieAlgebra.table reads through g2_coords from one g2_bracket of two
+    generic elements in 14 + 14 variables, checking that the readout is
+    bilinear and recombines to that bracket exactly.  So the table is
+    g2_bracket on every input, and the contraction sum_m c_yz^m c_xm^l
+    decides the same identity as [x, [y, z]] for the block bracket.
+    LieAlgebra.jacobi forms each sum once per cyclic class of triples."""
+    return g2_algebra().jacobi()
 
 
 def embedding_homomorphism_full() -> int:
@@ -377,10 +374,10 @@ def embedding_homomorphism_full() -> int:
     196.
 
     The identity is checked once, for x and y the combinations of the
-    basis with 14 + 14 independent variables, as in jacobi_full.  Both
-    sides are bilinear in (x, y), and the coefficient of x_i y_j in their
-    difference is the identity on the basis pair (i, j); the generic
-    identity holds exactly when all 196 pair identities do."""
+    basis with 14 + 14 independent variables.  Both sides are bilinear in
+    (x, y), and the coefficient of x_i y_j in their difference is the
+    identity on the basis pair (i, j); the generic identity holds exactly
+    when all 196 pair identities do."""
     xs, ys = _generic_coefficients()
     x, y = g2_combination(xs), g2_combination(ys)
     if g2_bracket(x, y) != x * y - y * x:
@@ -426,20 +423,23 @@ def xi_directions() -> Dict[str, PolyMatrix]:
 
 def g2_chart() -> SliceChart:
     """The chart a..u on xi_directions() at g2_triple's x, with weights
-    SLICE_DEGREES; slice_structure_check verifies it."""
+    SLICE_DEGREES and x of Jordan type (2, 2, 1, 1, 1) in the 7x7 model;
+    slice_structure_check verifies it."""
     x, h, y = g2_triple()
-    model = NilpotentModel(g2_algebra(), Triple(x, y, h), jordan_type(x), "g2", None)
+    model = NilpotentModel(g2_algebra(), Triple(x, y, h), (2, 2, 1, 1, 1), "g2", None)
     dirs = xi_directions()
     weights = tuple(SLICE_DEGREES[n] for n in dirs)
     return SliceChart(model, tuple(dirs), tuple(dirs.values()), weights)
 
 
 def slice_structure_check() -> Dict[str, int]:
-    """Triple relations, the grading and span of the chart, and
-    transversality: dim ker(ad y) + rank(ad x) = 14."""
+    """Triple relations, the Jordan type of x, the grading and span of the
+    chart, and transversality: dim ker(ad y) + rank(ad x) = 14."""
     chart = g2_chart()
     model = chart.model
     check_triple(model.algebra, model.triple)
+    if jordan_type(model.triple.x) != model.partition:
+        raise AssertionError(f"x does not have Jordan type {model.partition}")
     check_chart(chart)
     report = transversality_check(model)
     if not report["transversal"]:

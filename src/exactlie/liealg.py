@@ -5,7 +5,9 @@ LieAlgebra is the one Lie-algebra type: a named basis with its bracket, a
 coordinate readout that rejects elements outside the algebra, and the
 linear combination that inverts it.  ad(x) is read from dim brackets
 [x, b_k]; the sparse structure-constant table, on which the Jacobi
-identity is a contraction, is read from the basis brackets on first use.
+identity is a contraction, is read on first use from one bracket of two
+generic elements, whose coordinates must be bilinear and recombine, and
+the contraction is summed once per cyclic class of basis triples.
 The exceptional algebra (g2.g2_algebra) is one too: its elements are
 rational 7x7 PolyMatrix values like those of sl/so/sp, and its bracket is
 the printed block formula.
@@ -35,6 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .mpoly import MPoly
 from .polymat import PolyMatrix, kernel, linear_combination, nullspace, rank
 from .scalar import ONE, ZERO, Scalar
 
@@ -78,7 +81,9 @@ class LieAlgebra:
     Elements are of whatever type the basis has.  `bracket(x, y)` is the
     Lie bracket; `coords(x)` reads x into basis coordinates and raises
     ValueError for an element outside the algebra; `combination(cs)` is
-    sum_k cs[k] b_k, so combination(coords(x)) == x."""
+    sum_k cs[k] b_k, so combination(coords(x)) == x.  All three accept
+    polynomial coefficients too, since `table` brackets two generic
+    elements."""
 
     names: Tuple[str, ...]
     basis: Tuple = field(repr=False)
@@ -102,26 +107,46 @@ class LieAlgebra:
         [b_i, b_j] = sum_k c_ij^k b_k.  Only nonzero constants are stored,
         and a pair whose bracket vanishes has no entry.
 
-        Every basis bracket is read into coordinates once.  Raises
-        AssertionError unless recombining those coordinates gives back the
-        bracket exactly, so a readout that loses a coordinate, or a bracket
-        that leaves the span of the basis, is caught here.  The readouts
-        recombine too, but a readout swapped in without that check (the
-        tests drop a coordinate or misread h2) is caught only here."""
+        They are read from one bracket [X, Y] of the generic elements
+        X = sum_i x_i b_i and Y = sum_j y_j b_j in 2 dim variables: c_ij^k
+        is the coefficient of x_i y_j in coordinate k.  Raises
+        AssertionError unless every coordinate is bilinear and the
+        coordinates recombine to [X, Y] exactly.  The coefficient of x_i y_j
+        in that check is the check on the basis pair (i, j), so a readout
+        that loses a coordinate, or a bracket that leaves the span of the
+        basis, is caught on every pair at once.  The readouts recombine
+        too, but a readout swapped in without that check (the tests drop a
+        coordinate or misread h2) is caught only here."""
+        dim, names = self.dim, self.names
+        variables = tuple(f"x{i}" for i in range(dim)) + tuple(f"y{j}" for j in range(dim))
+        generic = [MPoly.variable(v, variables) for v in variables]
+        value = self.bracket(self.combination(generic[:dim]), self.combination(generic[dim:]))
+        cs = self.coords(value)
+
+        def pair(exps) -> Optional[Tuple[int, int]]:
+            # (i, j) for the monomial x_i y_j, None for any other monomial
+            support = [v for v, e in enumerate(exps) if e]
+            if len(support) == 2 and exps[support[0]] == exps[support[1]] == 1:
+                i, j = support
+                if i < dim <= j:
+                    return i, j - dim
+            return None
+
+        wrong = list((self.combination(cs) - value).nonzeros())
+        if wrong:
+            ij = pair(next(iter(wrong[0][2].terms)))
+            where = f"[{names[ij[0]]}, {names[ij[1]]}]" if ij else "the generic bracket"
+            raise AssertionError(f"coordinates of {where} do not recombine to the bracket")
         table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for i, x in enumerate(self.basis):
-            for j, y in enumerate(self.basis):
-                value = self.bracket(x, y)
-                cs = self.coords(value)
-                if self.combination(cs) != value:
+        for k, c in enumerate(cs):
+            for exps, coef in c.terms.items():
+                ij = pair(exps)
+                if ij is None:
                     raise AssertionError(
-                        f"coordinates of [{self.names[i]}, {self.names[j]}] do not"
-                        " recombine to the bracket"
+                        f"coordinate {names[k]} of the generic bracket is not bilinear"
                     )
-                row = {k: c for k, c in enumerate(cs) if c}
-                if row:
-                    table[(i, j)] = row
-        return table
+                table.setdefault(ij, {})[k] = coef
+        return dict(sorted(table.items()))
 
     def bracket_coords(self, x: Sequence, y: Sequence) -> List:
         """Coordinates of [x, y] for coordinate vectors x and y, by
@@ -136,13 +161,22 @@ class LieAlgebra:
 
     def jacobi(self) -> int:
         """[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0 on every ordered basis
-        triple (all dim^3 of them, no symmetry shortcuts), each term summed
-        as sum_m c_bc^m c_am^l; returns the count."""
+        triple, each term summed as sum_m c_bc^m c_am^l; returns the count,
+        dim^3.
+
+        The sums for (a, b, c), (b, c, a) and (c, a, b) are the same three
+        terms in another order, so each sum is formed once per cyclic class,
+        at the triple that is least among its rotations; the other two
+        triples of the class are counted as decided by it.  No other
+        symmetry of the table (antisymmetry included) is assumed."""
         table = self.table
         count = 0
         for a in range(self.dim):
             for b in range(self.dim):
                 for c in range(self.dim):
+                    count += 1
+                    if min((b, c, a), (c, a, b)) < (a, b, c):
+                        continue
                     total: Dict[int, Scalar] = {}
                     for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
                         for m, cqr in table.get((q, r), {}).items():
@@ -154,7 +188,6 @@ class LieAlgebra:
                             f"Jacobi identity fails at ({names[a]}, {names[b]},"
                             f" {names[c]})"
                         )
-                    count += 1
         return count
 
 

@@ -6,6 +6,7 @@ import pytest
 from exactlie.dualpair import (
     MOMENT_CONSTANT,
     _bracket_table,
+    _distinct_up_to_sign,
     _forms,
     adjoint,
     commutant_check,
@@ -179,11 +180,46 @@ def test_sp_basis_dimension_and_membership():
 
 
 def test_entries_of_the_two_maps_commute():
-    for n in (2, 3, 4):
+    # the brackets are formed once per entry up to sign, but every entry
+    # pair of XX* and X*X is counted
+    for n, pairs in ((2, 64), (3, 576), (4, 2304)):
         report = commutant_check(n)
         assert report["violations"] == 0
         du, dv = 2 * n - 2, 2 * n
-        assert report["pairs"] == du * du * dv * dv
+        assert report["pairs"] == du * du * dv * dv == pairs
+
+
+def test_distinct_entries_up_to_sign_match_the_algebra_dimensions():
+    # XX* in sp(2n-2) and X*X in so(2n) have one entry per basis element
+    # up to sign, so 21 x 28 = 588 brackets decide the 2,304 pairs at n = 4
+    for n in (2, 3, 4):
+        pi, rho = kp_maps(symbolic_element(n))
+        du, dv = 2 * n - 2, 2 * n
+        pi_reps = _distinct_up_to_sign(_entries(pi))
+        rho_reps = _distinct_up_to_sign(_entries(rho))
+        assert len(pi_reps) == du * (du + 1) // 2
+        assert len(rho_reps) == dv * (dv - 1) // 2
+        assert sum(pi_reps.values()) == sum(1 for p in _entries(pi) if p)
+        assert sum(rho_reps.values()) == sum(1 for p in _entries(rho) if p)
+
+
+def test_commutant_check_catches_one_altered_rho_entry(monkeypatch):
+    # one variable added to a single entry of X*X splits it from its
+    # mirror entry, and its own bracket with XX* must be formed
+    import exactlie.dualpair as dualpair
+
+    right = dualpair.kp_maps
+
+    def altered(X):
+        pi, rho = right(X)
+        rows = [[rho.entry(r, c) for c in range(rho.ncols)] for r in range(rho.nrows)]
+        rows[0][1] = rows[0][1] + X.entry(0, 0)
+        return pi, PolyMatrix(rows)
+
+    monkeypatch.setattr(dualpair, "kp_maps", altered)
+    for n in (2, 3):
+        with pytest.raises(AssertionError, match="fail to commute"):
+            commutant_check(n)
 
 
 def test_commutant_check_asserts_algebra_membership(monkeypatch):

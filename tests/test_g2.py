@@ -5,6 +5,7 @@ the hypersurface) is frozen here; the heavier exhaustive sweeps live in
 the acceptance suite.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -305,13 +306,22 @@ def test_slice_structure_check_rejects_a_direction_outside_the_kernel(monkeypatc
         slice_structure_check()
 
 
+def test_slice_structure_check_rejects_a_wrong_partition(monkeypatch):
+    chart = g2_chart()
+    wrong = dataclasses.replace(chart.model, partition=(2, 1, 1, 1, 1, 1))
+    monkeypatch.setattr(g2, "g2_chart", lambda: dataclasses.replace(chart, model=wrong))
+    with pytest.raises(AssertionError, match="Jordan type"):
+        slice_structure_check()
+
+
 def test_slice_invariants_run_no_chart_check(monkeypatch):
     # the chart checks and the invariant form belong to the structure
     # check; the invariants and the hypersurface only read the chart
     def forbidden(*args):
         raise RuntimeError("not on the slice-invariants path")
 
-    for name in ("check_chart", "check_triple", "transversality_check", "invariant_form"):
+    names = ("check_chart", "check_triple", "transversality_check", "invariant_form", "jordan_type")
+    for name in names:
         monkeypatch.setattr(g2, name, forbidden)
     c2, c6 = slice_invariants.__wrapped__()
     assert (c2, c6) == slice_invariants()

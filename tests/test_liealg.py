@@ -3,6 +3,7 @@ sl2-triples with adapted bases, Jordan types, and slice charts."""
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,55 @@ def test_structure_constants_satisfy_jacobi():
     y = lie.coords(rand_combination(lie, rng))
     dx, dy = lie.combination(x), lie.combination(y)
     assert lie.combination(lie.bracket_coords(x, y)) == dx * dy - dy * dx
+
+
+def _pairwise_table(alg: LieAlgebra):
+    # one bracket per basis pair, each read into coordinates and checked
+    # by recombining it
+    table = {}
+    for i, x in enumerate(alg.basis):
+        for j, y in enumerate(alg.basis):
+            value = alg.bracket(x, y)
+            cs = alg.coords(value)
+            assert alg.combination(cs) == value
+            row = {k: c for k, c in enumerate(cs) if c}
+            if row:
+                table[(i, j)] = row
+    return table
+
+
+@pytest.mark.parametrize(
+    "family, size", [("sl", 3), ("sl", 4), ("so", 5), ("so", 7), ("sp", 4), ("sp", 6), ("g2", 7)]
+)
+def test_generic_table_equals_the_pairwise_table(family, size):
+    alg = g2_algebra() if family == "g2" else make_algebra(family, size)
+    table = alg.table
+    assert table == _pairwise_table(alg)
+    assert list(table) == sorted(table)
+    assert all(isinstance(c, Scalar) for row in table.values() for c in row.values())
+
+
+def test_bracket_that_is_not_bilinear_fails_the_build():
+    alg = make_algebra("sp", 4)
+
+    def quadratic_in_x(x, y):
+        return bracket(x, y) + bracket(x, bracket(x, y))
+
+    with pytest.raises(AssertionError, match="not bilinear"):
+        dataclasses.replace(alg, bracket=quadratic_in_x).table
+
+
+def test_recombination_failure_names_a_failing_basis_pair():
+    alg = make_algebra("sl", 3)
+
+    def drop_first(m):
+        return [Scalar(0)] + alg.coords(m)[1:]
+
+    with pytest.raises(AssertionError, match="do not recombine") as err:
+        dataclasses.replace(alg, coords=drop_first).table
+    # the named pair is one whose bracket has the dropped coordinate
+    i, j = map(int, re.search(r"\[b(\d+), b(\d+)\]", str(err.value)).groups())
+    assert alg.coords(bracket(alg.basis[i], alg.basis[j]))[0]
 
 
 def test_flipped_structure_constant_breaks_jacobi():
