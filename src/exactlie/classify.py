@@ -21,7 +21,11 @@ from . import liealg
 
 Partition = Tuple[int, ...]
 
-_RANK_RANGE = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None)}
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+# enumerate_orbits walks every partition of the natural representation's
+# dimension (p(40) = 37,338 at C20, p(80) ~ 1.6e7 at C40), so its rank is
+# bounded; classify on one orbit label is not.
+MAX_ENUMERATE_RANK = 20
 _E_RANKS = (6, 7, 8)
 
 
@@ -119,12 +123,6 @@ def _dominated(a: Partition, b: Partition) -> bool:
     return all(map(le, _partial_sums(a, width), _partial_sums(b, width)))
 
 
-def closure_leq(family: str, n: int, d: Sequence[int], dprime: Sequence[int]) -> bool:
-    if not (valid_partition(family, n, d) and valid_partition(family, n, dprime)):
-        raise ValueError("closure order is defined on valid orbit labels")
-    return dominance_leq(d, dprime)
-
-
 def exceptional_partitions(family: str, n: int) -> List[Partition]:
     """Closed-form list of the orbits whose b2 exceeds the rank."""
     if family == "B":
@@ -173,9 +171,8 @@ _G2_TABLE = {10: (4, False), 8: (3, False), 6: (2, True), 0: (2, True)}
 
 
 def _check_rank(family: str, rank: int) -> None:
-    if family in _RANK_RANGE:
-        lo, hi = _RANK_RANGE[family]
-        if rank < lo or (hi is not None and rank > hi):
+    if family in _MIN_RANK:
+        if rank < _MIN_RANK[family]:
             raise ValueError(f"{family}{rank} is out of range")
     elif family == "E":
         if rank not in _E_RANKS:
@@ -257,8 +254,13 @@ def classify(label: OrbitLabel) -> ClassificationVerdict:
 
 
 def enumerate_orbits(family: str, rank: int) -> List[Dict[str, object]]:
-    """Verdict table for every admissible non-regular orbit label."""
+    """Verdict table for every admissible non-regular orbit label.  Raises
+    ValueError for a rank above MAX_ENUMERATE_RANK."""
     _check_rank(family, rank)
+    if rank > MAX_ENUMERATE_RANK:
+        raise ValueError(
+            f"enumeration is limited to rank <= {MAX_ENUMERATE_RANK}, got {family}{rank}"
+        )
     rows: List[Dict[str, object]] = []
     if family in ("A", "B", "C", "D"):
         for d in valid_partitions(family, rank):

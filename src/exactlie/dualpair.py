@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .liealg import (
     jordan_type, make_algebra, power_ranks, preserves_form, standard_form,
@@ -32,8 +32,7 @@ from .scalar import Scalar
 
 # Normalization constant in the moment identity
 #   tr((Y X* + X Y*) xi) = c * omega(xi X, Y);
-# discovered by solving on one basis pair and verifying on all of them,
-# then frozen here.
+# moment_identity_check verifies it on every basis pair.
 MOMENT_CONSTANT = Fraction(1)
 
 
@@ -362,9 +361,10 @@ def commutant_check(n: int) -> Dict[str, int]:
 
 def moment_identity_check(n: int) -> Fraction:
     """tr((Y X* + X Y*) xi) = c * omega(xi X, Y) for every matrix unit Y
-    and every xi in the symplectic algebra, in symbolic X; discovers the
-    constant c on the first nondegenerate pair, verifies it on all of
-    them, and returns it.
+    and every xi in the symplectic algebra, in symbolic X, with c the
+    frozen MOMENT_CONSTANT; returns c.  Raises AssertionError on the first
+    pair where the identity fails, and when the right-hand side vanishes
+    on every pair (then any c would pass).
 
     omega(xi X, Y) = 2 tr(xi X Y*), so both sides are traces against xi
     of a matrix that depends on Y alone: S = Y X* + X Y* and P = X Y*
@@ -379,8 +379,8 @@ def moment_identity_check(n: int) -> Fraction:
     for xi in alg.basis:
         alg.coords(xi)  # raises ValueError unless xi lies in the algebra
         xi_entries.append(list(xi.nonzeros()))
-    constant: Optional[Scalar] = None
-    pairs = []
+    constant = MOMENT_CONSTANT
+    nondegenerate = False
     for c_ in range(du):
         for d_ in range(dv):
             Y = PolyMatrix.from_entries(du, dv, {(c_, d_): 1})
@@ -389,23 +389,14 @@ def moment_identity_check(n: int) -> Fraction:
             for entries in xi_entries:
                 lhs = MPoly.dot(names, [(S.entry(i, j), v) for j, i, v in entries])
                 rhs = 2 * MPoly.dot(names, [(P.entry(i, j), v) for j, i, v in entries])
-                pairs.append((lhs, rhs))
-                if constant is None and not rhs.is_zero():
-                    exps = next(iter(rhs.terms))
-                    constant = lhs.coefficient(exps) * rhs.coefficient(exps).inverse()
-    if constant is None:
+                if lhs != rhs * constant:
+                    raise AssertionError(
+                        f"moment identity fails for the frozen constant {constant}"
+                    )
+                nondegenerate = nondegenerate or not rhs.is_zero()
+    if not nondegenerate:
         raise AssertionError("the right-hand side vanished identically")
-    for lhs, rhs in pairs:
-        if not (lhs - constant * rhs).is_zero():
-            raise AssertionError("moment identity fails for the found constant")
-    if not constant.is_rational():
-        raise AssertionError("normalization constant is irrational")
-    value = Fraction(constant.r0)
-    if value != MOMENT_CONSTANT:
-        raise AssertionError(
-            f"normalization constant {value} differs from the frozen {MOMENT_CONSTANT}"
-        )
-    return value
+    return constant
 
 
 def equivariance_check(n: int, samples: int = 5, seed: int = 0) -> int:

@@ -37,7 +37,8 @@ the test suite.
 g2_algebra() is the model as a liealg.LieAlgebra on these matrices, like
 sl/so/sp, with g2_coords as its readout (ValueError for a matrix outside
 g2); jacobi_full sweeps its structure constants, which LieAlgebra.table
-reads from one bracket of two generic elements.  The minimal-orbit slice
+reads from one bracket of two generic elements; chi_crosscheck proves the
+closed chi2/chi6 formulas on the generic element.  The minimal-orbit slice
 is a liealg.SliceChart on it, as the hook slice is on sp(2n): g2_chart()
 puts the coordinates a..u on xi_directions() at g2_triple's x,
 slice_structure_check runs liealg's triple and chart checks on it and
@@ -47,11 +48,9 @@ from slicegeom.slice_matrix.
 
 from __future__ import annotations
 
-import math
-import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .elim import MembershipCertificate, eliminate_triangular, ideal_membership_bounded
 from .liealg import (
@@ -74,8 +73,8 @@ CHI6_READING = ("z1", "-z2")
 
 # Normalization scalars (a, c) <- alpha*(e2-polarizations), b <- beta*...,
 # (q, r) <- kappa*..., (p, s) <- pi*(e3-polarizations) that make all five
-# quotient relations vanish on the polarized model; discovered by
-# s3_invariant_model and frozen after the first run.
+# quotient relations vanish on the polarized model; s3_invariant_model
+# verifies them against the ratios and the coupling the relations force.
 S3_NORMALIZATION = {
     "alpha": Fraction(2, 3),
     "beta": Fraction(1, 3),
@@ -321,37 +320,20 @@ def chi6_closed(e: PolyMatrix):
     )
 
 
-def random_element(rng: random.Random) -> PolyMatrix:
-    def f():
-        return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
-
-    a11, a22 = f(), f()
-    a_rows = [
-        [a11, f(), f()],
-        [f(), a22, f()],
-        [f(), f(), -(a11 + a22)],
-    ]
-    return g2_element(a_rows, (f(), f(), f()), (f(), f(), f()))
-
-
-def chi_crosscheck(samples: int = 500, seed: int = 0) -> int:
-    """Closed formulas against characteristic-polynomial extraction on
-    random rational elements.  Returns the number of points checked."""
-    rng = random.Random(seed)
-    for k in range(samples):
-        e = random_element(rng)
-        c2, c6 = chi_from_charpoly(e)
-        if c2 != chi2_closed(e) or c6 != chi6_closed(e):
-            raise AssertionError(f"closed invariant formula fails at sample {k}")
-    return samples
-
-
-def _generic_coefficients() -> Tuple[List[MPoly], List[MPoly]]:
-    """Variables x0..x13 and y0..y13, as polynomials in all 28: the
-    coefficients of two generic elements."""
-    names = tuple(f"x{k}" for k in range(14)) + tuple(f"y{k}" for k in range(14))
-    variables = [MPoly.variable(n, names) for n in names]
-    return variables[:14], variables[14:]
+def chi_crosscheck() -> int:
+    """The closed formulas chi2_closed and chi6_closed equal the
+    characteristic-polynomial coefficients of chi_from_charpoly on the
+    generic element sum_k x_k b_k, as polynomials in its 14 coordinates;
+    returns that count, 14.  A polynomial identity holds at every point,
+    so this covers every rational element of g2."""
+    alg = g2_algebra()
+    (e,) = alg.generic("x")
+    c2, c6 = chi_from_charpoly(e)
+    if c2 != chi2_closed(e):
+        raise AssertionError("closed chi2 formula differs from the characteristic polynomial")
+    if c6 != chi6_closed(e):
+        raise AssertionError("closed chi6 formula differs from the characteristic polynomial")
+    return alg.dim
 
 
 def jacobi_full() -> int:
@@ -359,8 +341,8 @@ def jacobi_full() -> int:
     them); returns the count.
 
     The triples are summed over g2_algebra()'s structure constants, which
-    LieAlgebra.table reads through g2_coords from one g2_bracket of two
-    generic elements in 14 + 14 variables, checking that the readout is
+    LieAlgebra.table reads through g2_coords from one g2_bracket of the
+    two generic elements of LieAlgebra.generic, checking that the readout is
     bilinear and recombines to that bracket exactly.  So the table is
     g2_bracket on every input, and the contraction sum_m c_yz^m c_xm^l
     decides the same identity as [x, [y, z]] for the block bracket.
@@ -373,16 +355,16 @@ def embedding_homomorphism_full() -> int:
     inclusion of the model in gl7 is a homomorphism; returns the count,
     196.
 
-    The identity is checked once, for x and y the combinations of the
-    basis with 14 + 14 independent variables.  Both sides are bilinear in
+    The identity is checked once, for the generic elements x and y of
+    LieAlgebra.generic in 14 + 14 variables.  Both sides are bilinear in
     (x, y), and the coefficient of x_i y_j in their difference is the
     identity on the basis pair (i, j); the generic identity holds exactly
     when all 196 pair identities do."""
-    xs, ys = _generic_coefficients()
-    x, y = g2_combination(xs), g2_combination(ys)
+    alg = g2_algebra()
+    x, y = alg.generic("x", "y")
     if g2_bracket(x, y) != x * y - y * x:
         raise AssertionError("embedding is not a homomorphism")
-    return len(xs) * len(ys)
+    return alg.dim ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +510,15 @@ def g2_hypersurface() -> MPoly:
     return f
 
 
-def singular_locus_certificates(
-    bound: int = 8, retry: int = 12
-) -> Dict[str, MembershipCertificate]:
+# The degree bound tried for a partial that has no certificate at the
+# requested bound.
+RETRY_BOUND = 12
+
+
+def singular_locus_certificates(bound: int = 8) -> Dict[str, MembershipCertificate]:
     """Cofactor certificates putting every partial of f in the ideal of
-    the five relations.
+    the five relations, searched at the degree bound `bound` and, for a
+    partial that has none there, at RETRY_BOUND.
 
     They prove only that V(t1, t2, t3, z1, z2) lies in Sing(f).  The
     reverse inclusion comes from the reverse certificates in the test
@@ -548,9 +534,9 @@ def singular_locus_certificates(
         target = f.derivative(var)
         cert = ideal_membership_bounded(target, gens, weights, bound)
         if cert is None:
-            cert = ideal_membership_bounded(target, gens, weights, retry)
+            cert = ideal_membership_bounded(target, gens, weights, RETRY_BOUND)
         if cert is None:
-            raise AssertionError(f"no certificate for d f / d {var} at bound {retry}")
+            raise AssertionError(f"no certificate for d f / d {var} at bound {RETRY_BOUND}")
         out[var] = cert
     return out
 
@@ -590,47 +576,17 @@ def _poly_kernel(polys: Sequence[MPoly]) -> List[List[Scalar]]:
     return [list(v) for v in nullspace(matrix)]
 
 
-def _integer_root(m: int, n: int) -> Optional[int]:
-    """The integer k >= 0 with k^n == m for an integer m >= 0, or None.
-    Exact: isqrt for n = 2, otherwise integer Newton from above, which
-    descends to floor(m^(1/n))."""
-    if m == 0:
-        return 0
-    if n == 2:
-        k = math.isqrt(m)
-    else:
-        k = 1 << -(-m.bit_length() // n)  # 2^ceil(bits/n) > m^(1/n)
-        while True:
-            nxt = ((n - 1) * k + m // k ** (n - 1)) // n
-            if nxt >= k:
-                break
-            k = nxt
-    return k if k ** n == m else None
-
-
-def _fraction_root(x: Fraction, n: int) -> Optional[Fraction]:
-    """The rational n-th root of x when it exists, else None."""
-    if x < 0:
-        if n % 2 == 0:
-            return None
-        r = _fraction_root(-x, n)
-        return None if r is None else -r
-    a, b = _integer_root(x.numerator, n), _integer_root(x.denominator, n)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
-
-
 def s3_invariant_model() -> Dict[str, Fraction]:
-    """Find rational normalizations of the polarized invariants under
-    which all five quotient relations vanish identically.
+    """Verify the frozen S3_NORMALIZATION of the polarized invariants:
+    it obeys the constraints the relations force, and all five quotient
+    relations vanish identically under it.  Returns a copy of it.
 
     The ansatz respects the swap of the two coordinate sets: (a, c) and
-    (p, s) and (q, r) share a scalar each.  The degree-5 relation pins the
-    ratios beta/alpha and pi/kappa; the degree-6 relation then couples
-    alpha^3 to kappa^2, and a small search over exact roots produces the
-    scalars, which are verified by full substitution and compared with the
-    frozen constants.
+    (p, s) and (q, r) share a scalar each.  The degree-5 relation z1 has a
+    kernel line that pins the ratios beta/alpha and pi/kappa; with those
+    ratios the degree-6 relation t1 is alpha^3 lhs + kappa^2 rhs, whose
+    kernel line (m1, m2) forces alpha^3 m2 = kappa^2 m1.  Full
+    substitution then checks all five relations.
     """
     pol = s3_polarizations()
     # z1 = a s - 2 b r + c q: stack with the printed -2 in place
@@ -657,32 +613,22 @@ def s3_invariant_model() -> Dict[str, Fraction]:
     m1, m2 = k2[0]
     if not (m1 and m2):
         raise AssertionError("degenerate degree-6 kernel")
-    # alpha^3 * lhs + kappa^2 * rhs = 0 forces (alpha^3, kappa^2) ~ (m1, m2)
-    ratio = (m1 / m2).r0
-    found = None
-    small = [Fraction(n, d) for n in range(1, 13) for d in range(1, 13)]
-    small = sorted(set(small + [-f for f in small]), key=lambda f: (abs(f), f < 0))
-    for kappa in small:
-        alpha = _fraction_root(ratio * kappa ** 2, 3)
-        if alpha is None or alpha == 0:
-            continue
-        beta = alpha * beta_over_alpha
-        pi_ = kappa * pi_over_kappa
-        images = {
-            "a": pol["a"] * alpha, "c": pol["c"] * alpha,
-            "b": pol["b"] * beta,
-            "p": pol["p"] * pi_, "s": pol["s"] * pi_,
-            "q": pol["q"] * kappa, "r": pol["r"] * kappa,
-        }
-        rel = slice_relations(VARS7)
-        if all(
-            rel[k].substitute(images).is_zero()
-            for k in ("t1", "t2", "t3", "z1", "z2")
-        ):
-            found = {"alpha": alpha, "beta": beta, "kappa": kappa, "pi": pi_}
-            break
-    if found is None:
-        raise AssertionError("no rational normalization found")
-    if found != S3_NORMALIZATION:
-        raise AssertionError(f"found {found} != frozen {S3_NORMALIZATION}")
-    return found
+    frozen = dict(S3_NORMALIZATION)
+    alpha, beta, kappa, pi_ = (frozen[k] for k in ("alpha", "beta", "kappa", "pi"))
+    if not (alpha and kappa):
+        raise AssertionError("frozen normalization is degenerate")
+    if beta != alpha * beta_over_alpha or pi_ != kappa * pi_over_kappa:
+        raise AssertionError("frozen normalization breaks the degree-5 ratios")
+    if m2 * alpha ** 3 != m1 * kappa ** 2:
+        raise AssertionError("frozen normalization breaks the alpha^3 / kappa^2 coupling")
+    images = {
+        "a": pa * alpha, "c": pc * alpha,
+        "b": pb * beta,
+        "p": pp * pi_, "s": pol["s"] * pi_,
+        "q": pq * kappa, "r": pr * kappa,
+    }
+    rel = slice_relations(VARS7)
+    for k in ("t1", "t2", "t3", "z1", "z2"):
+        if not rel[k].substitute(images).is_zero():
+            raise AssertionError(f"relation {k} survives the frozen normalization")
+    return frozen

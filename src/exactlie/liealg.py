@@ -95,6 +95,18 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    def generic(self, *prefixes: str) -> Tuple:
+        """One generic element sum_k p_k b_k for each prefix p, all in the
+        same dim * len(prefixes) variables, prefix by prefix: generic("x",
+        "y") is (sum x_i b_i, sum y_j b_j) in x0..x(dim-1), y0..y(dim-1).
+        An identity of polynomials in these variables holds at every point,
+        basis elements included."""
+        variables = tuple(f"{p}{k}" for p in prefixes for k in range(self.dim))
+        coeffs = [MPoly.variable(v, variables) for v in variables]
+        return tuple(
+            self.combination(coeffs[i:i + self.dim]) for i in range(0, len(coeffs), self.dim)
+        )
+
     def ad_matrix(self, x) -> PolyMatrix:
         """ad(x) in the basis: column k holds coords([x, b_k]).  Raises
         ValueError for x outside the algebra."""
@@ -108,7 +120,7 @@ class LieAlgebra:
         and a pair whose bracket vanishes has no entry.
 
         They are read from one bracket [X, Y] of the generic elements
-        X = sum_i x_i b_i and Y = sum_j y_j b_j in 2 dim variables: c_ij^k
+        (X, Y) = generic("x", "y") in 2 dim variables: c_ij^k
         is the coefficient of x_i y_j in coordinate k.  Raises
         AssertionError unless every coordinate is bilinear and the
         coordinates recombine to [X, Y] exactly.  The coefficient of x_i y_j
@@ -118,9 +130,7 @@ class LieAlgebra:
         too, but a readout swapped in without that check (the tests drop a
         coordinate or misread h2) is caught only here."""
         dim, names = self.dim, self.names
-        variables = tuple(f"x{i}" for i in range(dim)) + tuple(f"y{j}" for j in range(dim))
-        generic = [MPoly.variable(v, variables) for v in variables]
-        value = self.bracket(self.combination(generic[:dim]), self.combination(generic[dim:]))
+        value = self.bracket(*self.generic("x", "y"))
         cs = self.coords(value)
 
         def pair(exps) -> Optional[Tuple[int, int]]:

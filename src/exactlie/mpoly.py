@@ -261,16 +261,6 @@ class MPoly:
         idx = self.vars.index(var)
         return any(e[idx] for e in self.terms)
 
-    def weighted_degree(self, weights: Dict[str, int]) -> Optional[int]:
-        """Maximum weighted degree of the terms, or None for the zero poly."""
-        w = [weights[v] for v in self.vars]
-        best: Optional[int] = None
-        for e in self.terms:
-            d = sum(k * wk for k, wk in zip(e, w))
-            if best is None or d > best:
-                best = d
-        return best
-
     def quasi_homogeneous_degree(self, weights: Dict[str, int]) -> Optional[int]:
         """The common weighted degree of all terms, or None if mixed/zero."""
         w = [weights[v] for v in self.vars]

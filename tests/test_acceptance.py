@@ -120,20 +120,14 @@ def test_criterion_3_g2_structure_suite():
     weights = {v: g2.SLICE_DEGREES[v] for v in g2.VARS7}
     assert f.quasi_homogeneous_degree(weights) == 12
 
-    # the closed chi formulas as one polynomial identity on a generic
-    # element in the 14 basis coordinates, with rational coefficients
-    names = g2.BASIS_NAMES
-    generic = g2.g2_combination([MPoly.variable(n, names) for n in names])
-    c2, c6 = g2.chi_from_charpoly(generic)
-    assert all(k.is_rational() for p in (c2, c6) for k in p.terms.values())
-    assert c2 == g2.chi2_closed(generic)
-    assert c6 == g2.chi6_closed(generic)
-
-    assert g2.chi_crosscheck(samples=500, seed=0) == 500
+    # the closed chi formulas as one polynomial identity on the generic
+    # element in the 14 basis coordinates
+    assert g2.chi_crosscheck() == 14
 
 
 def test_criterion_4_singular_locus_certificates():
-    certs = g2.singular_locus_certificates(bound=8, retry=12)
+    assert g2.RETRY_BOUND == 12
+    certs = g2.singular_locus_certificates(bound=8)
     assert sorted(certs) == sorted(g2.VARS7)
     f = g2.g2_hypersurface()
     rel = g2.slice_relations(g2.VARS7)

@@ -2,8 +2,8 @@ import pytest
 
 from exactlie.classify import (
     ClassificationVerdict,
+    MAX_ENUMERATE_RANK,
     OrbitLabel,
-    closure_leq,
     dominance_axioms_check,
     dominance_leq,
     classify,
@@ -106,12 +106,6 @@ def test_dominance_sweep_reads_the_shared_partial_sums(monkeypatch):
         for p in partitions_of(6)
         for q in partitions_of(6)
     )
-
-
-def test_closure_order_needs_valid_labels():
-    assert closure_leq("C", 3, [3, 3], [4, 2])
-    with pytest.raises(ValueError):
-        closure_leq("C", 3, [3, 2, 1], [4, 2])
 
 
 def test_regular_orbits_are_rejected():
@@ -280,6 +274,18 @@ def test_bad_labels_raise():
         classify(OrbitLabel("F", 4, descriptor="mystery"))
     with pytest.raises(ValueError):
         classify(OrbitLabel("H", 2, partition=(2,)))
+
+
+def test_enumeration_rank_is_bounded():
+    # A20 walks the 792 partitions of 21; C40 would walk p(80) ~ 1.6e7
+    assert MAX_ENUMERATE_RANK == 20
+    assert len(enumerate_orbits("A", MAX_ENUMERATE_RANK)) == 791
+    for family in "ABCD":
+        with pytest.raises(ValueError, match="limited to rank <= 20"):
+            enumerate_orbits(family, MAX_ENUMERATE_RANK + 1)
+    # one orbit label needs no enumeration and keeps every rank: the
+    # subregular orbit of C40 is a two-row exception, b2 = rank + 1
+    assert classify(OrbitLabel("C", 40, partition=(78, 2))).b2 == 41
 
 
 def test_valid_partition_counts_are_stable():

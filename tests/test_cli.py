@@ -74,6 +74,13 @@ def test_classify_enumerate_c4(capsys):
     assert row["star"] is False
 
 
+def test_classify_enumerate_rank_above_the_limit_rejected(capsys):
+    code, out, err = run(capsys, ["classify", "--algebra", "C", "--rank", "40", "--enumerate"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: enumeration is limited to rank <= 20, got C40\n"
+
+
 def test_classify_single_orbit(capsys):
     code, report = run_json(
         capsys, ["classify", "--algebra", "B", "--rank", "3", "--orbit", "5,1,1"]
@@ -121,7 +128,7 @@ def test_g2_verify(capsys):
     code, report, digest = run_json_digest(capsys, ["g2", "verify"])
     # the s3_model values are Fractions, so JSON strings; any change to
     # the report's bytes shows here
-    assert digest == "c4dc6c423deea5132e4fba94252229081810ca7e186a2f2f5c3423b2778ad52f"
+    assert digest == "b2ac2fd0469830f2e450f8c9a91d078d44f0ee5fdcb7121e6e40851ae38d83b2"
     assert code == 0
     names = [c["name"] for c in report["checks"]]
     assert "jacobi-identity" in names
@@ -354,9 +361,8 @@ def test_internal_error_outside_checks_exits_3(capsys, monkeypatch):
 
 
 def test_degree_bound_zero_is_used_not_replaced(capsys, monkeypatch):
-    # the two slow verifiers are stubbed; the certificates run for real
+    # the Jacobi sweep is stubbed; the certificates run for real
     monkeypatch.setattr("exactlie.g2.jacobi_full", lambda: 2744)
-    monkeypatch.setattr("exactlie.g2.chi_crosscheck", lambda samples, seed: samples)
     code, report = run_json(capsys, ["g2", "verify", "--degree-bound", "0"])
     assert code == 0
     assert report["inputs"]["degree_bound"] == 0

@@ -240,6 +240,14 @@ def test_moment_identity_fails_with_the_transpose_as_adjoint(monkeypatch):
         moment_identity_check(2)
 
 
+def test_moment_identity_rejects_a_wrong_frozen_constant(monkeypatch):
+    import exactlie.dualpair as dualpair
+
+    monkeypatch.setattr(dualpair, "MOMENT_CONSTANT", Fraction(2))
+    with pytest.raises(AssertionError, match="moment identity fails for the frozen constant 2"):
+        moment_identity_check(3)
+
+
 def test_bracket_is_skew_on_a_sample_entry():
     X = symbolic_element(2)
     pi = X * adjoint(X)

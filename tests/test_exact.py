@@ -179,7 +179,6 @@ def test_mpoly_derivative_and_weights():
     w = {"x": 2, "y": 3}
     assert _poly("x^3*y", vars).quasi_homogeneous_degree(w) == 9
     assert _poly("x^3*y + x", vars).quasi_homogeneous_degree(w) is None
-    assert _poly("x^3*y + x", vars).weighted_degree(w) == 9
 
 
 def random_scalar(rng, sqrt2=True):

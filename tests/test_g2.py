@@ -18,7 +18,6 @@ from exactlie.g2 import (
     SLICE_DEGREES,
     VARS7,
     VARS8,
-    _fraction_root,
     chi2_closed,
     chi6_closed,
     chi6_identity_scan,
@@ -37,7 +36,6 @@ from exactlie.g2 import (
     invariant_form,
     jacobi_full,
     xi_directions,
-    random_element,
     s3_invariant_model,
     s3_polarizations,
     singular_locus_certificates,
@@ -50,6 +48,16 @@ from exactlie.mpoly import MPoly
 from exactlie.polymat import PolyMatrix, charpoly, det_cofactor, rank
 from exactlie.scalar import Scalar
 from exactlie.slicegeom import slice_matrix
+
+
+def random_element(rng: random.Random) -> PolyMatrix:
+    """A rational element of g2 with small random entries."""
+    def f():
+        return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+
+    a11, a22 = f(), f()
+    a_rows = [[a11, f(), f()], [f(), a22, f()], [f(), f(), -(a11 + a22)]]
+    return g2_element(a_rows, (f(), f(), f()), (f(), f(), f()))
 
 
 def test_bracket_antisymmetry_on_basis():
@@ -242,7 +250,34 @@ def test_chi2_on_vector_pair():
 
 
 def test_closed_formulas_match_charpoly_on_random_points():
-    assert chi_crosscheck(samples=60, seed=0) == 60
+    # chi_crosscheck proves the identity on the generic element; these
+    # points check it apart from LieAlgebra.generic
+    assert chi_crosscheck() == 14
+    rng = random.Random(0)
+    for _ in range(20):
+        e = random_element(rng)
+        assert g2_blocks(e)[0].trace() == Scalar(0)
+        assert chi_from_charpoly(e) == (chi2_closed(e), chi6_closed(e))
+
+
+def test_chi_crosscheck_catches_a_dropped_chi6_term(monkeypatch):
+    closed = g2.chi6_closed
+
+    def dropped(e):
+        _, v, w = g2_blocks(e)
+        wv = (w * v).entry(0, 0)
+        return closed(e) - wv * wv * wv * Fraction(1, 16)
+
+    monkeypatch.setattr(g2, "chi6_closed", dropped)
+    with pytest.raises(AssertionError, match="closed chi6 formula"):
+        chi_crosscheck()
+
+
+def test_chi_crosscheck_catches_a_scaled_chi2(monkeypatch):
+    closed = g2.chi2_closed
+    monkeypatch.setattr(g2, "chi2_closed", lambda e: closed(e) * 2)
+    with pytest.raises(AssertionError, match="closed chi2 formula"):
+        chi_crosscheck()
 
 
 def test_charpoly_extraction_against_cofactor_oracle():
@@ -415,20 +450,6 @@ def test_reverse_singular_locus_certificates():
     assert not any(r.evaluate(point) for r in rel.values())
 
 
-def test_fraction_root_is_exact():
-    # integers far beyond float range, where a float estimate of the root
-    # misses (10^40 + 1) or overflows (10^400)
-    assert _fraction_root(Fraction((10 ** 40 + 1) ** 3), 3) == 10 ** 40 + 1
-    assert _fraction_root(Fraction(10 ** 400), 2) == 10 ** 200
-    assert _fraction_root(Fraction(8, 27 * 10 ** 300), 3) == Fraction(2, 3 * 10 ** 100)
-    assert _fraction_root(Fraction(2), 2) is None
-    assert _fraction_root(Fraction(10 ** 40 + 1), 3) is None
-    assert _fraction_root(Fraction(9, 2), 2) is None
-    assert _fraction_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
-    assert _fraction_root(Fraction(-4), 2) is None
-    assert _fraction_root(Fraction(0), 3) == 0
-
-
 def test_s3_model_frozen_and_relations_vanish():
     found = s3_invariant_model()
     assert found == S3_NORMALIZATION
@@ -450,6 +471,21 @@ def test_s3_model_frozen_and_relations_vanish():
                 term = term * images[var]
         acc = acc + term
     assert acc.is_zero()
+
+
+def test_s3_model_rejects_a_normalization_off_the_degree_5_ratios(monkeypatch):
+    monkeypatch.setattr(g2, "S3_NORMALIZATION", {**S3_NORMALIZATION, "beta": Fraction(2, 3)})
+    with pytest.raises(AssertionError, match="degree-5 ratios"):
+        s3_invariant_model()
+
+
+def test_s3_model_rejects_a_normalization_off_the_cubic_coupling(monkeypatch):
+    # kappa and pi doubled keep pi/kappa = 3, but alpha^3 no longer
+    # matches kappa^2 along the degree-6 kernel line
+    broken = {**S3_NORMALIZATION, "kappa": Fraction(2, 3), "pi": Fraction(2)}
+    monkeypatch.setattr(g2, "S3_NORMALIZATION", broken)
+    with pytest.raises(AssertionError, match="coupling"):
+        s3_invariant_model()
 
 
 def test_combination_and_coords_on_the_basis():
@@ -483,13 +519,6 @@ def test_flatten_roundtrip_dimension():
     basis = g2_basis()
     matrix = PolyMatrix([g2.g2_coords(e) for e in basis])
     assert rank(matrix) == 14
-
-
-def test_random_element_is_traceless():
-    rng = random.Random(3)
-    for _ in range(10):
-        e = random_element(rng)
-        assert g2_blocks(e)[0].trace() == Scalar(0)
 
 
 def test_g2_element_shape_validation():

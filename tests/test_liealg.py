@@ -29,6 +29,7 @@ from exactlie.liealg import (
     transversality_check,
     valid_partition,
 )
+from exactlie.mpoly import MPoly
 from exactlie.polymat import PolyMatrix, invert, rank, solve_linear
 from exactlie.scalar import ONE, Scalar
 
@@ -583,6 +584,21 @@ GENERIC_ALGEBRAS = {
     "sp4": lambda: make_algebra("sp", 4),
     "g2": g2_algebra,
 }
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_ALGEBRAS))
+def test_generic_elements_have_independent_variable_coordinates(name):
+    # an identity on a degenerate "generic" element (one that loses a
+    # coordinate or shares variables) would prove nothing
+    alg = GENERIC_ALGEBRAS[name]()
+    x, y = alg.generic("x", "y")
+    names = tuple(f"x{k}" for k in range(alg.dim)) + tuple(f"y{k}" for k in range(alg.dim))
+    variables = [MPoly.variable(v, names) for v in names]
+    assert alg.coords(x) == variables[:alg.dim]
+    assert alg.coords(y) == variables[alg.dim:]
+    zs = tuple(f"z{k}" for k in range(alg.dim))
+    (z,) = alg.generic("z")
+    assert alg.coords(z) == [MPoly.variable(v, zs) for v in zs]
 
 
 @pytest.mark.parametrize("name", sorted(GENERIC_ALGEBRAS))
