@@ -2,9 +2,9 @@
 
 For V = Q^2n with a symmetric form and U = Q^(2n-2) with a skew form,
 a linear map X: V -> U produces pi = X X* in sp(U) and rho = X* X in
-so(V).  The demo finds an X whose two images have prescribed Jordan
-types, then samples random maps to show that the pfaffian of rho's
-form-composition vanishes identically.
+so(V).  The demo prints the closed-form witness X whose two images have
+prescribed Jordan types, verified exactly, then samples random maps to
+show that the pfaffian of rho's form-composition vanishes identically.
 """
 
 import argparse

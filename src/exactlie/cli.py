@@ -454,6 +454,8 @@ def cmd_dualpair(args) -> int:
     n, i = args.n, args.i
     if n < 2:
         return _fail_input("need n >= 2")
+    if n > dp.MAX_N:
+        return _fail_input(f"dualpair is limited to n <= {dp.MAX_N}, got n = {n}")
     if not (1 <= i <= n) or (i % 2 == 0 and i != n):
         return _fail_input("need 1 <= i <= n with i odd or i = n")
     inputs = {"n": n, "i": i, "seed": args.seed}

@@ -10,9 +10,8 @@ entries Poisson-commute for the constant symplectic structure
 omega(A, B) = 2 tr(A B*) on the space of maps.  Both forms are signed
 permutation matrices with G_V^-1 = G_V and G_U^-1 = -G_U, so the adjoint
 and the Poisson tensor inverse to omega have closed forms and nothing is
-inverted.  Witness elements with prescribed Jordan-type pairs are built
-from two strings of basis vectors and then transported to the standard
-forms; the transport is exact, so the certificates are too.
+inverted.  Witness elements with prescribed Jordan-type pairs are
+written in closed form, and their types are verified exactly.
 """
 
 from __future__ import annotations
@@ -27,13 +26,18 @@ from .liealg import (
     jordan_type, make_algebra, power_ranks, preserves_form, standard_form,
 )
 from .mpoly import MPoly
-from .polymat import PolyMatrix, exp_nilpotent, invert, pfaffian, rank, solve_linear
-from .scalar import Scalar
+from .polymat import PolyMatrix, exp_nilpotent, pfaffian, rank
 
 # Normalization constant in the moment identity
 #   tr((Y X* + X Y*) xi) = c * omega(xi X, Y);
 # moment_identity_check verifies it on every basis pair.
 MOMENT_CONSTANT = Fraction(1)
+
+# Largest n the dualpair report accepts.  Its sampled rows (pfaffian locus,
+# equivariance, rank chains) dominate: in-process, one report took 1.6-1.8 s
+# at n = 6, 6.4-7.3 s at n = 8, 14 s at n = 9 and 28-29 s at n = 10.  The
+# witness itself has no limit.
+MAX_N = 8
 
 
 @lru_cache(maxsize=None)
@@ -89,158 +93,52 @@ def pfaffian_locus_check(X: PolyMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# witness elements: two strings, then an exact change of basis
+# witness elements, written down in closed form
 # ---------------------------------------------------------------------------
 
 
-def _string_model(n: int, i: int) -> Tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    """(M_V, X, X*) in string coordinates.
-
-    String one carries 2n-i vectors of V over 2n-i-1 of U, string two
-    i over i-1; X shifts each string onto its U-part and X* shifts
-    back one step.  For odd i the V-form is antidiagonal with
-    alternating signs on each string separately (the second string
-    scaled so the two middle squares have opposite signs, which keeps
-    the total form split); for even i = n the two strings pair with
-    each other instead.
-    """
-    m1, m2 = 2 * n - i, i
-    dv, du = 2 * n, 2 * n - 2
-    X = [[0] * dv for _ in range(du)]
-    for j in range(m1 - 1):
-        X[j][j] = 1
-    for j in range(m2 - 1):
-        X[m1 - 1 + j][m1 + j] = 1
-    Xs = [[0] * du for _ in range(dv)]
-    for j in range(m1 - 1):
-        Xs[j + 1][j] = 1
-    for j in range(m2 - 1):
-        Xs[m1 + j + 1][m1 - 1 + j] = 1
-
-    M = [[0] * dv for _ in range(dv)]
-    if i % 2 == 1:
-        sigma = -1 if ((m1 - 1) // 2 + (m2 - 1) // 2) % 2 == 0 else 1
-        for j in range(m1):
-            M[j][m1 - 1 - j] = (-1) ** j
-        for j in range(m2):
-            M[m1 + j][m1 + m2 - 1 - j] = sigma * (-1) ** j
-    elif i == n:
-        for j in range(n):
-            M[j][m1 + n - 1 - j] = (-1) ** j
-            M[m1 + n - 1 - j][j] = (-1) ** j
+def _witness(n: int, i: int) -> PolyMatrix:
+    """The witness X0 for (n, i), the (2n-2) x 2n matrix that is zero
+    except for:
+      X[r][r] = 1 in the top rows r < n-1;
+      X[r][r+1] = -1 in the bottom rows r >= n;
+      row n-1: (s, -1/2) in columns n-1, n for odd i, -1 in column n
+      for even i = n;
+      for odd i >= 3, row n-1+(i-1)/2: (-s, -1/2) in columns n-1, n in
+      place of its -1.
+    The sign is s = (-1)^n at i = 1 and (-1)^(n+(i-3)/2) for odd
+    i >= 3, read from parities.  Either sign passes the checks in
+    kp_find_element; this one fixes the printed matrix."""
+    du, dv = 2 * n - 2, 2 * n
+    entries = {(r, r): 1 for r in range(n - 1)}
+    second = None
+    if i % 2:
+        k = n if i == 1 else n + (i - 3) // 2
+        s = 1 if k % 2 == 0 else -1
+        entries[n - 1, n - 1], entries[n - 1, n] = s, Fraction(-1, 2)
+        if i >= 3:
+            second = n - 1 + (i - 1) // 2
+            entries[second, n - 1], entries[second, n] = -s, Fraction(-1, 2)
     else:
-        raise ValueError("need i odd or i = n")
-    return PolyMatrix(M), PolyMatrix(X), PolyMatrix(Xs)
-
-
-def _form_value(M: PolyMatrix, v: List[Scalar], w: List[Scalar]) -> Scalar:
-    """v^T M w."""
-    return (PolyMatrix([v]) * M * PolyMatrix([[x] for x in w])).entry(0, 0)
-
-
-def _independent_subset(vectors: List[List[Scalar]]) -> List[List[Scalar]]:
-    kept: List[List[Scalar]] = []
-    for v in vectors:
-        if any(not x.is_zero() for x in v):
-            trial = kept + [v]
-            if rank(PolyMatrix(trial)) == len(trial):
-                kept.append(v)
-    return kept
-
-
-def _split_transport(M: PolyMatrix, skew: bool) -> PolyMatrix:
-    """T with Tt M T equal to the standard form (antidiagonal ones for
-    symmetric M, signed antidiagonal for skew M).  Works by peeling off
-    hyperbolic pairs; the isotropic-vector search only ever needs basis
-    vectors and small two-term combinations for the string forms."""
-    dim = M.nrows
-    active = [[Scalar(1 if k == j else 0) for k in range(dim)] for j in range(dim)]
-    vs: List[List[Scalar]] = []
-    us: List[List[Scalar]] = []
-    while active:
-        v = None
-        if skew:
-            v = active[0]
-        else:
-            for w in active:
-                if _form_value(M, w, w).is_zero():
-                    v = w
-                    break
-            if v is None:
-                for a in range(len(active)):
-                    for b in range(a + 1, len(active)):
-                        for t in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)):
-                            cand = [
-                                x + Scalar(t) * y for x, y in zip(active[a], active[b])
-                            ]
-                            if _form_value(M, cand, cand).is_zero():
-                                v = cand
-                                break
-                        if v is not None:
-                            break
-                    if v is not None:
-                        break
-        if v is None:
-            raise AssertionError("no isotropic vector found; form is not split")
-        u = None
-        for w in active:
-            if not _form_value(M, v, w).is_zero():
-                u = w
-                break
-        if u is None:
-            raise AssertionError("degenerate form")
-        c = _form_value(M, v, u).inverse()
-        u = [c * x for x in u]
-        if not skew:
-            half = Scalar(Fraction(1, 2)) * _form_value(M, u, u)
-            u = [x - half * y for x, y in zip(u, v)]
-        vs.append(v)
-        us.append(u)
-        vu = _form_value(M, v, u)
-        uv = _form_value(M, u, v)
-        projected = []
-        for w in active:
-            cu = _form_value(M, w, u) * vu.inverse()
-            cv = _form_value(M, w, v) * uv.inverse()
-            projected.append(
-                [x - cu * a - cv * b for x, a, b in zip(w, v, u)]
-            )
-        active = _independent_subset(projected)
-    cols = vs + list(reversed(us))
-    T = PolyMatrix([[cols[j][k] for j in range(dim)] for k in range(dim)])
-    target = standard_form("sp" if skew else "so", dim)
-    if (T.transpose() * M * T) != target:
-        raise AssertionError("transport failed to reach the standard form")
-    return T
+        entries[n - 1, n] = -1
+    for r in range(n, du):
+        if r != second:
+            entries[r, r + 1] = -1
+    return PolyMatrix.from_entries(du, dv, entries)
 
 
 def kp_find_element(n: int, i: int) -> KPElement:
     """X with jordan_type(X*X) = [2n-i, i] and jordan_type(XX*) =
     [2n-i-1, i-1] (the zero part dropped when i = 1), for i odd or
-    i = n."""
+    i = n.  The witness is written in closed form; kp_maps, its rank
+    and both Jordan types are then checked exactly, each raising
+    AssertionError on failure."""
+    _forms(n)  # raises ValueError for n < 2
     if not (1 <= i <= n) or (i % 2 == 0 and i != n):
         raise ValueError("need 1 <= i <= n with i odd or i = n")
-    M_V, Xm, Xsm = _string_model(n, i)
-    # the skew form on U is forced by the adjoint equation Xt M_U = M_V X*
-    rhs = M_V * Xsm
-    du = 2 * n - 2
-    Xt = Xm.transpose()
-    cols = []
-    for j in range(du):
-        sol = solve_linear(Xt, [rhs.entry(r, j) for r in range(2 * n)])
-        if sol is None:
-            raise AssertionError("string model has no compatible skew form")
-        cols.append(sol)
-    M_U = PolyMatrix([[cols[j][r] for j in range(du)] for r in range(du)])
-    if not M_U.is_skew():
-        raise AssertionError("derived form on U is not skew")
-    if (invert(M_V) * Xm.transpose() * M_U) != Xsm:
-        raise AssertionError("string adjoint mismatch")
-    T = _split_transport(M_V, skew=False)
-    R = _split_transport(M_U, skew=True)
-    X0 = invert(R) * Xm * T
+    X0 = _witness(n, i)
     pi, rho = kp_maps(X0)
-    if rank(X0) != du:
+    if rank(X0) != 2 * n - 2:
         raise AssertionError("witness is not surjective")
     rho_type = jordan_type(rho)
     pi_type = jordan_type(pi)
@@ -300,7 +198,7 @@ def _bracket_table(n: int, polys_a: List[MPoly], polys_b: List[MPoly]) -> List[M
     MPoly.dot of H_f[beta] d_beta g over the betas that both carry, halved
     once if nonzero, so integer f and g need no Fraction arithmetic."""
     names = coordinate_names(n)
-    tensor_rows: Dict[int, List[Tuple[int, Scalar]]] = {}
+    tensor_rows: Dict[int, List[Tuple[int, object]]] = {}
     for alpha, beta, coef in poisson_tensor(n).scale(2).nonzeros():
         tensor_rows.setdefault(alpha, []).append((beta, coef))
 
@@ -409,9 +307,9 @@ def equivariance_check(n: int, samples: int = 5, seed: int = 0) -> int:
     eta = _nilpotent_in_algebra(G_V, 0, 1, skew=False)
     xi = _nilpotent_in_algebra(G_U, 0, 1, skew=True)
     A = exp_nilpotent(eta)
-    A_inv = exp_nilpotent(eta.scale(Scalar(-1)))
+    A_inv = exp_nilpotent(eta.scale(-1))
     B = exp_nilpotent(xi)
-    B_inv = exp_nilpotent(xi.scale(Scalar(-1)))
+    B_inv = exp_nilpotent(xi.scale(-1))
     checked = 0
     for _ in range(samples):
         X = PolyMatrix(

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from exactlie import dualpair as dp
 from exactlie.cli import main
 
 
@@ -157,6 +158,14 @@ def test_dualpair_witness_types(capsys):
     assert report["results"]["moment_constant"] == "1"
 
 
+def test_dualpair_n_above_the_limit_rejected(capsys):
+    assert dp.MAX_N == 8
+    code, out, err = run(capsys, ["dualpair", "--n", "9", "--i", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: dualpair is limited to n <= 8, got n = 9\n"
+
+
 def test_dualpair_invalid_i(capsys):
     code, _, err = run(capsys, ["dualpair", "--n", "4", "--i", "2"])
     assert code == 2
@@ -282,6 +291,10 @@ REPORT_DIGESTS = {
         "7a32854a6a7aa8d50957a7a59a4eb1297f5c92808e31977dec59ca57e205ad6f",
     "dualpair --n 5 --i 5":
         "e4c0532f3d845c45ac10cc0b9abf21e5969a453120b1f62d2c138ad644f70dea",
+    "dualpair --n 4 --i 1":
+        "82adde08b2848e6d80922649fb377e706a8c8d9fff556c70ddacc715e2766bc8",
+    "dualpair --n 4 --i 4":
+        "2b5cc5073ffb5b39188f389129abfd0b7d657453c91fb94c47f01febf24ca450",
 }
 
 
@@ -322,6 +335,9 @@ REPORT_DIGESTS = {
         ),
         # n = 5: the commutant (n <= 4) and moment (n <= 3) rows drop out
         (["dualpair", "--n", "5", "--i", "5"], 0, passing(DUALPAIR)),
+        # i = 1 (pi has one block) and even i = n; n = 4 keeps the commutant row
+        (["dualpair", "--n", "4", "--i", "1"], 0, passing(DUALPAIR + ["poisson-commutant"])),
+        (["dualpair", "--n", "4", "--i", "4"], 0, passing(DUALPAIR + ["poisson-commutant"])),
     ],
 )
 def test_report_check_lists_are_pinned(capsys, argv, exit_code, checks):

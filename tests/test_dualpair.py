@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import exactlie.dualpair as dualpair
 from exactlie.dualpair import (
     MOMENT_CONSTANT,
     _bracket_table,
@@ -20,7 +21,7 @@ from exactlie.dualpair import (
     coordinate_names,
     symbolic_element,
 )
-from exactlie.liealg import make_algebra, standard_form
+from exactlie.liealg import jordan_type, make_algebra, standard_form
 from exactlie.polymat import PolyMatrix, invert, pfaffian, rank
 
 
@@ -124,8 +125,6 @@ def test_pfaffian_locus_matrix_equals_g_v_times_rho():
 def test_pfaffian_locus_rejects_a_symmetric_form_on_u(monkeypatch):
     # with a symmetric form in place of G_U, X*X leaves the orthogonal
     # algebra and Xt G_U X is not skew: the membership check must bite
-    import exactlie.dualpair as dualpair
-
     symmetric = {n: (standard_form("so", 2 * n), standard_form("so", 2 * n - 2)) for n in (3, 4)}
     monkeypatch.setattr(dualpair, "_forms", symmetric.__getitem__)
     rng = Random(13)
@@ -134,8 +133,14 @@ def test_pfaffian_locus_rejects_a_symmetric_form_on_u(monkeypatch):
             pfaffian_locus_check(random_x(n, rng))
 
 
+def valid_indices(n_max):
+    return [(n, i) for n in range(2, n_max + 1) for i in range(1, n + 1) if i % 2 or i == n]
+
+
 def test_witness_elements_prescribed_types():
-    cases = {
+    cases = valid_indices(7)
+    assert len(cases) == 18
+    spot = {
         (3, 3): ((3, 3), (2, 2)),
         (4, 3): ((5, 3), (4, 2)),
         (4, 1): ((7, 1), (6,)),
@@ -143,17 +148,67 @@ def test_witness_elements_prescribed_types():
         (4, 4): ((4, 4), (3, 3)),
         (2, 1): ((3, 1), (2,)),
     }
-    for (n, i), (want_rho, want_pi) in cases.items():
+    for n, i in cases:
+        want_rho = (2 * n - i, i)
+        want_pi = (2 * n - i - 1,) if i == 1 else (2 * n - i - 1, i - 1)
+        if (n, i) in spot:
+            assert (want_rho, want_pi) == spot[n, i]
         el = kp_find_element(n, i)
-        assert el.rho_type == want_rho
-        assert el.pi_type == want_pi
+        assert (el.n, el.i) == (n, i)
+        assert (el.rho_type, el.pi_type) == (want_rho, want_pi)
+        pi, rho = kp_maps(el.X)  # asserts both algebra memberships
+        assert jordan_type(rho) == want_rho
+        assert jordan_type(pi) == want_pi
         assert rank(el.X) == 2 * n - 2
+
+
+def test_witness_sign_is_a_choice():
+    # negating s (column n-1 below the top rows) changes the printed matrix
+    # only: the flipped witness passes the same checks
+    for n, i in valid_indices(6):
+        if i % 2 == 0:
+            continue
+        el = kp_find_element(n, i)
+        X = el.X
+        rows = [[X.entry(r, c) for c in range(2 * n)] for r in range(2 * n - 2)]
+        for r in range(n - 1, 2 * n - 2):
+            rows[r][n - 1] = -rows[r][n - 1]
+        flipped = PolyMatrix(rows)
+        assert flipped != X
+        pi, rho = kp_maps(flipped)
+        assert rank(flipped) == 2 * n - 2
+        assert (jordan_type(rho), jordan_type(pi)) == (el.rho_type, el.pi_type)
 
 
 def test_witness_rejects_bad_indices():
     for n, i in ((4, 2), (3, 0), (3, 4), (5, 2)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 <= i <= n"):
             kp_find_element(n, i)
+    for n, i in ((1, 1), (0, 1)):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            kp_find_element(n, i)
+
+
+def test_witness_checks_reject_a_wrong_matrix(monkeypatch):
+    # the closed form is trusted for nothing: a rank-deficient matrix and a
+    # surjective matrix of the wrong types are both refused
+    monkeypatch.setattr(dualpair, "_witness", lambda n, i: PolyMatrix.zeros(2 * n - 2, 2 * n))
+    with pytest.raises(AssertionError, match="not surjective"):
+        kp_find_element(4, 3)
+    monkeypatch.undo()
+    one_block = dualpair._witness(4, 1)
+    monkeypatch.setattr(dualpair, "_witness", lambda n, i: one_block)
+    with pytest.raises(AssertionError, match=r"got \(7, 1\)/\(6,\), wanted \(5, 3\)/\(4, 2\)"):
+        kp_find_element(4, 3)
+
+
+def test_witness_membership_is_checked(monkeypatch):
+    # with a symmetric form in place of G_U the witness's X*X leaves the
+    # orthogonal algebra, and kp_maps refuses it
+    symmetric = {4: (standard_form("so", 8), standard_form("so", 6))}
+    monkeypatch.setattr(dualpair, "_forms", symmetric.__getitem__)
+    with pytest.raises(AssertionError, match="X\\*X does not preserve"):
+        kp_find_element(4, 3)
 
 
 def test_omega_is_symplectic():
@@ -206,8 +261,6 @@ def test_distinct_entries_up_to_sign_match_the_algebra_dimensions():
 def test_commutant_check_catches_one_altered_rho_entry(monkeypatch):
     # one variable added to a single entry of X*X splits it from its
     # mirror entry, and its own bracket with XX* must be formed
-    import exactlie.dualpair as dualpair
-
     right = dualpair.kp_maps
 
     def altered(X):
@@ -225,24 +278,18 @@ def test_commutant_check_catches_one_altered_rho_entry(monkeypatch):
 def test_commutant_check_asserts_algebra_membership(monkeypatch):
     # with the transpose in place of the form adjoint, XX* leaves sp(U);
     # the symbolic check must say so rather than only compare brackets
-    import exactlie.dualpair as dualpair
-
     monkeypatch.setattr(dualpair, "adjoint", lambda X: X.transpose())
     with pytest.raises(AssertionError, match="preserve"):
         commutant_check(2)
 
 
 def test_moment_identity_fails_with_the_transpose_as_adjoint(monkeypatch):
-    import exactlie.dualpair as dualpair
-
     monkeypatch.setattr(dualpair, "adjoint", lambda X: X.transpose())
     with pytest.raises(AssertionError, match="moment identity fails"):
         moment_identity_check(2)
 
 
 def test_moment_identity_rejects_a_wrong_frozen_constant(monkeypatch):
-    import exactlie.dualpair as dualpair
-
     monkeypatch.setattr(dualpair, "MOMENT_CONSTANT", Fraction(2))
     with pytest.raises(AssertionError, match="moment identity fails for the frozen constant 2"):
         moment_identity_check(3)
