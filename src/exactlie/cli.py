@@ -38,8 +38,8 @@ from .polymat import (
 )
 from .scalar import Scalar
 from .slicegeom import (
-    HOOK_VARS, derived_hook_f, expected_hook_f, hook_factorization, hook_pipeline,
-    normalize_to_hook_form,
+    HOOK_VARS, MAX_RANK, derived_hook_f, expected_hook_f, hook_factorization,
+    hook_pipeline, normalize_to_hook_form,
 )
 
 SCHEMA_VERSION = 1
@@ -172,11 +172,13 @@ def _hook_suite(args) -> Iterable[Row]:
 def cmd_slice(args) -> int:
     if args.algebra != "sp":
         return _fail_input("only the symplectic hook family is implemented")
+    n = args.rank
+    if n > MAX_RANK:
+        return _fail_input(f"slice is limited to rank <= {MAX_RANK}, got rank = {n}")
     try:
         orbit = _parse_partition(args.orbit)
     except ValueError as exc:
         return _fail_input(str(exc))
-    n = args.rank
     if n < 2 or orbit != [2 * n - 2, 1, 1]:
         return _fail_input(
             f"expected the hook orbit {[2 * n - 2, 1, 1]} for sp_{2 * n}, got {orbit}"
@@ -452,15 +454,13 @@ def _dualpair_suite(args) -> Iterable[Row]:
 
 def cmd_dualpair(args) -> int:
     n, i = args.n, args.i
-    if n < 2:
-        return _fail_input("need n >= 2")
     if n > dp.MAX_N:
         return _fail_input(f"dualpair is limited to n <= {dp.MAX_N}, got n = {n}")
-    if not (1 <= i <= n) or (i % 2 == 0 and i != n):
-        return _fail_input("need 1 <= i <= n with i odd or i = n")
     inputs = {"n": n, "i": i, "seed": args.seed}
     try:
         element = dp.kp_find_element(n, i)
+    except ValueError as exc:
+        return _fail_input(str(exc))
     except AssertionError as exc:
         rows = [("witness-element", None, partial(_expect, False, str(exc)))]
         return _emit(args, "dualpair", inputs, {}, _run(rows, SUB))
@@ -477,6 +477,36 @@ def cmd_dualpair(args) -> int:
 # ---------------------------------------------------------------------------
 # kernel suite
 # ---------------------------------------------------------------------------
+
+
+ROUNDTRIP_VARS = ("x", "y", "z")
+MALFORMED_TEXTS = (
+    "()", "x y", "2 3", "1/0*x", "(1 2)*x", "(sqrt3)*x", "x +", "w", "+x", "x + - y",
+)
+
+
+def roundtrip_polys() -> List[MPoly]:
+    """The polynomials kernel-serialization-roundtrip writes and reads back:
+    every branch of the coefficient text (units, signs of the leading and
+    of a later term, rationals, +-sqrt2, q*sqrt2, a +- b*sqrt2 of either
+    sign) on constants, a variable, a power and a product."""
+    vars = ROUNDTRIP_VARS
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    coefs = [Scalar(a, b) for a, b in (
+        (1, 0), (-1, 0), (2, 0), (-3, 0), (half, 0), (Fraction(-5, 3), 0),
+        (0, 1), (0, -1), (0, Fraction(3, 2)), (0, -2), (1, 1), (2, -1),
+        (1, -1), (-half, 3), (3, -2), (-1, -third),
+    )]
+    monos = ((0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 3))
+    polys = [MPoly.zero(vars)]
+    polys += [MPoly.monomial(vars, e, c) for e in monos for c in coefs]
+    polys += [
+        MPoly(vars, {lead: c1, later: c2})
+        for lead, later in ((monos[3], monos[2]), (monos[1], monos[0]))
+        for c1 in coefs
+        for c2 in coefs
+    ]
+    return polys
 
 
 def _kernel_suite(args) -> List[Row]:
@@ -516,40 +546,19 @@ def _kernel_suite(args) -> List[Row]:
         return "dims 1..4, 5 samples each"
 
     def roundtrip():
-        # every branch of the coefficient text: units, signs of the leading
-        # and of a later term, rationals, +-sqrt2, q*sqrt2, a +- b*sqrt2 of
-        # either sign, on constants, a variable, a power and a product
-        vars = ("x", "y", "z")
-        half, third = Fraction(1, 2), Fraction(1, 3)
-        coefs = [Scalar(a, b) for a, b in (
-            (1, 0), (-1, 0), (2, 0), (-3, 0), (half, 0), (Fraction(-5, 3), 0),
-            (0, 1), (0, -1), (0, Fraction(3, 2)), (0, -2), (1, 1), (2, -1),
-            (1, -1), (-half, 3), (3, -2), (-1, -third),
-        )]
-        monos = ((0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 3))
-        polys = [MPoly.zero(vars)]
-        polys += [MPoly.monomial(vars, e, c) for e in monos for c in coefs]
-        polys += [
-            MPoly(vars, {lead: c1, later: c2})
-            for lead, later in ((monos[3], monos[2]), (monos[1], monos[0]))
-            for c1 in coefs
-            for c2 in coefs
-        ]
+        polys = roundtrip_polys()
         for p in polys:
-            if MPoly.from_text(p.to_text(), vars) != p:
+            if MPoly.from_text(p.to_text(), ROUNDTRIP_VARS) != p:
                 raise AssertionError(f"text roundtrip fails for {p}")
             if MPoly.from_json(p.to_json()) != p:
                 raise AssertionError(f"json roundtrip fails for {p}")
-        malformed = (
-            "()", "x y", "2 3", "1/0*x", "(1 2)*x", "(sqrt3)*x", "x +", "w", "+x", "x + - y",
-        )
-        for text in malformed:
+        for text in MALFORMED_TEXTS:
             try:
-                MPoly.from_text(text, vars)
+                MPoly.from_text(text, ROUNDTRIP_VARS)
             except ValueError:
                 continue
             raise AssertionError(f"malformed text {text!r} parses")
-        return f"{len(polys)} polynomials, {len(malformed)} malformed texts rejected"
+        return f"{len(polys)} polynomials, {len(MALFORMED_TEXTS)} malformed texts rejected"
 
     return [
         (None, "kernel-pfaffian-squares-to-det", pf_squares),

@@ -146,7 +146,8 @@ def kp_find_element(n: int, i: int) -> KPElement:
     want_pi = (2 * n - i - 1,) if i == 1 else (2 * n - i - 1, i - 1)
     if rho_type != want_rho or pi_type != want_pi:
         raise AssertionError(
-            f"no element found: got {rho_type}/{pi_type}, wanted {want_rho}/{want_pi}"
+            f"witness has the wrong Jordan types: got {rho_type}/{pi_type}, "
+            f"wanted {want_rho}/{want_pi}"
         )
     return KPElement(n, i, X0, rho_type, pi_type)
 

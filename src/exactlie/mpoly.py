@@ -397,130 +397,124 @@ class MPoly:
 
     # ---- parsing ----
 
-    _TOKEN = re.compile(
-        r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<pow>\^)|(?P<star>\*)"
-        r"|(?P<sign>[+-])|(?P<frac>\d+/\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*))"
-    )
-
     @staticmethod
     def from_text(text: str, vars: Tuple[str, ...]) -> "MPoly":
-        """Parse the canonical text format back into a polynomial.
+        """Parse a polynomial text, such as to_text writes, back into a
+        polynomial.
 
-        The grammar covers exactly what to_text emits (plus arbitrary
-        whitespace): signed terms, fraction coefficients, parenthesized
-        sqrt2 coefficients, ``*`` products and ``^`` powers.
+        The accepted grammar, with any whitespace between symbols::
+
+            poly   := <blank> | ["-"] term (("+" | "-") term)*
+            term   := factor ("*" factor)*
+            factor := number | "(" coef ")" | "sqrt2" | name ["^" digits]
+            coef   := ["-"] part (("+" | "-") part)*
+            part   := number ["*" "sqrt2"] | "sqrt2"
+            number := digits ["/" digits]
+
+        A blank text is 0.  A denominator may not be 0 and each name must be
+        one of ``vars``.  A term is the product of its factors, so it may
+        repeat a name or a coefficient (``x*x``, ``2*3*x``, ``x*2``,
+        ``(1)*x``) and have a zero exponent or coefficient (``x^0``,
+        ``0*x``); like terms are summed (``x - x`` is 0).  This is wider
+        than what to_text writes, which puts at most one coefficient first
+        and each name at most once, with a positive exponent.
+
+        Each term is one match of the pattern _TERM.  Its coefficient is multiplied out
+        on raw (r0, r1) components, like terms are summed on them, and each
+        monomial gets one Scalar at the end.
         """
-        tokens: List[Tuple[str, str]] = []
-        pos = 0
-        while pos < len(text):
-            m = MPoly._TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ValueError(f"cannot tokenize {text[pos:]!r}")
-                break
-            pos = m.end()
-            for kind, val in m.groupdict().items():
-                if val is not None:
-                    tokens.append((kind, val))
-                    break
-
-        i = 0
-
-        def peek():
-            return tokens[i] if i < len(tokens) else (None, None)
-
-        def take(kind):
-            nonlocal i
-            k, v = peek()
-            if k != kind:
-                raise ValueError(f"expected {kind}, found {k} {v!r}")
-            i += 1
-            return v
-
-        def take_sign(first: bool) -> int:
-            """The sign before a term or a coefficient component: at most
-            one sign token, which must be there after the first and may
-            only be a minus on the first, as to_text writes it."""
-            k, v = peek()
-            if k != "sign":
-                if not first:
-                    raise ValueError(f"missing sign before {v!r}")
-                return 1
-            if first and v == "+":
-                raise ValueError("leading '+'")
-            take("sign")
-            if peek()[0] == "sign":
-                raise ValueError("repeated sign")
-            return -1 if v == "-" else 1
-
-        def take_fraction() -> Fraction:
-            num, _, den = take("frac").partition("/")
-            if den and int(den) == 0:
-                raise ValueError("zero denominator")
-            return Fraction(int(num), int(den or 1))
-
-        def parse_paren_scalar() -> Scalar:
-            take("lpar")
-            r0 = Fraction(0)
-            r1 = Fraction(0)
-            first = True
-            while first or peek()[0] != "rpar":
-                sgn = take_sign(first)
-                if peek()[0] == "frac":
-                    q = take_fraction()
-                    if peek() == ("star", "*"):
-                        take("star")
-                        if take("name") != "sqrt2":
-                            raise ValueError("only sqrt2 allowed in coefficients")
-                        r1 += sgn * q
-                    else:
-                        r0 += sgn * q
-                elif peek()[0] == "name":
-                    if take("name") != "sqrt2":
-                        raise ValueError("only sqrt2 allowed in coefficients")
-                    r1 += sgn
-                else:
-                    raise ValueError(f"bad coefficient token {peek()!r}")
-                first = False
-            take("rpar")
-            return Scalar(r0, r1)
-
-        result = MPoly.zero(vars)
+        if not text.strip():
+            return MPoly.zero(vars)
+        vars = tuple(vars)
         nvars = len(vars)
-        while i < len(tokens):
-            coef = Scalar(take_sign(i == 0))
+        # compiled on first use and then taken from re's cache, so that an
+        # import compiles no pattern
+        match = re.compile(_TERM).match
+        acc: Dict[Exponents, Tuple] = {}
+        pos, end = 0, len(text)
+        while pos < end:
+            m = match(text, pos)
+            if m is None:
+                raise ValueError(f"cannot parse {text[pos:]!r}")
+            sign, body = m.group("sign", "body")
+            if pos == 0:
+                if sign == "+":
+                    raise ValueError("leading '+'")
+            elif not sign:
+                raise ValueError(f"missing sign before {body!r}")
+            pos = m.end()
+            r0, r1 = (-1 if sign == "-" else 1), 0
             exps = [0] * nvars
-            expect_factor = True
-            saw_any = False
-            while expect_factor:
-                kind, val = peek()
-                if kind == "frac":
-                    coef = coef * take_fraction()
-                elif kind == "lpar":
-                    coef = coef * parse_paren_scalar()
-                elif kind == "name":
-                    name = take("name")
+            # parentheses do not nest: split off each "(coef)" with the
+            # factors before it
+            for piece in "".join(body.split()).split(")"):
+                outside, _, coef = piece.partition("(")
+                for factor in outside.split("*"):
+                    if not factor:
+                        continue
+                    if factor[0].isdigit():
+                        q = _number(factor)
+                        r0, r1 = r0 * q, r1 * q if r1 else 0
+                        continue
+                    name, _, power = factor.partition("^")
                     if name == "sqrt2":
-                        coef = coef * Scalar.sqrt2()
+                        if power:
+                            raise ValueError("sqrt2 takes no power")
+                        r0, r1 = 2 * r1, r0
+                    elif name in vars:
+                        exps[vars.index(name)] += int(power) if power else 1
                     else:
-                        if name not in vars:
-                            raise ValueError(f"unknown variable {name!r}")
-                        k = 1
-                        if peek()[0] == "pow":
-                            take("pow")
-                            k = int(take("frac"))
-                        exps[vars.index(name)] += k
-                else:
-                    raise ValueError(f"unexpected token {val!r}")
-                saw_any = True
-                if peek()[0] == "star":
-                    take("star")
-                else:
-                    expect_factor = False
-            if not saw_any:
-                raise ValueError("empty term")
-            result = result + MPoly.monomial(vars, tuple(exps), coef)
-        return result
+                        raise ValueError(f"unknown variable {name!r}")
+                if coef:
+                    a, b = _coefficient(coef)
+                    if r1:
+                        r0, r1 = r0 * a + 2 * r1 * b, r0 * b + r1 * a
+                    else:
+                        r0, r1 = r0 * a, r0 * b
+            e = tuple(exps)
+            old = acc.get(e)
+            acc[e] = (r0, r1) if old is None else (old[0] + r0, old[1] + r1)
+        return MPoly._make(vars, {e: Scalar(a, b) for e, (a, b) in acc.items() if a or b})
+
+
+# The grammar of MPoly.from_text, one term per match
+_NUMBER = r"\d+(?:/\d+)?"
+_PART = rf"(?:{_NUMBER}(?:\s*\*\s*sqrt2)?|sqrt2)"
+_FACTOR = (
+    rf"(?:{_NUMBER}|\(\s*(?:-\s*)?{_PART}(?:\s*[+-]\s*{_PART})*\s*\)"
+    r"|[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*\d+)?)"
+)
+_TERM = rf"\s*(?:(?P<sign>[+-])\s*)?(?P<body>{_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*"
+
+
+def _number(text: str):
+    """The rational of a matched number, "p" or "p/q" with q != 0."""
+    num, _, den = text.partition("/")
+    if not den:
+        return int(num)
+    d = int(den)
+    if not d:
+        raise ValueError("zero denominator")
+    return Fraction(int(num), d)
+
+
+def _coefficient(text: str) -> Tuple:
+    """(a, b) for the matched contents a + b*sqrt2 of a "(coef)" factor,
+    whitespace removed."""
+    a = b = 0
+    for part in text.replace("-", "+-").split("+"):
+        if not part:
+            continue
+        neg = part[0] == "-"
+        if neg:
+            part = part[1:]
+        if part.endswith("sqrt2"):
+            q = _number(part[:-6]) if len(part) > 5 else 1
+            b = b - q if neg else b + q
+        else:
+            q = _number(part)
+            a = a - q if neg else a + q
+    return a, b
 
 
 def divide_by_monic_in_var(

@@ -277,10 +277,7 @@ class PolyMatrix:
         )
 
     def is_skew(self) -> bool:
-        rows = self._rows
-        return self.is_square() and all(
-            i != j and rows[j].get(i) == -x for i, r in enumerate(rows) for j, x in r.items()
-        )
+        return _is_skew(self._rows, self.ncols)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.nrows))
@@ -405,43 +402,64 @@ def determinant(matrix: PolyMatrix):
     return coeffs[n] if n % 2 == 0 else -coeffs[n]
 
 
+def _is_skew(rows: Sequence[Mapping], ncols: int) -> bool:
+    """Square, with a zero diagonal and a_ji == -a_ij, on stored entries of
+    any type."""
+    return len(rows) == ncols and all(
+        i != j and rows[j].get(i) == -x for i, r in enumerate(rows) for j, x in r.items()
+    )
+
+
 def pfaffian(matrix: PolyMatrix):
     """Pfaffian of a skew-symmetric matrix by expansion along the first
     remaining row, memoized on index subsets.  pf of an odd-size matrix is 0
-    and pf of the empty matrix is 1."""
-    if not matrix.is_skew():
+    and pf of the empty matrix is 1.
+
+    A rational Scalar matrix (no entry with a sqrt2 part) is expanded on its
+    raw r0 components, ints and Fractions, and only the result is a Scalar;
+    polynomial and Q(sqrt2) matrices are expanded on their entries."""
+    rows, zero = matrix._rows, matrix.zero
+    raw = type(zero) is Scalar and all(
+        type(x) is Scalar and not x.r1 for r in rows for x in r.values()
+    )
+    if raw:
+        rows, zero, one = [{j: x.r0 for j, x in r.items()} for r in rows], 0, 1
+    else:
+        one = matrix.one
+    if not _is_skew(rows, matrix.ncols):
         raise ValueError("pfaffian requires a skew-symmetric matrix")
-    n = matrix.nrows
-    zero, one = matrix.zero, matrix.one
+    n = len(rows)
     if n % 2:
-        return zero
-    rows = matrix._rows
-    cache: Dict[Tuple[int, ...], object] = {}
+        return matrix.zero
+    pf = _expand_pfaffian(rows, tuple(range(n)), {}, zero, one)
+    return Scalar(pf) if raw else pf
 
-    def rec(idx: Tuple[int, ...]):
-        if not idx:
-            return one
-        got = cache.get(idx)
-        if got is not None:
-            return got
-        i = idx[0]
-        rest = idx[1:]
-        total = None
-        for pos, j in enumerate(rest):
-            a = rows[i].get(j)
-            if a is None:
-                continue
-            sub = rec(rest[:pos] + rest[pos + 1:])
-            term = a * sub
-            if pos % 2:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            total = zero
-        cache[idx] = total
-        return total
 
-    return rec(tuple(range(n)))
+def _expand_pfaffian(rows: Sequence[Mapping], idx: Tuple[int, ...], cache: Dict, zero, one):
+    """pf of the principal submatrix on idx, expanded along its first row
+    and memoized in cache.  A module function, not a closure: a closure
+    that calls itself is a reference cycle, which would keep each call's
+    cache alive until the next garbage collection."""
+    if not idx:
+        return one
+    got = cache.get(idx)
+    if got is not None:
+        return got
+    i = idx[0]
+    rest = idx[1:]
+    total = None
+    for pos, j in enumerate(rest):
+        a = rows[i].get(j)
+        if a is None:
+            continue
+        term = a * _expand_pfaffian(rows, rest[:pos] + rest[pos + 1:], cache, zero, one)
+        if pos % 2:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        total = zero
+    cache[idx] = total
+    return total
 
 
 def exp_nilpotent(matrix: PolyMatrix) -> PolyMatrix:

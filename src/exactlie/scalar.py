@@ -16,8 +16,10 @@ arithmetic costs a fraction of Fraction arithmetic.  The constructor
 normalises raw input once; every arithmetic result is built by _make from
 components already in that form, folding integral Fractions back to int.
 
-matrix_product, the kernel of Scalar matrix products, is the one place
-outside Scalar that reads the components: it sums each entry on them.
+Two kernels outside Scalar compute on the components and make a Scalar
+only of each result: matrix_product, the kernel of Scalar matrix
+products, sums each entry on them, and polymat.pfaffian expands a
+rational matrix on its r0 components.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import pytest
 
 from exactlie import dualpair as dp
 from exactlie.cli import main
+from exactlie.slicegeom import MAX_RANK
 
 
 def run(capsys, argv):
@@ -64,6 +65,13 @@ def test_slice_wrong_orbit_for_rank(capsys):
     code, _, err = run(capsys, ["slice", "--algebra", "sp", "--rank", "3", "--orbit", "2,1,1"])
     assert code == 2
     assert "hook orbit" in err
+
+
+def test_slice_rank_above_the_limit_rejected(capsys):
+    assert MAX_RANK == 20
+    code, out, err = run(capsys, ["slice", "--algebra", "sp", "--rank", "21", "--orbit", "40,1,1"])
+    assert (code, out) == (2, "")
+    assert err == "error: slice is limited to rank <= 20, got rank = 21\n"
 
 
 def test_classify_enumerate_c4(capsys):
@@ -170,6 +178,28 @@ def test_dualpair_invalid_i(capsys):
     code, _, err = run(capsys, ["dualpair", "--n", "4", "--i", "2"])
     assert code == 2
     assert "odd" in err
+
+
+# (n, i) in {0, 1, 2, 4, 9} x {0, 1, 2, 3, 5} but for the four valid pairs
+# (2, 1), (2, 2), (4, 1) and (4, 3)
+DUALPAIR_INVALID = [
+    (n, i) for n in (0, 1, 2, 4, 9) for i in (0, 1, 2, 3, 5)
+    if (n, i) not in {(2, 1), (2, 2), (4, 1), (4, 3)}
+]
+
+
+@pytest.mark.parametrize("n,i", DUALPAIR_INVALID)
+def test_dualpair_input_errors_are_pinned(capsys, n, i):
+    # the n bound first, then kp_find_element's own checks on n and i,
+    # each reported in its words
+    if n > dp.MAX_N:
+        want = f"dualpair is limited to n <= 8, got n = {n}"
+    elif n < 2:
+        want = "need n >= 2"
+    else:
+        want = "need 1 <= i <= n with i odd or i = n"
+    code, out, err = run(capsys, ["dualpair", "--n", str(n), "--i", str(i)])
+    assert (code, out, err) == (2, "", f"error: {want}\n")
 
 
 def test_json_output_is_deterministic(capsys):

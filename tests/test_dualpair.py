@@ -198,7 +198,10 @@ def test_witness_checks_reject_a_wrong_matrix(monkeypatch):
     monkeypatch.undo()
     one_block = dualpair._witness(4, 1)
     monkeypatch.setattr(dualpair, "_witness", lambda n, i: one_block)
-    with pytest.raises(AssertionError, match=r"got \(7, 1\)/\(6,\), wanted \(5, 3\)/\(4, 2\)"):
+    with pytest.raises(
+        AssertionError,
+        match=r"^witness has the wrong Jordan types: got \(7, 1\)/\(6,\), wanted \(5, 3\)/\(4, 2\)$",
+    ):
         kp_find_element(4, 3)
 
 

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from exactlie import polymat
+from exactlie import cli, polymat
 from exactlie.elim import (
     eliminate_triangular,
     ideal_membership_bounded,
@@ -241,6 +242,221 @@ def test_mpoly_from_text_rejects_what_to_text_never_emits(text):
     # x, x, x - y, x + y, x, x and x if any run of signs is taken, are too
     with pytest.raises(ValueError):
         MPoly.from_text(text, ("x", "y"))
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<pow>\^)|(?P<star>\*)"
+    r"|(?P<sign>[+-])|(?P<frac>\d+/\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*))"
+)
+
+
+def token_loop_from_text(text, vars):
+    """MPoly.from_text as a token loop, one regex match and one
+    groupdict() per token and one MPoly sum per term: the oracle for the
+    per-term parser, which must accept the same texts with the same
+    values."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ValueError(f"cannot tokenize {text[pos:]!r}")
+            break
+        pos = m.end()
+        for kind, val in m.groupdict().items():
+            if val is not None:
+                tokens.append((kind, val))
+                break
+
+    i = 0
+
+    def peek():
+        return tokens[i] if i < len(tokens) else (None, None)
+
+    def take(kind):
+        nonlocal i
+        k, v = peek()
+        if k != kind:
+            raise ValueError(f"expected {kind}, found {k} {v!r}")
+        i += 1
+        return v
+
+    def take_sign(first):
+        k, v = peek()
+        if k != "sign":
+            if not first:
+                raise ValueError(f"missing sign before {v!r}")
+            return 1
+        if first and v == "+":
+            raise ValueError("leading '+'")
+        take("sign")
+        if peek()[0] == "sign":
+            raise ValueError("repeated sign")
+        return -1 if v == "-" else 1
+
+    def take_fraction():
+        num, _, den = take("frac").partition("/")
+        if den and int(den) == 0:
+            raise ValueError("zero denominator")
+        return Fraction(int(num), int(den or 1))
+
+    def parse_paren_scalar():
+        take("lpar")
+        r0 = Fraction(0)
+        r1 = Fraction(0)
+        first = True
+        while first or peek()[0] != "rpar":
+            sgn = take_sign(first)
+            if peek()[0] == "frac":
+                q = take_fraction()
+                if peek() == ("star", "*"):
+                    take("star")
+                    if take("name") != "sqrt2":
+                        raise ValueError("only sqrt2 allowed in coefficients")
+                    r1 += sgn * q
+                else:
+                    r0 += sgn * q
+            elif peek()[0] == "name":
+                if take("name") != "sqrt2":
+                    raise ValueError("only sqrt2 allowed in coefficients")
+                r1 += sgn
+            else:
+                raise ValueError(f"bad coefficient token {peek()!r}")
+            first = False
+        take("rpar")
+        return Scalar(r0, r1)
+
+    result = MPoly.zero(vars)
+    nvars = len(vars)
+    while i < len(tokens):
+        coef = Scalar(take_sign(i == 0))
+        exps = [0] * nvars
+        expect_factor = True
+        saw_any = False
+        while expect_factor:
+            kind, val = peek()
+            if kind == "frac":
+                coef = coef * take_fraction()
+            elif kind == "lpar":
+                coef = coef * parse_paren_scalar()
+            elif kind == "name":
+                name = take("name")
+                if name == "sqrt2":
+                    coef = coef * Scalar.sqrt2()
+                else:
+                    if name not in vars:
+                        raise ValueError(f"unknown variable {name!r}")
+                    k = 1
+                    if peek()[0] == "pow":
+                        take("pow")
+                        k = int(take("frac"))
+                    exps[vars.index(name)] += k
+            else:
+                raise ValueError(f"unexpected token {val!r}")
+            saw_any = True
+            if peek()[0] == "star":
+                take("star")
+            else:
+                expect_factor = False
+        if not saw_any:
+            raise ValueError("empty term")
+        result = result + MPoly.monomial(vars, tuple(exps), coef)
+    return result
+
+
+def parse_outcome(parse, text, vars):
+    """The parsed polynomial, or None where the text raises ValueError."""
+    try:
+        return parse(text, vars)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("x*x", "x^2"),
+        ("2*3*x", "6*x"),
+        ("x*2", "2*x"),
+        ("x^0", "1"),
+        ("0*x", "0"),
+        ("(1)*x", "x"),
+        ("x - x", "0"),
+        ("", "0"),
+        (" \t", "0"),
+        ("x^2*y*x", "x^3*y"),
+        ("sqrt2*sqrt2*y", "2*y"),
+        ("(1 + sqrt2)*(1 - sqrt2)", "-1"),
+        ("(-sqrt2 + 1/2 - 1/2*sqrt2)*x*(2)", "-(-1 + 3*sqrt2)*x"),
+        ("1/2*y + x - 3/2*y + y", "x"),
+        (" - x ^ 2 *y+ 4/6 ", "-x^2*y + 2/3"),
+    ],
+)
+def test_mpoly_from_text_reads_products_of_factors(text, want):
+    # the grammar is wider than what to_text writes: a term is any product
+    # of factors, and like terms are summed
+    vars = ("x", "y")
+    got = MPoly.from_text(text, vars)
+    assert got.to_text() == want
+    assert got == token_loop_from_text(text, vars)
+
+
+def test_mpoly_from_text_matches_the_token_loop_on_the_roundtrip_texts():
+    texts = [p.to_text() for p in cli.roundtrip_polys()] + list(cli.MALFORMED_TEXTS)
+    assert len(texts) == 587
+    for text in texts:
+        got = parse_outcome(MPoly.from_text, text, cli.ROUNDTRIP_VARS)
+        assert got == parse_outcome(token_loop_from_text, text, cli.ROUNDTRIP_VARS), text
+
+
+TEXT_ALPHABET = (
+    "x", "y", "z", "w", "sqrt2", "sqrt2x", "x1", "_", "0", "1", "2", "12", "007",
+    "1/2", "2/3", "3/0", "(", ")", "^", "*", "+", "-", "/", " ", "\t",
+)
+
+
+def random_text(rng):
+    """A string over the token alphabet: tokens drawn at random, or a
+    to_text output or product of factors with a few tokens inserted,
+    deleted or replaced, so that both parsers meet accepted and rejected
+    texts near every rule."""
+    kind = rng.random()
+    if kind < 0.35:
+        return "".join(rng.choice(TEXT_ALPHABET) for _ in range(rng.randint(0, 12)))
+    if kind < 0.7:
+        pieces = list(random_poly(rng, ("x", "y", "z"), max_terms=3, max_exp=3).to_text())
+    else:
+        factor = ("2", "1/2", "(1 - sqrt2)", "(sqrt2)", "sqrt2", "x", "y^2", "z^0")
+        pieces = list(" - ".join(
+            " * ".join(rng.choice(factor) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        ))
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        k = rng.randint(0, len(pieces))
+        op = rng.random()
+        if op < 0.4 or not pieces:
+            pieces.insert(k, rng.choice(TEXT_ALPHABET))
+        elif op < 0.7:
+            del pieces[min(k, len(pieces) - 1)]
+        else:
+            pieces[min(k, len(pieces) - 1)] = rng.choice(TEXT_ALPHABET)
+    return "".join(pieces)
+
+
+def test_mpoly_from_text_matches_the_token_loop_on_random_strings():
+    rng = random.Random(2101)
+    vars = ("x", "y", "z")
+    accepted = rejected = 0
+    for _ in range(5000):
+        text = random_text(rng)
+        got = parse_outcome(MPoly.from_text, text, vars)
+        assert got == parse_outcome(token_loop_from_text, text, vars), text
+        if got is None:
+            rejected += 1
+        else:
+            accepted += 1
+    assert accepted > 1000 and rejected > 1000
 
 
 def test_divide_by_monic_in_var():
@@ -670,6 +886,103 @@ def test_empty_matrices_keep_their_shape():
     tall = PolyMatrix.zeros(3, 0).transpose()
     assert (tall.nrows, tall.ncols) == (0, 3)
     assert tall == wide
+
+
+def ring_pfaffian(m):
+    """pf(m) expanded along the first remaining row on the ring entries
+    themselves, memoized on index subsets: the oracle for pfaffian's raw
+    path, which expands rational Scalar matrices on their components."""
+    if not m.is_skew():
+        raise ValueError("not skew")
+    if m.nrows % 2:
+        return m.zero
+    cache = {}
+
+    def rec(idx):
+        if not idx:
+            return m.one
+        if idx not in cache:
+            total = m.zero
+            for pos, j in enumerate(idx[1:]):
+                a = m.entry(idx[0], j)
+                if a:
+                    sub = rec(idx[1:pos + 1] + idx[pos + 2:])
+                    total = total - a * sub if pos % 2 else total + a * sub
+            cache[idx] = total
+        return cache[idx]
+
+    return rec(tuple(range(m.nrows)))
+
+
+PF_ENTRIES = {
+    "int": lambda rng: Scalar(rng.randint(-5, 5)),
+    "fraction": lambda rng: Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+    "sqrt2": lambda rng: SCALAR_KINDS["sqrt2"](rng),
+    "mpoly": lambda rng: small_mpoly_entry(rng) + rng.randint(-2, 2),
+}
+
+
+def skew_from(rng, n, entry, zero):
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.8:
+                rows[i][j] = entry(rng)
+                rows[j][i] = -rows[i][j]
+    return PolyMatrix(rows) if n else PolyMatrix.zeros(0, 0, zero)
+
+
+@pytest.mark.parametrize("kind", sorted(PF_ENTRIES))
+def test_pfaffian_matches_the_ring_expansion(kind):
+    rng = random.Random(211)
+    zero = MPoly.zero(ORACLE_VARS) if kind == "mpoly" else Scalar(0)
+    for n in range(9 if kind != "mpoly" else 7):
+        for _ in range(3):
+            m = skew_from(rng, n, PF_ENTRIES[kind], zero)
+            got = pfaffian(m)
+            assert got == ring_pfaffian(m)
+            assert type(got) is type(zero)
+            if n == 0:
+                assert got == m.one
+            if type(got) is Scalar:
+                assert all(type(q) is int or q.denominator != 1 for q in (got.r0, got.r1))
+
+
+@pytest.mark.parametrize("kind", sorted(PF_ENTRIES))
+def test_pfaffian_rejects_a_diagonal_entry_and_an_asymmetric_pair(kind):
+    rng = random.Random(223)
+    zero = MPoly.zero(ORACLE_VARS) if kind == "mpoly" else Scalar(0)
+    m = skew_from(rng, 4, PF_ENTRIES[kind], zero)
+    one = m.one
+    # a nonzero diagonal entry, or one entry of a pair moved off a_ji == -a_ij
+    for (i, j), delta in (((1, 1), one), ((2, 0), one), ((0, 3), -one), ((3, 3), one)):
+        broken = PolyMatrix([
+            [m.entry(r, c) + (delta if (r, c) == (i, j) else zero) for c in range(4)]
+            for r in range(4)
+        ])
+        with pytest.raises(ValueError, match="skew"):
+            pfaffian(broken)
+    with pytest.raises(ValueError, match="skew"):
+        pfaffian(PolyMatrix.zeros(2, 3, zero))
+
+
+def test_rational_pfaffian_makes_no_scalar_product(monkeypatch):
+    # the ring expansion of an 8 x 8 integer pfaffian makes one Scalar
+    # product per term of every subset it visits; the raw path makes none
+    m = skew_from(random.Random(227), 8, PF_ENTRIES["int"], Scalar(0))
+    want = ring_pfaffian(m)
+    products = []
+    mul = Scalar.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    got = pfaffian(m)
+    monkeypatch.setattr(Scalar, "__mul__", mul)
+    assert products == []
+    assert got == want != Scalar(0)
 
 
 # ---------------------------------------------------------------------------
