@@ -12,10 +12,9 @@ diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import le
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import liealg
 
@@ -29,16 +28,14 @@ MAX_ENUMERATE_RANK = 20
 _E_RANKS = (6, 7, 8)
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(NamedTuple):
     family: str
     rank: int
     partition: Optional[Partition] = None
     descriptor: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     b2: int
     star: bool
     subregular_singularity: Optional[str] = None

@@ -16,11 +16,10 @@ written in closed form, and their types are verified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .liealg import (
     jordan_type, make_algebra, power_ranks, preserves_form, standard_form,
@@ -56,8 +55,7 @@ def _n_of(X: PolyMatrix) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class KPElement:
+class KPElement(NamedTuple):
     n: int
     i: int
     X: PolyMatrix

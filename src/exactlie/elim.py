@@ -7,8 +7,7 @@ but "no certificate at this degree bound" is an answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .mpoly import MPoly
 from .polymat import PolyMatrix, solve_linear
@@ -58,8 +57,7 @@ def eliminate_triangular(
     return subs, residuals
 
 
-@dataclass
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     """target = sum(cofactors[i] * generators[i]), checked on creation."""
 
     cofactors: List[MPoly]
@@ -71,21 +69,26 @@ def weighted_monomials(
 ) -> Iterator[Tuple[int, ...]]:
     """All exponent tuples with weighted degree == degree (exact) or
     <= degree, in a fixed deterministic order."""
-    w = [weights[v] for v in vars]
+    yield from _monomials_from([weights[v] for v in vars], 0, degree, exact)
 
-    def rec(i: int, remaining: int) -> Iterator[Tuple[int, ...]]:
-        if i == len(w):
-            if remaining == 0 or not exact:
-                yield ()
-            return
-        step = w[i]
-        k = 0
-        while k * step <= remaining:
-            for rest in rec(i + 1, remaining - k * step):
-                yield (k,) + rest
-            k += 1
 
-    yield from rec(0, degree)
+def _monomials_from(
+    w: Sequence[int], i: int, remaining: int, exact: bool
+) -> Iterator[Tuple[int, ...]]:
+    """Exponents of the variables from i on with weights w[i:], of weighted
+    degree == remaining (exact) or <= remaining.  A module function, not a
+    closure that calls itself: that closure would be a reference cycle
+    per call, kept alive until the next garbage collection."""
+    if i == len(w):
+        if remaining == 0 or not exact:
+            yield ()
+        return
+    step = w[i]
+    k = 0
+    while k * step <= remaining:
+        for rest in _monomials_from(w, i + 1, remaining - k * step, exact):
+            yield (k,) + rest
+        k += 1
 
 
 def ideal_membership_bounded(

@@ -11,9 +11,8 @@ not recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .polymat import PolyMatrix, nullspace, solve_linear
 from .scalar import Scalar
@@ -60,8 +59,7 @@ def _euclidean_roots() -> List[Tuple[Fraction, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class RootSystemF4:
+class RootSystemF4(NamedTuple):
     roots: Tuple[Root, ...]
     simple_roots: Tuple[Root, ...]
     euclidean_coords: Dict[Root, Tuple[Fraction, ...]]
@@ -127,8 +125,7 @@ def reflection_closure_check(system: RootSystemF4) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedF4:
+class GradedF4(NamedTuple):
     weights: Tuple[int, int, int, int]
     grade_of_root: Dict[Root, int]
     dims: Dict[int, int]
@@ -212,8 +209,7 @@ def coweight_pair(system: RootSystemF4, root: Root) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SL2SL2Module:
+class SL2SL2Module(NamedTuple):
     """V + V' (x) S^2 V with explicit weight basis.
 
     basis entries are (name, (first weight, second weight)); e1 and e3

@@ -32,10 +32,9 @@ coords and bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .mpoly import MPoly
 from .polymat import PolyMatrix, kernel, linear_combination, nullspace, rank
@@ -74,9 +73,8 @@ def preserves_form(x: PolyMatrix, g: PolyMatrix, symmetric: bool) -> bool:
     return y.is_skew() if symmetric else y.is_symmetric()
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
-    """A Lie algebra on a named basis b_0..b_(dim-1).
+    """A Lie algebra on a named basis b_0..b_(dim-1); immutable.
 
     Elements are of whatever type the basis has.  `bracket(x, y)` is the
     Lie bracket; `coords(x)` reads x into basis coordinates and raises
@@ -85,11 +83,25 @@ class LieAlgebra:
     polynomial coefficients too, since `table` brackets two generic
     elements."""
 
-    names: Tuple[str, ...]
-    basis: Tuple = field(repr=False)
-    bracket: Callable = field(repr=False)
-    coords: Callable = field(repr=False)
-    combination: Callable = field(repr=False)
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        basis: Tuple,
+        bracket: Callable,
+        coords: Callable,
+        combination: Callable,
+    ):
+        # __setattr__ refuses, so fill the instance dict, where cached_property
+        # also stores `table`
+        self.__dict__.update(
+            names=names, basis=basis, bracket=bracket, coords=coords, combination=combination
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LieAlgebra is immutable")
+
+    def __repr__(self) -> str:
+        return f"LieAlgebra(names={self.names!r})"
 
     @property
     def dim(self) -> int:
@@ -157,17 +169,6 @@ class LieAlgebra:
                     )
                 table.setdefault(ij, {})[k] = coef
         return dict(sorted(table.items()))
-
-    def bracket_coords(self, x: Sequence, y: Sequence) -> List:
-        """Coordinates of [x, y] for coordinate vectors x and y, by
-        bilinearity; the entries may be Scalars or polynomials."""
-        out: List = [0] * self.dim
-        for (i, j), row in self.table.items():
-            xy = x[i] * y[j]
-            if xy:
-                for k, c in row.items():
-                    out[k] = out[k] + xy * c
-        return out
 
     def jacobi(self) -> int:
         """[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0 on every ordered basis
@@ -379,20 +380,26 @@ def block_form(m: int) -> PolyMatrix:
     )
 
 
-@dataclass
-class Triple:
+class Triple(NamedTuple):
     x: PolyMatrix
     y: PolyMatrix
     h: PolyMatrix
 
 
-@dataclass
 class NilpotentModel:
-    algebra: LieAlgebra
-    triple: Triple
-    partition: Tuple[int, ...]
-    family: str
-    form: Optional[PolyMatrix]  # None for sl and g2
+    def __init__(
+        self,
+        algebra: LieAlgebra,
+        triple: Triple,
+        partition: Tuple[int, ...],
+        family: str,
+        form: Optional[PolyMatrix],  # None for sl and g2
+    ):
+        self.algebra = algebra
+        self.triple = triple
+        self.partition = partition
+        self.family = family
+        self.form = form
 
     @cached_property
     def slice_dim(self) -> int:
@@ -463,8 +470,7 @@ def jm_triple(family: str, partition: Sequence[int]) -> NilpotentModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SliceChart:
+class SliceChart(NamedTuple):
     """Coordinates c_k = names[k] on x + sum_k c_k vectors[k]; c_k has
     weight w = coord_weights[k], so [h, vectors[k]] = (2 - w) vectors[k]."""
 

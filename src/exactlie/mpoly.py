@@ -275,17 +275,6 @@ class MPoly:
 
     # ---- substitution / evaluation ----
 
-    def evaluate(self, point: Dict[str, Scalar]) -> Scalar:
-        total = Scalar(0)
-        values = [Scalar.coerce(point[v]) for v in self.vars]
-        for e, c in self.terms.items():
-            prod = c
-            for k, val in zip(e, values):
-                if k:
-                    prod = prod * val ** k
-            total = total + prod
-        return total
-
     def substitute(self, mapping: Dict[str, "MPoly"]) -> "MPoly":
         """Substitute polynomials for variables.  Unmapped variables stay
         themselves.  All images must share one variable tuple, which becomes

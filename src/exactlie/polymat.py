@@ -314,30 +314,29 @@ def det_cofactor(matrix: PolyMatrix):
     if not matrix.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = matrix.nrows
-    rows = matrix._rows
-
-    def rec(row_idx: Tuple[int, ...], col_idx: Tuple[int, ...]):
-        if len(row_idx) == 1:
-            return rows[row_idx[0]].get(col_idx[0], matrix.zero)
-        i = row_idx[0]
-        rest = row_idx[1:]
-        total = None
-        for pos, j in enumerate(col_idx):
-            a = rows[i].get(j)
-            if a is None:
-                continue
-            sub = rec(rest, col_idx[:pos] + col_idx[pos + 1:])
-            term = a * sub
-            if pos % 2:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            return matrix.zero
-        return total
-
     if n == 0:
         return Scalar(1)
-    return rec(tuple(range(n)), tuple(range(n)))
+    return _expand_det(matrix._rows, tuple(range(n)), tuple(range(n)), matrix.zero)
+
+
+def _expand_det(rows: Sequence[Mapping], row_idx: Tuple[int, ...], col_idx: Tuple[int, ...], zero):
+    """det of the submatrix on row_idx x col_idx, expanded along its first
+    row.  A module function, not a closure, for the reason given at
+    _expand_pfaffian."""
+    if len(row_idx) == 1:
+        return rows[row_idx[0]].get(col_idx[0], zero)
+    i = row_idx[0]
+    rest = row_idx[1:]
+    total = None
+    for pos, j in enumerate(col_idx):
+        a = rows[i].get(j)
+        if a is None:
+            continue
+        term = a * _expand_det(rows, rest, col_idx[:pos] + col_idx[pos + 1:], zero)
+        if pos % 2:
+            term = -term
+        total = term if total is None else total + term
+    return zero if total is None else total
 
 
 def charpoly_coefficients(matrix: PolyMatrix) -> List:

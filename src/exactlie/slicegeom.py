@@ -13,9 +13,8 @@ the slice element of any chart, g2's included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .elim import eliminate_triangular
 from .liealg import SliceChart, chain_block, hook_slice
@@ -33,8 +32,7 @@ HOOK_VARS = ("a", "b", "x", "y", "z")
 MAX_RANK = 20
 
 
-@dataclass(frozen=True)
-class SliceInvariants:
+class SliceInvariants(NamedTuple):
     chart: SliceChart
     vars: Tuple[str, ...]
     matrix: PolyMatrix  # MPoly entries
@@ -63,8 +61,7 @@ def restrict_invariants(chart: SliceChart) -> SliceInvariants:
     return SliceInvariants(chart, vars, s, cp, pf)
 
 
-@dataclass
-class HookHypersurface:
+class HookHypersurface(NamedTuple):
     n: int
     invariants: SliceInvariants
     eliminations: Dict[str, MPoly]
@@ -164,8 +161,7 @@ def hook_factorization(n: int) -> Tuple[MPoly, MPoly]:
     return quotient, long_cp
 
 
-@dataclass
-class Normalization:
+class Normalization(NamedTuple):
     mapping: Dict[str, MPoly]
     unit: Scalar
     image: MPoly

@@ -6,6 +6,7 @@ forms (4x4 pfaffian), cofactor determinants, and reconstruction identities.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import re
@@ -35,6 +36,7 @@ from exactlie.polymat import (
     solve_linear,
 )
 from exactlie.scalar import Scalar
+from oracles import evaluate
 from sympy_oracle import sympy_charpoly_coefficients, to_sympy
 
 
@@ -169,7 +171,7 @@ def test_mpoly_substitute_and_evaluate():
     p = _poly("x^2 - 2*y", vars)
     q = p.substitute({"x": _poly("y + 1", vars)})
     assert q == _poly("y^2 + 1", vars)
-    val = p.evaluate({"x": Scalar(3), "y": Scalar(2)})
+    val = evaluate(p, {"x": Scalar(3), "y": Scalar(2)})
     assert val == Scalar(5)
 
 
@@ -983,6 +985,36 @@ def test_rational_pfaffian_makes_no_scalar_product(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", mul)
     assert products == []
     assert got == want != Scalar(0)
+
+
+def _recursion_calls():
+    rng = random.Random(233)
+    det_input = PolyMatrix([[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)])
+    pf_input = skew_from(random.Random(229), 6, PF_ENTRIES["int"], Scalar(0))
+    weights = {"x": 2, "y": 3, "z": 4}
+    return {
+        "det_cofactor": lambda: det_cofactor(det_input),
+        "pfaffian": lambda: pfaffian(pf_input),
+        "weighted_monomials": lambda: list(weighted_monomials(tuple(weights), weights, 12, False)),
+    }
+
+
+@pytest.mark.parametrize("name", ["det_cofactor", "pfaffian", "weighted_monomials"])
+def test_recursions_leave_no_reference_cycle(name):
+    # a closure that calls itself is a reference cycle per call, which
+    # holds the call's state until the next collection; the recursions
+    # are module functions, so a call leaves nothing for the collector
+    call = _recursion_calls()[name]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(3):
+            assert call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

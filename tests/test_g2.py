@@ -5,7 +5,6 @@ the hypersurface) is frozen here; the heavier exhaustive sweeps live in
 the acceptance suite.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -44,10 +43,12 @@ from exactlie.g2 import (
     slice_structure_check,
 )
 from exactlie.elim import eliminate_triangular, ideal_membership_bounded
+from exactlie.liealg import NilpotentModel
 from exactlie.mpoly import MPoly
 from exactlie.polymat import PolyMatrix, charpoly, det_cofactor, rank
 from exactlie.scalar import Scalar
 from exactlie.slicegeom import slice_matrix
+from oracles import evaluate
 
 
 def random_element(rng: random.Random) -> PolyMatrix:
@@ -343,8 +344,11 @@ def test_slice_structure_check_rejects_a_direction_outside_the_kernel(monkeypatc
 
 def test_slice_structure_check_rejects_a_wrong_partition(monkeypatch):
     chart = g2_chart()
-    wrong = dataclasses.replace(chart.model, partition=(2, 1, 1, 1, 1, 1))
-    monkeypatch.setattr(g2, "g2_chart", lambda: dataclasses.replace(chart, model=wrong))
+    model = chart.model
+    wrong = NilpotentModel(
+        model.algebra, model.triple, (2, 1, 1, 1, 1, 1), model.family, model.form
+    )
+    monkeypatch.setattr(g2, "g2_chart", lambda: chart._replace(model=wrong))
     with pytest.raises(AssertionError, match="Jordan type"):
         slice_structure_check()
 
@@ -445,9 +449,9 @@ def test_reverse_singular_locus_certificates():
     # a point of Sing(f) = V(relations) other than the vertex
     values = (Fraction(-2, 3), -1, -2, 0, Fraction(1, 3), 1, 2)
     point = {v: Scalar(x) for v, x in zip(VARS7, values)}
-    assert not f.evaluate(point)
-    assert not any(p.evaluate(point) for p in partials)
-    assert not any(r.evaluate(point) for r in rel.values())
+    assert not evaluate(f, point)
+    assert not any(evaluate(p, point) for p in partials)
+    assert not any(evaluate(r, point) for r in rel.values())
 
 
 def test_s3_model_frozen_and_relations_vanish():

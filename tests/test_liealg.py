@@ -1,7 +1,6 @@
 """Tests for the matrix Lie algebra layer: algebras cut out by forms,
 sl2-triples with adapted bases, Jordan types, and slice charts."""
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -32,6 +31,7 @@ from exactlie.liealg import (
 from exactlie.mpoly import MPoly
 from exactlie.polymat import PolyMatrix, invert, rank, solve_linear
 from exactlie.scalar import ONE, Scalar
+from oracles import bracket_coords
 
 
 def rand_combination(alg: LieAlgebra, rng: random.Random):
@@ -97,7 +97,9 @@ def test_bracket_closure():
 
 def _sp4_structure_constants(coords=None) -> LieAlgebra:
     alg = make_algebra("sp", 4)
-    return alg if coords is None else dataclasses.replace(alg, coords=coords)
+    if coords is None:
+        return alg
+    return LieAlgebra(alg.names, alg.basis, alg.bracket, coords, alg.combination)
 
 
 def test_structure_constants_satisfy_jacobi():
@@ -109,7 +111,7 @@ def test_structure_constants_satisfy_jacobi():
     x = lie.coords(rand_combination(lie, rng))
     y = lie.coords(rand_combination(lie, rng))
     dx, dy = lie.combination(x), lie.combination(y)
-    assert lie.combination(lie.bracket_coords(x, y)) == dx * dy - dy * dx
+    assert lie.combination(bracket_coords(lie, x, y)) == dx * dy - dy * dx
 
 
 def _pairwise_table(alg: LieAlgebra):
@@ -145,7 +147,7 @@ def test_bracket_that_is_not_bilinear_fails_the_build():
         return bracket(x, y) + bracket(x, bracket(x, y))
 
     with pytest.raises(AssertionError, match="not bilinear"):
-        dataclasses.replace(alg, bracket=quadratic_in_x).table
+        LieAlgebra(alg.names, alg.basis, quadratic_in_x, alg.coords, alg.combination).table
 
 
 def test_recombination_failure_names_a_failing_basis_pair():
@@ -155,7 +157,7 @@ def test_recombination_failure_names_a_failing_basis_pair():
         return [Scalar(0)] + alg.coords(m)[1:]
 
     with pytest.raises(AssertionError, match="do not recombine") as err:
-        dataclasses.replace(alg, coords=drop_first).table
+        LieAlgebra(alg.names, alg.basis, alg.bracket, drop_first, alg.combination).table
     # the named pair is one whose bracket has the dropped coordinate
     i, j = map(int, re.search(r"\[b(\d+), b(\d+)\]", str(err.value)).groups())
     assert alg.coords(bracket(alg.basis[i], alg.basis[j]))[0]
@@ -365,7 +367,7 @@ CHARTS = {"hook-n3": lambda: hook_slice(3), "g2": g2_chart}
 def _with_vector(chart, k, v):
     vectors = list(chart.vectors)
     vectors[k] = v
-    return dataclasses.replace(chart, vectors=tuple(vectors))
+    return chart._replace(vectors=tuple(vectors))
 
 
 @pytest.mark.parametrize("which", sorted(CHARTS))
@@ -378,7 +380,7 @@ def test_chart_check_rejects_each_broken_chart(which):
     weights = list(chart.coord_weights)
     weights[0] += 1
     with pytest.raises(AssertionError, match="wrong weight"):
-        check_chart(dataclasses.replace(chart, coord_weights=tuple(weights)))
+        check_chart(chart._replace(coord_weights=tuple(weights)))
     # one vector twice, under two coordinates of one weight
     i, j = next(
         (i, j) for i in range(chart.dim) for j in range(i + 1, chart.dim)
@@ -386,8 +388,8 @@ def test_chart_check_rejects_each_broken_chart(which):
     )
     with pytest.raises(AssertionError, match="dependent"):
         check_chart(_with_vector(chart, j, chart.vectors[i]))
-    dropped = dataclasses.replace(
-        chart, names=chart.names[1:], vectors=chart.vectors[1:],
+    dropped = chart._replace(
+        names=chart.names[1:], vectors=chart.vectors[1:],
         coord_weights=chart.coord_weights[1:],
     )
     with pytest.raises(AssertionError, match="does not span"):
@@ -398,7 +400,7 @@ def test_chart_check_rejects_each_broken_chart(which):
 def test_triple_check_rejects_a_doubled_y(which):
     model = CHARTS[which]().model
     check_triple(model.algebra, model.triple)
-    doubled = dataclasses.replace(model.triple, y=model.triple.y.scale(2))
+    doubled = model.triple._replace(y=model.triple.y.scale(2))
     with pytest.raises(AssertionError, match="sl2 relations fail"):
         check_triple(model.algebra, doubled)
 
@@ -409,7 +411,7 @@ def test_chart_check_rejects_a_vector_outside_the_algebra():
     # not in sp4: on the small block sp2 = sl2 is traceless
     gl_only = PolyMatrix.from_entries(4, 4, {(2, 2): 1})
     weights = (2,) + chart.coord_weights[1:]
-    outside = dataclasses.replace(_with_vector(chart, 0, gl_only), coord_weights=weights)
+    outside = _with_vector(chart, 0, gl_only)._replace(coord_weights=weights)
     with pytest.raises(ValueError, match="not in sp4"):
         check_chart(outside)
 
@@ -609,7 +611,7 @@ def test_ad_matrix_is_read_from_the_structure_constants(name):
     for _ in range(3):
         x = rand_combination(alg, rng)
         cx = alg.coords(x)
-        cols = [alg.bracket_coords(cx, e) for e in units]
+        cols = [bracket_coords(alg, cx, e) for e in units]
         want = PolyMatrix([[cols[k][i] for k in range(alg.dim)] for i in range(alg.dim)])
         assert alg.ad_matrix(x) == want
 
