@@ -207,16 +207,19 @@ def classify(label: OrbitLabel) -> ClassificationVerdict:
         elif family == "B":
             b2 = 2 * n - 1 if d == (2 * n - 1, 1, 1) else n
         else:
-            b2 = n + 1 if d in exceptional_partitions("C", n) else n
+            # exceptional_partitions("C", n) by its closed form, without
+            # building the n/2 + 1 labels: two parts, equal or both even
+            b2 = n + 1 if len(d) == 2 and (d[0] == d[1] or d[1] % 2 == 0) else n
         return ClassificationVerdict(b2, b2 == n, sub, tuple(notes))
 
     if family == "G":
         desc = label.descriptor or ""
         if desc == "regular" or desc == "dim:12":
             raise ValueError("regular orbit excluded")
-        if not desc.startswith("dim:"):
-            raise ValueError("G2 orbits are labelled dim:<k>")
-        dim = int(desc[4:])
+        try:
+            dim = int(desc[4:] if desc.startswith("dim:") else "")
+        except ValueError:  # not dim:<k>, or dim:abc, dim:
+            raise ValueError("G2 orbits are labelled dim:<k>") from None
         if dim not in _G2_TABLE:
             raise ValueError(f"no G2 orbit of dimension {dim}")
         b2, star = _G2_TABLE[dim]
@@ -258,53 +261,31 @@ def enumerate_orbits(family: str, rank: int) -> List[Dict[str, object]]:
         raise ValueError(
             f"enumeration is limited to rank <= {MAX_ENUMERATE_RANK}, got {family}{rank}"
         )
-    rows: List[Dict[str, object]] = []
     if family in ("A", "B", "C", "D"):
-        for d in valid_partitions(family, rank):
-            if d == regular_partition(family, rank):
-                continue
-            v = classify(OrbitLabel(family, rank, partition=d))
-            rows.append(
-                {
-                    "partition": list(d),
-                    "b2": v.b2,
-                    "star": v.star,
-                    "subregular_singularity": v.subregular_singularity,
-                }
-            )
-        rows.sort(key=lambda r: r["partition"], reverse=True)
+        # partitions_of lists the partitions in descending order, so the
+        # rows come out sorted
+        labels = [
+            OrbitLabel(family, rank, partition=d)
+            for d in valid_partitions(family, rank)
+            if d != regular_partition(family, rank)
+        ]
     elif family == "G":
-        for dim in sorted(_G2_TABLE, reverse=True):
-            v = classify(OrbitLabel("G", 2, descriptor=f"dim:{dim}"))
-            rows.append(
-                {
-                    "descriptor": f"dim:{dim}",
-                    "b2": v.b2,
-                    "star": v.star,
-                    "subregular_singularity": v.subregular_singularity,
-                }
-            )
+        labels = [
+            OrbitLabel("G", 2, descriptor=f"dim:{dim}") for dim in sorted(_G2_TABLE, reverse=True)
+        ]
     elif family == "F":
-        for desc in ("subregular", "other"):
-            v = classify(OrbitLabel("F", 4, descriptor=desc))
-            rows.append(
-                {
-                    "descriptor": desc,
-                    "b2": v.b2,
-                    "star": v.star,
-                    "subregular_singularity": v.subregular_singularity,
-                }
-            )
+        labels = [OrbitLabel("F", 4, descriptor=desc) for desc in ("subregular", "other")]
     else:
-        v = classify(OrbitLabel("E", rank, descriptor="other"))
-        rows.append(
-            {
-                "descriptor": "other",
-                "b2": v.b2,
-                "star": v.star,
-                "subregular_singularity": None,
-            }
-        )
+        labels = [OrbitLabel("E", rank, descriptor="other")]
+    rows: List[Dict[str, object]] = []
+    for label in labels:
+        v = classify(label)
+        if label.partition:
+            row: Dict[str, object] = {"partition": list(label.partition)}
+        else:
+            row = {"descriptor": label.descriptor}
+        row.update(b2=v.b2, star=v.star, subregular_singularity=v.subregular_singularity)
+        rows.append(row)
     return rows
 
 

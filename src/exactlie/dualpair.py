@@ -22,7 +22,8 @@ from random import Random
 from typing import Dict, List, NamedTuple, Tuple
 
 from .liealg import (
-    jordan_type, make_algebra, power_ranks, preserves_form, standard_form,
+    isometry_element, jordan_type, make_algebra, power_ranks, preserves_form,
+    standard_form,
 )
 from .mpoly import MPoly
 from .polymat import PolyMatrix, exp_nilpotent, pfaffian, rank
@@ -298,13 +299,14 @@ def moment_identity_check(n: int) -> Fraction:
 
 def equivariance_check(n: int, samples: int = 5, seed: int = 0) -> int:
     """pi(B X A^-1) = B pi(X) B^-1 and rho(B X A^-1) = A rho(X) A^-1 for
-    exactly-constructed isometries A, B (exponentials of nilpotent
-    algebra elements); returns the number of identities verified."""
+    exactly-constructed isometries A, B: the exponentials of the strictly
+    upper-triangular isometry_element at (0, 1) of G_V respectively G_U;
+    returns the number of identities verified."""
     rng = Random(seed)
     G_V, G_U = _forms(n)
     du, dv = 2 * n - 2, 2 * n
-    eta = _nilpotent_in_algebra(G_V, 0, 1, skew=False)
-    xi = _nilpotent_in_algebra(G_U, 0, 1, skew=True)
+    eta = isometry_element(G_V, 0, 1)
+    xi = isometry_element(G_U, 0, 1)
     A = exp_nilpotent(eta)
     A_inv = exp_nilpotent(eta.scale(-1))
     B = exp_nilpotent(xi)
@@ -322,17 +324,6 @@ def equivariance_check(n: int, samples: int = 5, seed: int = 0) -> int:
             raise AssertionError("X*X fails equivariance")
         checked += 2
     return checked
-
-
-def _nilpotent_in_algebra(G: PolyMatrix, a: int, b: int, skew: bool) -> PolyMatrix:
-    """Strictly upper-triangular element of the isometry algebra of G,
-    supported on positions (a, b) and the mirrored pair."""
-    m = G.nrows
-    for s in (1, -1):
-        cand = PolyMatrix.from_entries(m, m, {(a, b): 1, (m - 1 - b, m - 1 - a): s})
-        if preserves_form(cand, G, symmetric=not skew):
-            return cand
-    raise AssertionError("no mirrored generator preserves the form")
 
 
 def rank_chain_check(n: int, samples: int = 20, seed: int = 0) -> int:

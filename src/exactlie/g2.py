@@ -149,24 +149,10 @@ OFF_DIAGONAL = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def g2_basis() -> Tuple[PolyMatrix, ...]:
-    """Fourteen generators: six off-diagonal sl3 units, the two simple
-    coroots, and the standard column/row vectors."""
-    out: List[PolyMatrix] = []
-    for i, j in OFF_DIAGONAL:
-        rows = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-        rows[i][j] = 1
-        out.append(g2_element(rows, (0, 0, 0), (0, 0, 0)))
-    out.append(g2_element([[1, 0, 0], [0, -1, 0], [0, 0, 0]], (0, 0, 0), (0, 0, 0)))
-    out.append(g2_element([[0, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 0, 0), (0, 0, 0)))
-    for k in range(3):
-        v = [0, 0, 0]
-        v[k] = 1
-        out.append(g2_element([[0] * 3] * 3, tuple(v), (0, 0, 0)))
-    for k in range(3):
-        w = [0, 0, 0]
-        w[k] = 1
-        out.append(g2_element([[0] * 3] * 3, (0, 0, 0), tuple(w)))
-    return tuple(out)
+    """Fourteen generators, g2_combination of the unit coordinate vectors:
+    six off-diagonal sl3 units, the two simple coroots, and the standard
+    column/row vectors."""
+    return tuple(g2_combination([int(k == b) for k in range(14)]) for b in range(14))
 
 
 def _cross3(a: Sequence, b: Sequence) -> List:
@@ -219,8 +205,10 @@ def g2_coords(e: PolyMatrix) -> List:
 
 
 def g2_combination(coeffs: Sequence) -> PolyMatrix:
-    """sum_k coeffs[k] * g2_basis()[k], written out; the coefficients may
-    be Scalars or polynomials."""
+    """The element with coordinates coeffs in BASIS_NAMES order: A has
+    off-diagonal entries E_ij and diagonal (H1, H2 - H1, -H2), v = (v1, v2,
+    v3) and w = (w1, w2, w3).  So it is sum_k coeffs[k] * g2_basis()[k];
+    the coefficients may be Scalars or polynomials."""
     e12, e13, e21, e23, e31, e32, h1, h2 = coeffs[:8]
     a_rows = [[h1, e12, e13], [e21, h2 - h1, e23], [e31, e32, -h2]]
     return g2_element(a_rows, coeffs[8:11], coeffs[11:14])

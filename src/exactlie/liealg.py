@@ -14,10 +14,15 @@ the printed block formula.
 
 make_algebra cuts sl/so/sp out of gl_m by a bilinear form (or
 tracelessness for type A).  Its elements are PolyMatrix values, and so
-are the sl2-triples, the chart vectors and ad(x): membership tests
+are the sl2-triples, the chart vectors and ad(x).  Every form here is
+monomial, one nonzero entry per row, so M^T G + G M = 0 ties each entry
+M_ij to one partner entry (or to itself) and the so/sp basis is written
+down, one isometry_element per pair (Collingwood-McGovern, Nilpotent
+Orbits in Semisimple Lie Algebras, 1993).  Membership tests
 M^T G + G M = 0 through the one product G M (or tests the trace), and a
-coordinate readout takes the entries at the basis' free positions (the
-diagonal partial sums for sl) and is checked by recombining it.
+coordinate readout takes the entries at the basis elements' own
+positions (the diagonal partial sums for sl) and is checked by
+recombining it.
 Nilpotent elements come with adapted bases: each Jordan block gets the
 chain basis whose form is the alternating binomial antidiagonal, which
 keeps every structure constant rational and makes the printed models
@@ -37,7 +42,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .mpoly import MPoly
-from .polymat import PolyMatrix, kernel, linear_combination, nullspace, rank
+from .polymat import PolyMatrix, linear_combination, nullspace, rank
 from .scalar import ONE, ZERO, Scalar
 
 
@@ -202,30 +207,75 @@ class LieAlgebra:
         return count
 
 
-def _free_positions(basis: PolyMatrix) -> Tuple[int, ...]:
-    """The position whose entry carries each kernel vector's coordinate,
-    for a kernel basis held as matrix rows.  In the reduced kernel basis
-    each vector is 1 on its own free column and 0 on the others'; the free
-    column is its last nonzero entry."""
-    last: Dict[int, int] = {}
-    for idx, p, _ in basis.nonzeros():
-        last[idx] = max(p, last.get(idx, p))
-    owner = {p: idx for idx, p in last.items()}
-    if (
-        len(owner) != basis.nrows
-        or any(basis.entry(idx, p) != ONE for p, idx in owner.items())
-        or any(owner.get(p, idx) != idx for idx, p, _ in basis.nonzeros())
-    ):
-        raise AssertionError("kernel basis lost its free-column structure")
-    return tuple(owner)
+def _involution(g: PolyMatrix) -> Tuple[List[int], bool]:
+    """(sigma, symmetric) for a symmetric or skew form g whose row k has
+    one nonzero entry, g_k = g[k, sigma(k)]; ValueError for any other g."""
+    symmetric = g.is_symmetric()
+    if not symmetric and not g.is_skew():
+        raise ValueError("form is neither symmetric nor skew")
+    cols: List[List[int]] = [[] for _ in range(g.nrows)]
+    for k, col, _ in g.nonzeros():
+        cols[k].append(col)
+    if any(len(c) != 1 for c in cols):
+        raise ValueError("form needs exactly one nonzero entry in each row")
+    return [c for c, in cols], symmetric
+
+
+def _partner(g: PolyMatrix, sigma: List[int], i: int, j: int) -> Tuple[Tuple[int, int], Scalar]:
+    """(tau(i, j), c) with M_tau(i,j) = c M_ij on every M with M^T g + g M = 0,
+    for sigma from _involution(g): entry (sigma(i), j) of M^T g + g M is
+    g_sigma(j) M_tau(i,j) + g_sigma(i) M_ij with tau(i, j) = (sigma(j),
+    sigma(i)), so c = -g_sigma(i) / g_sigma(j).  tau is an involution; at a
+    fixed point M_ij = c M_ij, so the entry is free if c = 1 and 0 if not."""
+    si, sj = sigma[i], sigma[j]
+    return (sj, si), -(g.entry(si, i) / g.entry(sj, j))
+
+
+def _written(
+    g: PolyMatrix, symmetric: bool, p: Tuple[int, int], partner: Tuple[int, int], c: Scalar
+) -> PolyMatrix:
+    """The matrix with 1 at p and c at partner, checked with preserves_form."""
+    m = PolyMatrix.from_entries(g.nrows, g.nrows, {partner: c, p: ONE})
+    if not preserves_form(m, g, symmetric):
+        raise AssertionError(f"isometry element at {p} does not preserve the form")
+    return m
+
+
+def isometry_element(g: PolyMatrix, i: int, j: int) -> PolyMatrix:
+    """The element M of the isometry algebra M^T g + g M = 0 of a symmetric
+    or skew form g with M_ij = 1 and c at its partner tau(i, j) (_partner),
+    checked with preserves_form.  Raises ValueError for any other form (see
+    _involution), and at a fixed point of tau where the entry is forced to
+    0 (every fixed point of a symmetric form)."""
+    sigma, symmetric = _involution(g)
+    partner, c = _partner(g, sigma, i, j)
+    if partner == (i, j) and c != ONE:
+        raise ValueError(f"entry ({i}, {j}) is 0 on every isometry")
+    return _written(g, symmetric, (i, j), partner, c)
+
+
+def _form_basis(g: PolyMatrix) -> Tuple[List[PolyMatrix], List[Tuple[int, int]]]:
+    """The basis of the isometry algebra of a monomial form g and the
+    position of each element: the isometry_element of each pair {p, tau(p)}
+    at the larger flat index p, and of each free fixed point, in flat
+    order.  Each element is 1 at its own position and 0 at the others'."""
+    sigma, symmetric = _involution(g)
+    basis, positions = [], []
+    for p in ((i, j) for i in range(g.nrows) for j in range(g.nrows)):
+        partner, c = _partner(g, sigma, *p)
+        if partner < p or (partner == p and c == ONE):
+            basis.append(_written(g, symmetric, p, partner, c))
+            positions.append(p)
+    return basis, positions
 
 
 def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> LieAlgebra:
-    """Construct sl/so/sp of the given matrix size.  For so/sp the basis is
-    the deterministic kernel basis of M^T G + G M = 0; its free-coordinate
-    structure doubles as an O(1) coordinate readout.  coords rejects a
-    matrix outside the algebra (ValueError) and checks every readout by
-    recombining it (AssertionError)."""
+    """Construct sl/so/sp of the given matrix size.  For so/sp the form
+    (standard_form by default) must have one nonzero entry per row, and the
+    basis is _form_basis(form): the coordinates are the entries at the
+    elements' own positions.  coords rejects a matrix outside the algebra
+    (ValueError) and checks every readout by recombining it
+    (AssertionError)."""
     if family == "sl":
         basis = [
             PolyMatrix.from_entries(size, size, {(i, j): ONE})
@@ -255,34 +305,21 @@ def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> L
             raise ValueError("so needs a symmetric form")
         if family == "sp" and not g.is_skew():
             raise ValueError("sp needs a skew form")
-        # constraint rows: (M^T G + G M)_(a,b) = 0, unknowns M_(i,j) flattened.
-        # A form entry G_(k,b) enters (M^T G)_(a,b) through M_(k,a) and
-        # (G M)_(k,a) through M_(b,a), for every a.
-        constraints: Dict[Tuple[int, int], Scalar] = {}
-        for k, b, x in g.nonzeros():
-            for a in range(size):
-                for key in ((a * size + b, k * size + a), (k * size + a, b * size + a)):
-                    constraints[key] = constraints.get(key, ZERO) + x
-        solutions = kernel(PolyMatrix.from_entries(size * size, size * size, constraints))
-        entries: List[Dict[Tuple[int, int], Scalar]] = [{} for _ in range(solutions.nrows)]
-        for idx, p, x in solutions.nonzeros():
-            entries[idx][divmod(p, size)] = x
-        basis = [PolyMatrix.from_entries(size, size, e) for e in entries]
+        basis, positions = _form_basis(g)
         expected = size * (size - 1) // 2 if family == "so" else size * (size + 1) // 2
         if len(basis) != expected:
             raise AssertionError(
                 f"{family}{size} basis has {len(basis)} elements, expected {expected}"
             )
-        free = [divmod(p, size) for p in _free_positions(solutions)]
 
         def member(x: PolyMatrix) -> bool:
             return preserves_form(x, g, family == "so")
 
         def readout(x: PolyMatrix) -> List[Scalar]:
-            # the stored entries, read once; a free position holding none
-            # reads as zero
+            # the stored entries, read once; a position holding none reads
+            # as zero
             stored = {(i, j): v for i, j, v in x.nonzeros()}
-            return [stored.get(p, x.zero) for p in free]
+            return [stored.get(p, x.zero) for p in positions]
 
     else:
         raise ValueError(f"unknown family {family!r}")

@@ -1,10 +1,11 @@
 """Oracles that only the tests use, written over the public API."""
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from exactlie.liealg import LieAlgebra
 from exactlie.mpoly import MPoly
-from exactlie.scalar import Scalar
+from exactlie.polymat import PolyMatrix, kernel
+from exactlie.scalar import ONE, ZERO, Scalar
 
 
 def evaluate(poly: MPoly, point: Dict[str, Scalar]) -> Scalar:
@@ -31,3 +32,35 @@ def bracket_coords(alg: LieAlgebra, x: Sequence, y: Sequence) -> List:
             for k, c in row.items():
                 out[k] = out[k] + xy * c
     return out
+
+
+def kernel_form_basis(g: PolyMatrix) -> Tuple[List[PolyMatrix], List[Tuple[int, int]]]:
+    """The basis of {M : M^T g + g M = 0} read from the reduced kernel of
+    the size^2 x size^2 constraint system, with the position that carries
+    each element's coordinate: in the reduced kernel basis each vector is
+    1 on its own free column and 0 on the others', and the free column is
+    its last nonzero entry."""
+    size = g.nrows
+    # constraint rows: (M^T G + G M)_(a,b) = 0, unknowns M_(i,j) flattened.
+    # A form entry G_(k,b) enters (M^T G)_(a,b) through M_(k,a) and
+    # (G M)_(k,a) through M_(b,a), for every a.
+    constraints: Dict[Tuple[int, int], Scalar] = {}
+    for k, b, x in g.nonzeros():
+        for a in range(size):
+            for key in ((a * size + b, k * size + a), (k * size + a, b * size + a)):
+                constraints[key] = constraints.get(key, ZERO) + x
+    solutions = kernel(PolyMatrix.from_entries(size * size, size * size, constraints))
+    entries: List[Dict[Tuple[int, int], Scalar]] = [{} for _ in range(solutions.nrows)]
+    last: Dict[int, int] = {}
+    for idx, p, x in solutions.nonzeros():
+        entries[idx][divmod(p, size)] = x
+        last[idx] = max(p, last.get(idx, p))
+    owner = {p: idx for idx, p in last.items()}
+    if (
+        len(owner) != solutions.nrows
+        or any(solutions.entry(idx, p) != ONE for p, idx in owner.items())
+        or any(owner.get(p, idx) != idx for idx, p, _ in solutions.nonzeros())
+    ):
+        raise AssertionError("kernel basis lost its free-column structure")
+    basis = [PolyMatrix.from_entries(size, size, e) for e in entries]
+    return basis, [divmod(p, size) for p in owner]

@@ -192,6 +192,32 @@ def test_exception_sets_match_closed_form_up_to_rank_8():
     assert exceptional_partitions("B", 5) == [(9, 1, 1)]
 
 
+def test_c_exceptions_by_closed_form_match_the_list():
+    # two parts, equal or both even: every valid C label of rank 2..15
+    count = 0
+    for n in range(2, 16):
+        listed = set(exceptional_partitions("C", n))
+        for d in valid_partitions("C", n):
+            if d != regular_partition("C", n):
+                assert (classify(OrbitLabel("C", n, partition=d)).b2 == n + 1) == (d in listed)
+                count += 1
+    assert count == 4728 - 14
+
+
+def test_single_c_orbit_needs_no_exception_list(monkeypatch):
+    # one label at rank 10^9 is decided without the n/2 + 1 listed labels
+    def refuse(family, n):
+        raise AssertionError("exceptional_partitions called")
+
+    monkeypatch.setattr("exactlie.classify.exceptional_partitions", refuse)
+    for n in (10**9, 10**9 + 1):
+        for d in ((2 * n - 2, 2), (n, n)):
+            v = classify(OrbitLabel("C", n, partition=d))
+            assert (v.b2, v.star) == (n + 1, False)
+        v = classify(OrbitLabel("C", n, partition=(2 * n - 4, 2, 2)))
+        assert (v.b2, v.star) == (n, True)
+
+
 def test_b2_monotone_along_closures():
     for n in range(2, 7):
         assert monotonicity_check("B", n) > 0

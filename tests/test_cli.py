@@ -114,6 +114,15 @@ def test_classify_g2_dims(capsys):
     assert report["results"]["b2"] == 3
 
 
+@pytest.mark.parametrize("label", ["dim:abc", "dim:", "dims:8"])
+def test_classify_g2_malformed_label(capsys, label):
+    # the label's grammar is reported, not the integer parser's message
+    code, out, err = run(capsys, ["classify", "--algebra", "G", "--rank", "2", "--orbit", label])
+    assert code == 2
+    assert out == ""
+    assert err == "error: G2 orbits are labelled dim:<k>\n"
+
+
 def test_f4_betti_json(capsys):
     code, report = run_json(capsys, ["f4", "betti"])
     assert code == 0
@@ -309,8 +318,16 @@ REPORT_DIGESTS = {
         "7153292e1f75d24abf4dc807f73fc02d3a80c402ddac4630205d9ef7e84f582e",
     "slice --algebra sp --rank 3 --orbit 4,1,1":
         "991417f660d9d8068dcbbd61d1aef1f43050aa6fa536cda99a3459e2ee64dff0",
+    "slice --algebra sp --rank 6 --orbit 10,1,1":
+        "2358ea3b565d05cd3165093bb04e02cc4bc1b190ac1ee7bd0f1528b72daf9c29",
     "classify --algebra C --rank 4 --enumerate":
         "89e0fb242151bad7bb4ac62882481b5897b041d4f7002419c237bd642742f63e",
+    "classify --algebra G --rank 2 --enumerate":
+        "84543f5b9121fa8cf6b7910d63eb443485e17b49905a1341ed7b677db5352923",
+    "classify --algebra F --rank 4 --enumerate":
+        "db2aa7dbe85a06c3c3840b720a629254d26174449fef775564952bdf57390248",
+    "classify --algebra E --rank 7 --enumerate":
+        "33026ed363ff1cc13153d5c4aac29daea8aa4dd82c93b0a11e47a5da5a7b2f0a",
     "classify --algebra B --rank 3 --orbit 5,1,1":
         "39618528f385ed348919b503c0f5809e79bf9ec11f13017c4dfcb363a3c81dd1",
     "f4 betti":
@@ -325,6 +342,8 @@ REPORT_DIGESTS = {
         "82adde08b2848e6d80922649fb377e706a8c8d9fff556c70ddacc715e2766bc8",
     "dualpair --n 4 --i 4":
         "2b5cc5073ffb5b39188f389129abfd0b7d657453c91fb94c47f01febf24ca450",
+    "dualpair --n 2 --i 2":
+        "4c3fe93a269f2cd96690f260213133eb707cf216089c3a1dec377604f2164c5c",
 }
 
 
@@ -346,10 +365,32 @@ REPORT_DIGESTS = {
                 ("normal-form", "pass"),
             ],
         ),
+        # n = 6: an sp(12) basis, the largest pinned
+        (
+            ["slice", "--algebra", "sp", "--rank", "6", "--orbit", "10,1,1"],
+            0,
+            passing(SLICE),
+        ),
         (
             ["classify", "--algebra", "C", "--rank", "4", "--enumerate"],
             0,
             passing(["star-iff-b2-equals-rank", "exception-set-closed-form"]),
+        ),
+        # the families labelled by descriptor instead of partition
+        (
+            ["classify", "--algebra", "G", "--rank", "2", "--enumerate"],
+            0,
+            passing(["star-iff-b2-equals-rank"]),
+        ),
+        (
+            ["classify", "--algebra", "F", "--rank", "4", "--enumerate"],
+            0,
+            passing(["star-iff-b2-equals-rank"]),
+        ),
+        (
+            ["classify", "--algebra", "E", "--rank", "7", "--enumerate"],
+            0,
+            passing(["star-iff-b2-equals-rank"]),
         ),
         (
             ["classify", "--algebra", "B", "--rank", "3", "--orbit", "5,1,1"],
@@ -368,6 +409,13 @@ REPORT_DIGESTS = {
         # i = 1 (pi has one block) and even i = n; n = 4 keeps the commutant row
         (["dualpair", "--n", "4", "--i", "1"], 0, passing(DUALPAIR + ["poisson-commutant"])),
         (["dualpair", "--n", "4", "--i", "4"], 0, passing(DUALPAIR + ["poisson-commutant"])),
+        # n = 2: sp(2), where the equivariance generator's (0, 1) is its own
+        # partner
+        (
+            ["dualpair", "--n", "2", "--i", "2"],
+            0,
+            passing(DUALPAIR + ["poisson-commutant", "moment-identity"]),
+        ),
     ],
 )
 def test_report_check_lists_are_pinned(capsys, argv, exit_code, checks):

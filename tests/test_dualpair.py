@@ -21,7 +21,9 @@ from exactlie.dualpair import (
     coordinate_names,
     symbolic_element,
 )
-from exactlie.liealg import jordan_type, make_algebra, standard_form
+from exactlie.liealg import (
+    isometry_element, jordan_type, make_algebra, preserves_form, standard_form,
+)
 from exactlie.polymat import PolyMatrix, invert, pfaffian, rank
 
 
@@ -363,6 +365,23 @@ def test_moment_identity_constant_is_frozen():
 def test_equivariance_under_exact_isometries():
     assert equivariance_check(2, samples=5, seed=1) == 10
     assert equivariance_check(3, samples=5, seed=2) == 10
+
+
+def test_equivariance_generators_are_the_mirrored_pairs():
+    # the written-down generators at (0, 1) are the ones a search over the
+    # sign s of E_01 + s E_(m-2, m-1) finds; at m = 2 that is E_01 alone
+    for n in range(2, 9):
+        for g, symmetric in zip(dualpair._forms(n), (True, False)):
+            m = g.nrows
+            searched = [
+                cand
+                for cand in (
+                    PolyMatrix.from_entries(m, m, {(0, 1): 1, (m - 2, m - 1): s})
+                    for s in (1, -1)
+                )
+                if preserves_form(cand, g, symmetric)
+            ]
+            assert isometry_element(g, 0, 1) == searched[0]
 
 
 def test_rank_chains():

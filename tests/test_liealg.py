@@ -18,6 +18,7 @@ from exactlie.liealg import (
     check_chart,
     check_triple,
     hook_slice,
+    isometry_element,
     jm_triple,
     jordan_type,
     make_algebra,
@@ -31,7 +32,7 @@ from exactlie.liealg import (
 from exactlie.mpoly import MPoly
 from exactlie.polymat import PolyMatrix, invert, rank, solve_linear
 from exactlie.scalar import ONE, Scalar
-from oracles import bracket_coords
+from oracles import bracket_coords, kernel_form_basis
 
 
 def rand_combination(alg: LieAlgebra, rng: random.Random):
@@ -562,22 +563,79 @@ def test_isometry_test_sees_a_violation_on_the_diagonal_only():
 
 def test_coords_recombination_catches_a_wrong_readout(monkeypatch):
     # membership alone does not vouch for the readout: read one coordinate
-    # at another coordinate's free position and only the recombination
-    # check can tell
+    # at another coordinate's position and only the recombination check
+    # can tell
     good = make_algebra("sp", 4)
     m = rand_combination(good, random.Random(2))
     good.coords(m)  # m is in the algebra
-    right = liealg._free_positions
+    right = liealg._form_basis
 
-    def swapped(kernel):
-        positions = list(right(kernel))
+    def swapped(g):
+        basis, positions = right(g)
         positions[0] = positions[1]
-        return tuple(positions)
+        return basis, positions
 
-    monkeypatch.setattr(liealg, "_free_positions", swapped)
+    monkeypatch.setattr(liealg, "_form_basis", swapped)
     alg = make_algebra("sp", 4)
     with pytest.raises(AssertionError, match="failed to reproduce"):
         alg.coords(m)
+
+
+def _monomial_forms():
+    """The standard so/sp forms of sizes 1..14 and the form of every
+    jm_triple model of size <= 10 in so and sp."""
+    for n in range(1, 15):
+        yield "so", standard_form("so", n)
+        if n % 2 == 0:
+            yield "sp", standard_form("sp", n)
+    for n in range(2, 11):
+        for family in ("so", "sp"):
+            for parts in partitions_of(n):
+                if valid_partition(family, n, parts):
+                    yield family, jm_triple(family, parts).form
+
+
+def test_form_basis_equals_the_constraint_kernel_basis():
+    # the written-down basis is the one the reduced kernel of
+    # M^T G + G M = 0 gives, element by element and position by position
+    count = 0
+    for family, g in _monomial_forms():
+        basis, positions = liealg._form_basis(g)
+        want_basis, want_positions = kernel_form_basis(g)
+        assert basis == want_basis
+        assert positions == want_positions
+        assert make_algebra(family, g.nrows, g).basis == tuple(want_basis)
+        count += 1
+    assert count == 21 + 113
+
+
+def test_isometry_element_pairs_each_entry_with_one_partner():
+    # sp(2): (0, 1) is its own partner and free; so(3): (1, 1) is its own
+    # partner and forced to 0; so(4): (0, 1) pairs with (2, 3)
+    assert isometry_element(standard_form("sp", 2), 0, 1) == PolyMatrix([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="0 on every isometry"):
+        isometry_element(standard_form("so", 3), 1, 1)
+    assert isometry_element(standard_form("so", 4), 0, 1) == PolyMatrix.from_entries(
+        4, 4, {(0, 1): 1, (2, 3): -1}
+    )
+    # a binomial block form: the coefficient is a ratio of form entries
+    g = block_form(3)
+    m = isometry_element(g, 0, 1)
+    assert m == PolyMatrix.from_entries(3, 3, {(0, 1): 1, (1, 2): Fraction(2)})
+    assert preserves_form(m, g, True)
+
+
+def test_form_that_is_not_monomial_raises():
+    full = PolyMatrix([[1, 1], [1, 1]])  # symmetric, two nonzeros per row
+    with pytest.raises(ValueError, match="exactly one nonzero"):
+        isometry_element(full, 0, 1)
+    with pytest.raises(ValueError, match="exactly one nonzero"):
+        make_algebra("so", 2, full)
+    zero_row = PolyMatrix.from_entries(3, 3, {(0, 2): 1, (2, 0): 1})
+    with pytest.raises(ValueError, match="exactly one nonzero"):
+        make_algebra("so", 3, zero_row)
+    with pytest.raises(ValueError, match="neither symmetric nor skew"):
+        isometry_element(PolyMatrix([[0, 1], [2, 0]]), 0, 1)
 
 
 GENERIC_ALGEBRAS = {
