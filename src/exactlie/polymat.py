@@ -15,17 +15,19 @@ Characteristic polynomials come from Berkowitz's division-free algorithm
 (Inf. Process. Lett. 18, 1984), which uses only ring operations and so is
 exact over any coefficient ring; the cofactor determinant is kept as an
 independent cross-check for small sizes.  Row reduction, kernels and
-linear solving are implemented for Scalar entries only: rref is sparse
-Gauss-Jordan elimination on copies of the matrix's rows that takes, for
-each column, the sparsest row still free as the pivot row, which keeps
-fill-in low and, the reduced form being unique, leaves the result as it
-is; rank, kernel, nullspace, solve_linear and invert each run one rref.
+linear solving are implemented for Scalar entries only: rref is sparse,
+fraction-free Gauss-Jordan elimination on integer copies of the matrix's
+rows that takes, for each column, the sparsest row still free as the
+pivot row, which keeps fill-in low and, the reduced form being unique,
+leaves the result as it is; rank, kernel, nullspace, solve_linear and
+invert each run one rref.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .mpoly import MPoly
@@ -484,22 +486,31 @@ def exp_nilpotent(matrix: PolyMatrix) -> PolyMatrix:
 def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
     """Reduced row echelon form over Q(sqrt2) with the pivot columns.
 
-    Sparse Gauss-Jordan elimination, column by column.  The candidates for
-    column c are the rows that are not pivot rows yet and hold an entry in
-    c; the pivot row is the candidate with the fewest stored entries, the
-    lowest row index breaking ties (Markowitz's rule restricted to rows,
-    Management Science 3, 1957), which keeps fill-in low.  The choice
-    cannot change the result: over a field every matrix has exactly one
-    reduced row echelon form, its pivot columns are those where the rank of
-    the leading columns grows, and a row that never becomes a pivot row
-    ends up empty.  The rows come back as the pivot rows in pivot-column
-    order, then the empty rows.
+    Fraction-free sparse Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) on rows first scaled by the lcm of their components'
+    denominators.  For each column c the pivot row is the row with the
+    fewest stored entries among those not pivot rows yet that hold c, the
+    lowest index breaking ties (Markowitz's rule restricted to rows,
+    Management Science 3, 1957), which keeps fill-in low.  Row i's entry f
+    in c is cleared as row_i <- (pv/g) row_i - (f/g) prow, pv the pivot and
+    g = gcd(pv, f), and row i is divided by its content (the gcd of its
+    components); each pivot row is divided by its pivot once, at the end.
+    None of this changes the result: entries cancel where they cancel over
+    the field, and over a field every matrix has exactly one reduced row
+    echelon form; a row that never becomes a pivot row ends up empty.  The
+    rows come back as the pivot rows in pivot-column order, then the empty
+    rows.  A rational matrix runs on the raw int components of its
+    entries; one with a sqrt2 part runs the same loop on Scalars, each
+    pivot row first taken times its pivot's conjugate.
 
     A column -> rows index, updated whenever an entry fills in or cancels,
     hands each step the rows that hold column c, so neither the candidate
-    search nor the elimination scans all rows.  A step touches those rows
-    only at the pivot row's nonzero columns."""
-    rows = [dict(r) for r in matrix._rows]
+    search nor the elimination scans all rows.  A step still touches the
+    whole of each row it clears, through the cross-multiplication and the
+    content reduction."""
+    rational = all(not x.r1 for r in matrix._rows for x in r.values())
+    integral, rationalize, content, divide, finish = _RATIONAL if rational else _SQRT2
+    rows = [integral(r) for r in matrix._rows]
     n, m = len(rows), matrix.ncols
     holders: List[set] = [set() for _ in range(m)]
     for i, row in enumerate(rows):
@@ -516,27 +527,35 @@ def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
         if best is None:
             continue
         p = best[1]
-        inv = rows[p][c].inverse()
-        prow = rows[p] = {j: x * inv for j, x in rows[p].items()}
-        # the pivot row's other entries, negated once for all target rows
-        update = [(j, -x) for j, x in prow.items() if j != c]
+        prow = rows[p] = rationalize(rows[p], c)
+        pv = prow[c]
+        update = [(j, x) for j, x in prow.items() if j != c]
         for i in held:
             if i == p:
                 continue
             row = rows[i]
             f = row.pop(c)
+            g = content(pv, f)
+            a, b = divide(pv, g), -divide(f, g)
+            # a = -1 gives -(row_i - b prow), a multiple of row_i - b prow
+            if a == -1:
+                a, b = 1, -b
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
             for j, x in update:
                 v = row.get(j)
                 if v is None:
-                    row[j] = f * x
+                    row[j] = b * x
                     holders[j].add(i)
                 else:
-                    v = v + f * x
+                    v = v + b * x
                     if v:
                         row[j] = v
                     else:
                         del row[j]
                         holders[j].discard(i)
+            g = content(*row.values())
+            rows[i] = {j: divide(x, g) for j, x in row.items()} if g > 1 else row
         # column c is now held by p alone, and no later pivot row holds it,
         # so no later step reads or updates its index; freeing it keeps the
         # peak memory at that of the unindexed elimination
@@ -544,8 +563,71 @@ def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
         is_pivot[p] = True
         pivots.append(c)
         order.append(p)
-    out = [rows[p] for p in order] + [row for i, row in enumerate(rows) if not is_pivot[i]]
+    out = [finish(rows[p], rows[p][c]) for p, c in zip(order, pivots)]
+    out += [row for i, row in enumerate(rows) if not is_pivot[i]]
     return PolyMatrix._make(out, m, matrix.zero), pivots
+
+
+def _integral_rational(row: Row) -> Row:
+    """The r0 components of a rational row times the lcm of their
+    denominators: a new row of ints."""
+    row = {j: x.r0 for j, x in row.items()}
+    d = lcm(*[x.denominator for x in row.values() if type(x) is not int])
+    if d > 1:
+        row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+    return row
+
+
+def _rational_pivot_row(row: Row, pv: int) -> Row:
+    """The Scalars of row / pv."""
+    out = {}
+    for j, x in row.items():
+        q, r = divmod(x, pv)
+        out[j] = Scalar(Fraction(x, pv) if r else q)
+    return out
+
+
+def _integral_sqrt2(row: Row) -> Row:
+    """row times the lcm of its components' denominators: a new row of
+    Scalars with integer components."""
+    d = lcm(*[c.denominator for x in row.values() for c in (x.r0, x.r1)])
+    return {j: x * d for j, x in row.items()} if d > 1 else dict(row)
+
+
+def _sqrt2_rationalize(row: Row, c: int) -> Row:
+    """row times the conjugate of its entry in column c, divided by its
+    content: its entry in c becomes rational.  The content then also
+    removes every factor of Z[sqrt2] common to the row's entries, as
+    alpha * conj(alpha) is an integer; left in the pivot row, such factors
+    would pass into every row it clears and grow without bound."""
+    x = row[c]
+    if not x.r1:
+        return row
+    conj = Scalar(x.r0, -x.r1)
+    row = {j: y * conj for j, y in row.items()}
+    g = _sqrt2_content(*row.values())
+    return {j: _sqrt2_divide(y, g) for j, y in row.items()} if g > 1 else row
+
+
+def _sqrt2_content(*xs: Scalar) -> int:
+    return gcd(*[c for x in xs for c in (x.r0, x.r1)])
+
+
+def _sqrt2_divide(x: Scalar, g: int) -> Scalar:
+    return Scalar(x.r0 // g, x.r1 // g)
+
+
+def _sqrt2_pivot_row(row: Row, pv: Scalar) -> Row:
+    inv = pv.inverse()
+    return {j: x * inv for j, x in row.items()}
+
+
+# rref's integer arithmetic per ring: a row with integer components from a
+# row of Scalars, a pivot row scaled to a rational pivot, the content of
+# some entries, an entry divided exactly by an int, and a pivot row divided
+# by its pivot as a row of Scalars
+_RATIONAL = (_integral_rational, lambda row, c: row, gcd, operator.floordiv, _rational_pivot_row)
+_SQRT2 = (_integral_sqrt2, _sqrt2_rationalize, _sqrt2_content, _sqrt2_divide, _sqrt2_pivot_row)
 
 
 def rank(matrix: PolyMatrix) -> int:
@@ -584,7 +666,10 @@ def solve_linear(matrix: PolyMatrix, rhs: Sequence) -> Optional[List[Scalar]]:
     solution" as an answer).
 
     One elimination: [A | b] is reduced once, and the system is consistent
-    exactly when no pivot lies in the b column.  Callers that need the
+    exactly when no pivot lies in the b column.  rref eliminates on integer
+    multiples of the rows of [A | b], b included, and divides by each pivot
+    only at the end; the reduced form is unique, so the solution read from
+    it is the one a rational elimination gives.  Callers that need the
     solution space read kernel(A) themselves."""
     b = [_coerce_entry(x) for x in rhs]
     if len(b) != matrix.nrows:

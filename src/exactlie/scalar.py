@@ -16,10 +16,11 @@ arithmetic costs a fraction of Fraction arithmetic.  The constructor
 normalises raw input once; every arithmetic result is built by _make from
 components already in that form, folding integral Fractions back to int.
 
-Two kernels outside Scalar compute on the components and make a Scalar
+Three kernels outside Scalar compute on the components and make a Scalar
 only of each result: matrix_product, the kernel of Scalar matrix
-products, sums each entry on them, and polymat.pfaffian expands a
-rational matrix on its r0 components.
+products, sums each entry on them, polymat.pfaffian expands a rational
+matrix on its r0 components, and polymat.rref eliminates a rational
+matrix on its r0 components cleared of denominators, as ints.
 """
 
 from __future__ import annotations
@@ -134,17 +135,25 @@ class Scalar:
         a, b = self.r0, self.r1
         if not a and not b:
             raise ZeroDivisionError("inverse of zero Scalar")
+        # Divide as Fraction: int / int would be a float.  A rational
+        # inverts as one Fraction.
+        if not b:
+            return _make(_fold(Fraction(1, a)), 0)
         # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2); the norm is nonzero since
-        # sqrt 2 is irrational.  Divide as Fraction: int / int would be a
-        # float.
+        # sqrt 2 is irrational
         norm = a * a - 2 * b * b
         return _make(_fold(Fraction(a, norm)), _fold(Fraction(-b, norm)))
 
     def __truediv__(self, other) -> "Scalar":
-        return self * Scalar.coerce(other).inverse()
+        other = Scalar.coerce(other)
+        c = other.r0
+        # two rationals divide as one Fraction; zero takes inverse's error
+        if c and not other.r1 and not self.r1:
+            return _make(_fold(Fraction(self.r0, c)), 0)
+        return self * other.inverse()
 
     def __rtruediv__(self, other) -> "Scalar":
-        return Scalar.coerce(other) * self.inverse()
+        return Scalar.coerce(other) / self
 
     def __pow__(self, exponent: int) -> "Scalar":
         if exponent < 0:

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,47 @@ def test_scalar_sign_and_str():
 def test_scalar_zero_division():
     with pytest.raises(ZeroDivisionError):
         Scalar(0).inverse()
+
+
+def sqrt2_formula_quotient(x: Scalar, y: Scalar) -> Scalar:
+    """x / y by the Q(sqrt2) formula: x (c - d s) / (c^2 - 2 d^2)."""
+    c, d = y.r0, y.r1
+    norm = c * c - 2 * d * d
+    return x * Scalar(Fraction(c, norm), Fraction(-d, norm))
+
+
+def test_rational_division_matches_the_sqrt2_formula():
+    rng = random.Random(59)
+
+    def operand():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-6, 6)
+        q = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        if kind == 1:
+            return q
+        return Scalar(q, Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5)))
+
+    def form(x):
+        return (x.r0, type(x.r0), x.r1, type(x.r1))
+
+    zeros = 0
+    for _ in range(400):
+        x, y = operand(), operand()
+        sx, sy = Scalar.coerce(x), Scalar.coerce(y)
+        if not sy:
+            zeros += 1
+            for divide in (lambda: sx / y, lambda: x / sy, lambda: sy.inverse()):
+                with pytest.raises(ZeroDivisionError):
+                    divide()
+            continue
+        want = form(sqrt2_formula_quotient(sx, sy))
+        assert form(sx / y) == want
+        assert form(x / sy) == want  # an int or Fraction x divides reflected
+        assert form(sy.inverse()) == form(sqrt2_formula_quotient(Scalar(1), sy))
+    assert zeros > 5
+    with pytest.raises(ZeroDivisionError):
+        Scalar(1, 1) / 0
 
 
 def _assert_stored_form(x: Scalar):
@@ -1327,7 +1370,9 @@ def assert_rref_matches_first_row_oracle(a):
 
 def sparse_test_matrices(seed, sqrt2, count=24):
     """Seeded sparse matrices: tall, wide, square rank-deficient (six rows
-    that are combinations of other rows, shuffled in) and zero matrices."""
+    that are combinations of other rows, shuffled in) and zero matrices;
+    rows of large coprime denominators, and rows whose content stays above
+    1 after an elimination step."""
     rng = random.Random(seed)
 
     def entry():
@@ -1340,7 +1385,36 @@ def sparse_test_matrices(seed, sqrt2, count=24):
             for _ in range(n)
         ]
 
+    def large_denominators(n, m):
+        # each entry over its own large prime: the lcm of a row's
+        # denominators is their product
+        primes = (p for p in itertools.count(10**6 + 1, 2)
+                  if all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
+        return [
+            [
+                Scalar(Fraction(rng.randint(-9, 9) or 1, next(primes)),
+                       Fraction(rng.randint(1, 9), next(primes)) if sqrt2 and rng.random() < 0.4 else 0)
+                if rng.random() < 0.5 else Scalar(0)
+                for _ in range(m)
+            ]
+            for _ in range(n)
+        ]
+
+    def content_after_a_step(n, m):
+        # rows p + k v with v zero in p's first column: clearing that
+        # column leaves k v, of content at least k
+        p = [Scalar(1)] + [entry() for _ in range(m - 1)]
+        rows = []
+        for _ in range(n):
+            v = [Scalar(0)] + [Scalar(rng.randint(-4, 4), rng.randint(-2, 2) if sqrt2 else 0)
+                               for _ in range(m - 1)]
+            k = rng.choice((2, 3, 6, 30))
+            rows.append([x + k * y for x, y in zip(p, v)])
+        return rows
+
     out = [PolyMatrix.zeros(7, 5), PolyMatrix.zeros(3, 9)]
+    out += [PolyMatrix(large_denominators(6, 8)), PolyMatrix(large_denominators(9, 5))]
+    out += [PolyMatrix(content_after_a_step(5, 7)), PolyMatrix(content_after_a_step(8, 4))]
     for k in range(count):
         small, large = rng.randint(3, 10), rng.randint(12, 24)
         kind = k % 3
@@ -1391,16 +1465,78 @@ def test_rref_on_the_inconsistent_z1_squared_system(monkeypatch):
     assert augmented.ncols - 1 in assert_rref_matches_first_row_oracle(augmented)
 
 
-def test_rref_pivot_choice_avoids_arrowhead_fill_in(monkeypatch):
-    # a dense first row, and a first-column and a diagonal entry in every
-    # other row: taking row 0 as the first pivot row fills in every row,
-    # about n^3 / 2 products; a sparsest-row pivot keeps every row at two
-    # entries
-    n = 30
+def recorded_rref_inputs(monkeypatch, run):
+    """Every matrix that run() passes to polymat.rref."""
+    seen = []
+    inner = polymat.rref
+
+    def recorded(matrix):
+        seen.append(matrix)
+        return inner(matrix)
+
+    monkeypatch.setattr(polymat, "rref", recorded)
+    run()
+    monkeypatch.setattr(polymat, "rref", inner)
+    return seen
+
+
+def test_rref_on_the_benchmark_systems(monkeypatch):
+    # every system of an ideal-membership benchmark pass at seeds 1 and 2,
+    # and of the reverse singular-locus certificates, against the oracle
+    from exactlie import g2
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for seed in (1, 2):
+        members = workloads.make_inputs("ideal-membership", seed)
+        outcomes = {}
+        seen = recorded_rref_inputs(
+            monkeypatch, lambda: workloads.run_ideal_membership(members, outcomes)
+        )
+        assert sorted(outcomes) == sorted(workloads.outcome_names("ideal-membership"))
+        assert all(outcomes.values())
+        assert len(seen) == 11
+        for a in seen:
+            assert_rref_matches_first_row_oracle(a)
+
+    f = g2.example_f()
+    partials = [f.derivative(v) for v in g2.VARS7]
+    weights = {v: g2.SLICE_DEGREES[v] for v in g2.VARS7}
+    rel = g2.slice_relations(g2.VARS7)
+    least = min(p.quasi_homogeneous_degree(weights) for p in partials)
+
+    def reverse_memberships():
+        for name in ("t1", "t2", "t3", "z1", "z2"):
+            for power, member in ((3, True), (2, False)):
+                target = rel[name] ** power
+                bound = target.quasi_homogeneous_degree(weights) - least
+                cert = ideal_membership_bounded(target, partials, weights, bound)
+                assert (cert is not None) == member
+
+    seen = recorded_rref_inputs(monkeypatch, reverse_memberships)
+    assert len(seen) == 10
+    for a in seen:
+        assert_rref_matches_first_row_oracle(a)
+
+
+def arrowhead_entries(n):
+    """A dense first row, and a first-column and a diagonal entry in every
+    other row."""
     entries = {(0, j): j + 1 for j in range(n)}
     for i in range(1, n):
         entries[(i, 0)] = 1
         entries[(i, i)] = i + 2
+    return entries
+
+
+def test_rref_pivot_choice_avoids_arrowhead_fill_in(monkeypatch):
+    # taking row 0 as the first pivot row fills in every row, about n^3 / 2
+    # products; a sparsest-row pivot keeps every row but row 0 at two
+    # entries.  A sqrt2 entry in a pivot row keeps the elimination on
+    # Scalars, where the count sees every product and row scaling.
+    n = 30
+    entries = arrowhead_entries(n)
     a = PolyMatrix.from_entries(n, n, entries)
     products = []
     mul = Scalar.__mul__
@@ -1410,12 +1546,32 @@ def test_rref_pivot_choice_avoids_arrowhead_fill_in(monkeypatch):
         return mul(x, y)
 
     monkeypatch.setattr(Scalar, "__mul__", counted)
-    got, pivots = rref(a)
+    got, pivots = rref(PolyMatrix.from_entries(n, n, {**entries, (1, 1): Scalar(3, 1)}))
     assert len(products) < 3 * n * n
     monkeypatch.setattr(Scalar, "__mul__", mul)
     assert pivots == list(range(n))
     assert got == PolyMatrix.identity(n)
+    got, pivots = rref(a)
+    assert pivots == list(range(n))
+    assert got == PolyMatrix.identity(n)
     assert_rref_matches_first_row_oracle(a)
+
+
+def test_rref_of_an_integer_matrix_runs_on_ints(monkeypatch):
+    # a rational matrix is eliminated on raw ints: no Scalar product and
+    # no Scalar inverse
+    n = 30
+    a = PolyMatrix.from_entries(n, n, arrowhead_entries(n))
+
+    def forbidden(*args):
+        raise AssertionError("Scalar arithmetic inside a rational rref")
+
+    monkeypatch.setattr(Scalar, "__mul__", forbidden)
+    monkeypatch.setattr(Scalar, "inverse", forbidden)
+    got, pivots = rref(a)
+    monkeypatch.undo()
+    assert pivots == list(range(n))
+    assert got == PolyMatrix.identity(n)
 
 
 def test_solve_linear_reads_kernel_from_one_elimination(monkeypatch):
