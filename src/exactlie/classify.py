@@ -61,6 +61,18 @@ def _normalize(d: Sequence[int]) -> Partition:
     return tuple(parts)
 
 
+def _natural(family: str, n: int) -> Tuple[str, int]:
+    """The rank-n algebra's natural representation: the algebra, as
+    liealg names it, and its dimension."""
+    algebras = {
+        "A": ("sl", n + 1), "B": ("so", 2 * n + 1),
+        "C": ("sp", 2 * n), "D": ("so", 2 * n),
+    }
+    if family not in algebras:
+        raise ValueError(f"no partition labels in family {family}")
+    return algebras[family]
+
+
 def valid_partition(family: str, n: int, d: Sequence[int]) -> bool:
     """Does d label a nilpotent orbit of the rank-n algebra?
 
@@ -71,30 +83,17 @@ def valid_partition(family: str, n: int, d: Sequence[int]) -> bool:
     These are the Jordan types of sl(n+1), so(2n+1), sp(2n) and so(2n).
     """
     parts = _normalize(d)
-    algebras = {
-        "A": ("sl", n + 1), "B": ("so", 2 * n + 1),
-        "C": ("sp", 2 * n), "D": ("so", 2 * n),
-    }
-    if family not in algebras:
-        raise ValueError(f"no partition labels in family {family}")
-    return liealg.valid_partition(*algebras[family], parts)
+    return liealg.valid_partition(*_natural(family, n), parts)
 
 
 def valid_partitions(family: str, n: int) -> List[Partition]:
-    m = n + 1 if family == "A" else (2 * n + 1 if family == "B" else 2 * n)
-    return [d for d in partitions_of(m) if valid_partition(family, n, d)]
+    algebra, size = _natural(family, n)
+    return [d for d in partitions_of(size) if liealg.valid_partition(algebra, size, d)]
 
 
 def regular_partition(family: str, n: int) -> Partition:
-    if family == "A":
-        return (n + 1,)
-    if family == "B":
-        return (2 * n + 1,)
-    if family == "C":
-        return (2 * n,)
-    if family == "D":
-        return (2 * n - 1, 1)
-    raise ValueError(f"no partition labels in family {family}")
+    size = _natural(family, n)[1]
+    return (size - 1, 1) if family == "D" else (size,)
 
 
 def dominance_leq(p: Sequence[int], q: Sequence[int]) -> bool:

@@ -16,11 +16,13 @@ Characteristic polynomials come from Berkowitz's division-free algorithm
 exact over any coefficient ring; the cofactor determinant is kept as an
 independent cross-check for small sizes.  Row reduction, kernels and
 linear solving are implemented for Scalar entries only: rref is sparse,
-fraction-free Gauss-Jordan elimination on integer copies of the matrix's
-rows that takes, for each column, the sparsest row still free as the
-pivot row, which keeps fill-in low and, the reduced form being unique,
-leaves the result as it is; rank, kernel, nullspace, solve_linear and
-invert each run one rref.
+fraction-free Gauss-Jordan elimination on rows of ints that takes, for
+each column, the sparsest row still free as the pivot row, which keeps
+fill-in low and, the reduced form being unique, leaves the result as it
+is.  A rational matrix is eliminated on its r0 components cleared of
+denominators, one with a sqrt2 part on its regular representation over
+Q, by the same loop; rank, kernel, nullspace, solve_linear and invert
+each run one rref.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import gcd, lcm
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .mpoly import MPoly
-from .scalar import ONE, ZERO, Scalar, matrix_product
+from .scalar import ONE, ZERO, Rational, Scalar, matrix_product
 
 Row = Dict[int, object]
 
@@ -484,42 +486,85 @@ def exp_nilpotent(matrix: PolyMatrix) -> PolyMatrix:
 
 
 def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
-    """Reduced row echelon form over Q(sqrt2) with the pivot columns.
+    """Reduced row echelon form over Q(sqrt2) with the pivot columns: the
+    pivot rows in pivot-column order, then the empty rows.
+
+    A rational matrix is reduced by _eliminate on its r0 components cleared
+    of denominators.  A matrix A with a sqrt2 part is reduced through its
+    regular representation M(A) over Q: entry a + b sqrt2 at (i, j) becomes
+    [[a, 2b], [b, a]] at rows 2i, 2i+1 and columns 2j, 2j+1.  M is an
+    injective ring map, so for R = rref(A) = E A, M(R) = M(E) M(A) has the
+    row space of M(A), M(E) being invertible; and M(R) is reduced, each
+    pivot 1 of R becoming a 2x2 identity block alone in its columns.  The
+    reduced form being unique, rref(M(A)) = M(R): its pivots come in pairs
+    (2c, 2c+1), and R[k][j] = M[2k][2j] + M[2k+1][2j] sqrt2 exactly."""
+    m = matrix.ncols
+    if all(not x.r1 for r in matrix._rows for x in r.values()):
+        out, pivots = _eliminate(
+            [_integral({j: x.r0 for j, x in r.items()}) for r in matrix._rows], m
+        )
+    else:
+        rows = []
+        for r in matrix._rows:
+            top, bottom = {}, {}
+            for j, x in r.items():
+                if x.r0:
+                    top[2 * j] = bottom[2 * j + 1] = x.r0
+                if x.r1:
+                    top[2 * j + 1], bottom[2 * j] = 2 * x.r1, x.r1
+            rows += [_integral(top), _integral(bottom)]
+        reduced, paired = _eliminate(rows, 2 * m)
+        pivots = [c >> 1 for c in paired[::2]]
+        if paired != [2 * c + k for c in pivots for k in (0, 1)]:
+            raise AssertionError(f"unpaired pivots {paired} in the regular representation")
+        out = [
+            {j >> 1: Scalar(top.get(j, ZERO).r0, bottom.get(j, ZERO).r0)
+             for j in {*top, *bottom} if not j & 1}
+            for top, bottom in zip(reduced[::2], reduced[1::2])
+        ]
+    return PolyMatrix._make(out, m, matrix.zero), pivots
+
+
+def _integral(row: Dict[int, Rational]) -> Dict[int, int]:
+    """A row of ints and Fractions times the lcm of their denominators: a
+    new row of ints."""
+    denominators = [x.denominator for x in row.values() if type(x) is not int]
+    if denominators:
+        d = lcm(*denominators)
+        row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+    return row
+
+
+def _eliminate(rows: List[Dict[int, int]], ncols: int) -> Tuple[List[Row], List[int]]:
+    """rref of the rational matrix with these integer rows, which it
+    consumes, as rows of rational Scalars, with the pivot columns.
 
     Fraction-free sparse Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968) on rows first scaled by the lcm of their components'
-    denominators.  For each column c the pivot row is the row with the
-    fewest stored entries among those not pivot rows yet that hold c, the
-    lowest index breaking ties (Markowitz's rule restricted to rows,
-    Management Science 3, 1957), which keeps fill-in low.  Row i's entry f
-    in c is cleared as row_i <- (pv/g) row_i - (f/g) prow, pv the pivot and
+    1968).  For each column c the pivot row is the row with the fewest
+    stored entries among those not pivot rows yet that hold c, the lowest
+    index breaking ties (Markowitz's rule restricted to rows, Management
+    Science 3, 1957), which keeps fill-in low.  Row i's entry f in c is
+    cleared as row_i <- (pv/g) row_i - (f/g) prow, pv the pivot and
     g = gcd(pv, f), and row i is divided by its content (the gcd of its
-    components); each pivot row is divided by its pivot once, at the end.
+    entries); each pivot row is divided by its pivot once, at the end.
     None of this changes the result: entries cancel where they cancel over
-    the field, and over a field every matrix has exactly one reduced row
-    echelon form; a row that never becomes a pivot row ends up empty.  The
-    rows come back as the pivot rows in pivot-column order, then the empty
-    rows.  A rational matrix runs on the raw int components of its
-    entries; one with a sqrt2 part runs the same loop on Scalars, each
-    pivot row first taken times its pivot's conjugate.
+    Q, and over a field every matrix has exactly one reduced row echelon
+    form; a row that never becomes a pivot row ends up empty.
 
     A column -> rows index, updated whenever an entry fills in or cancels,
     hands each step the rows that hold column c, so neither the candidate
     search nor the elimination scans all rows.  A step still touches the
     whole of each row it clears, through the cross-multiplication and the
     content reduction."""
-    rational = all(not x.r1 for r in matrix._rows for x in r.values())
-    integral, rationalize, content, divide, finish = _RATIONAL if rational else _SQRT2
-    rows = [integral(r) for r in matrix._rows]
-    n, m = len(rows), matrix.ncols
-    holders: List[set] = [set() for _ in range(m)]
+    n = len(rows)
+    holders: List[set] = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
             holders[j].add(i)
     is_pivot = [False] * n
     pivots: List[int] = []
     order: List[int] = []
-    for c in range(m):
+    for c in range(ncols):
         if len(order) == n:
             break
         held = holders[c]
@@ -527,7 +572,7 @@ def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
         if best is None:
             continue
         p = best[1]
-        prow = rows[p] = rationalize(rows[p], c)
+        prow = rows[p]
         pv = prow[c]
         update = [(j, x) for j, x in prow.items() if j != c]
         for i in held:
@@ -535,8 +580,8 @@ def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
                 continue
             row = rows[i]
             f = row.pop(c)
-            g = content(pv, f)
-            a, b = divide(pv, g), -divide(f, g)
+            g = gcd(pv, f)
+            a, b = pv // g, -(f // g)
             # a = -1 gives -(row_i - b prow), a multiple of row_i - b prow
             if a == -1:
                 a, b = 1, -b
@@ -554,8 +599,8 @@ def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
                     else:
                         del row[j]
                         holders[j].discard(i)
-            g = content(*row.values())
-            rows[i] = {j: divide(x, g) for j, x in row.items()} if g > 1 else row
+            g = gcd(*row.values())
+            rows[i] = {j: x // g for j, x in row.items()} if g > 1 else row
         # column c is now held by p alone, and no later pivot row holds it,
         # so no later step reads or updates its index; freeing it keeps the
         # peak memory at that of the unindexed elimination
@@ -563,71 +608,15 @@ def rref(matrix: PolyMatrix) -> Tuple[PolyMatrix, List[int]]:
         is_pivot[p] = True
         pivots.append(c)
         order.append(p)
-    out = [finish(rows[p], rows[p][c]) for p, c in zip(order, pivots)]
+    out = []
+    for p, c in zip(order, pivots):
+        pv, row = rows[p][c], {}
+        for j, x in rows[p].items():
+            q, r = divmod(x, pv)
+            row[j] = Scalar(Fraction(x, pv) if r else q)
+        out.append(row)
     out += [row for i, row in enumerate(rows) if not is_pivot[i]]
-    return PolyMatrix._make(out, m, matrix.zero), pivots
-
-
-def _integral_rational(row: Row) -> Row:
-    """The r0 components of a rational row times the lcm of their
-    denominators: a new row of ints."""
-    row = {j: x.r0 for j, x in row.items()}
-    d = lcm(*[x.denominator for x in row.values() if type(x) is not int])
-    if d > 1:
-        row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-    return row
-
-
-def _rational_pivot_row(row: Row, pv: int) -> Row:
-    """The Scalars of row / pv."""
-    out = {}
-    for j, x in row.items():
-        q, r = divmod(x, pv)
-        out[j] = Scalar(Fraction(x, pv) if r else q)
-    return out
-
-
-def _integral_sqrt2(row: Row) -> Row:
-    """row times the lcm of its components' denominators: a new row of
-    Scalars with integer components."""
-    d = lcm(*[c.denominator for x in row.values() for c in (x.r0, x.r1)])
-    return {j: x * d for j, x in row.items()} if d > 1 else dict(row)
-
-
-def _sqrt2_rationalize(row: Row, c: int) -> Row:
-    """row times the conjugate of its entry in column c, divided by its
-    content: its entry in c becomes rational.  The content then also
-    removes every factor of Z[sqrt2] common to the row's entries, as
-    alpha * conj(alpha) is an integer; left in the pivot row, such factors
-    would pass into every row it clears and grow without bound."""
-    x = row[c]
-    if not x.r1:
-        return row
-    conj = Scalar(x.r0, -x.r1)
-    row = {j: y * conj for j, y in row.items()}
-    g = _sqrt2_content(*row.values())
-    return {j: _sqrt2_divide(y, g) for j, y in row.items()} if g > 1 else row
-
-
-def _sqrt2_content(*xs: Scalar) -> int:
-    return gcd(*[c for x in xs for c in (x.r0, x.r1)])
-
-
-def _sqrt2_divide(x: Scalar, g: int) -> Scalar:
-    return Scalar(x.r0 // g, x.r1 // g)
-
-
-def _sqrt2_pivot_row(row: Row, pv: Scalar) -> Row:
-    inv = pv.inverse()
-    return {j: x * inv for j, x in row.items()}
-
-
-# rref's integer arithmetic per ring: a row with integer components from a
-# row of Scalars, a pivot row scaled to a rational pivot, the content of
-# some entries, an entry divided exactly by an int, and a pivot row divided
-# by its pivot as a row of Scalars
-_RATIONAL = (_integral_rational, lambda row, c: row, gcd, operator.floordiv, _rational_pivot_row)
-_SQRT2 = (_integral_sqrt2, _sqrt2_rationalize, _sqrt2_content, _sqrt2_divide, _sqrt2_pivot_row)
+    return out, pivots
 
 
 def rank(matrix: PolyMatrix) -> int:

@@ -19,8 +19,10 @@ components already in that form, folding integral Fractions back to int.
 Three kernels outside Scalar compute on the components and make a Scalar
 only of each result: matrix_product, the kernel of Scalar matrix
 products, sums each entry on them, polymat.pfaffian expands a rational
-matrix on its r0 components, and polymat.rref eliminates a rational
-matrix on its r0 components cleared of denominators, as ints.
+matrix on its r0 components, and polymat.rref eliminates on ints: a
+rational matrix's r0 components cleared of denominators, and for a
+matrix with a sqrt2 part the components of its regular representation
+over Q, each entry a + b sqrt2 written as the block [[a, 2b], [b, a]].
 """
 
 from __future__ import annotations

@@ -466,6 +466,22 @@ def test_degree_bound_zero_is_used_not_replaced(capsys, monkeypatch):
     assert detail == "bound 12 for 7 partials"
 
 
+def test_huge_degree_bound_costs_no_more_than_the_default(capsys):
+    # the certificate ansatz is graded: each cofactor has exactly the
+    # weighted degree that its target and generator leave, so a bound past
+    # that degree adds no column and the option needs no upper limit
+    _, default = run_json(capsys, ["g2", "verify"])
+    code, report = run_json(capsys, ["g2", "verify", "--degree-bound", str(10**18)])
+    assert code == 0
+    assert report["inputs"]["degree_bound"] == 10**18
+
+    def statuses(r):
+        return [(c["name"], c["status"]) for c in r["checks"]]
+
+    assert statuses(report) == statuses(default)
+    assert all(status == "pass" for _, status in statuses(report))
+
+
 def test_negative_degree_bound_rejected(capsys):
     code, out, err = run(capsys, ["g2", "verify", "--degree-bound", "-1"])
     assert code == 2

@@ -1532,46 +1532,47 @@ def arrowhead_entries(n):
 
 def test_rref_pivot_choice_avoids_arrowhead_fill_in(monkeypatch):
     # taking row 0 as the first pivot row fills in every row, about n^3 / 2
-    # products; a sparsest-row pivot keeps every row but row 0 at two
-    # entries.  A sqrt2 entry in a pivot row keeps the elimination on
-    # Scalars, where the count sees every product and row scaling.
+    # entries; a sparsest-row pivot keeps every row but row 0 at two
+    # entries.  Clearing an entry takes one gcd(pivot, entry), and then one
+    # gcd of all the entries of its row, so the summed gcd arguments count
+    # the entries the elimination touches: 3,828 here, and 14,790 when the
+    # first row holding the column is the pivot row.
     n = 30
-    entries = arrowhead_entries(n)
-    a = PolyMatrix.from_entries(n, n, entries)
-    products = []
-    mul = Scalar.__mul__
+    a = PolyMatrix.from_entries(n, n, arrowhead_entries(n))
+    touched = []
 
-    def counted(x, y):
-        products.append(1)
-        return mul(x, y)
+    def counted(*args):
+        touched.append(len(args))
+        return math.gcd(*args)
 
-    monkeypatch.setattr(Scalar, "__mul__", counted)
-    got, pivots = rref(PolyMatrix.from_entries(n, n, {**entries, (1, 1): Scalar(3, 1)}))
-    assert len(products) < 3 * n * n
-    monkeypatch.setattr(Scalar, "__mul__", mul)
-    assert pivots == list(range(n))
-    assert got == PolyMatrix.identity(n)
+    monkeypatch.setattr(polymat, "gcd", counted)
     got, pivots = rref(a)
+    assert sum(touched) < 6 * n * n
+    monkeypatch.undo()
     assert pivots == list(range(n))
     assert got == PolyMatrix.identity(n)
     assert_rref_matches_first_row_oracle(a)
 
 
 def test_rref_of_an_integer_matrix_runs_on_ints(monkeypatch):
-    # a rational matrix is eliminated on raw ints: no Scalar product and
-    # no Scalar inverse
+    # a rational matrix is eliminated on raw ints, and a Q(sqrt2) matrix on
+    # the raw ints of its regular representation: no Scalar product and no
+    # Scalar inverse
     n = 30
-    a = PolyMatrix.from_entries(n, n, arrowhead_entries(n))
+    entries = arrowhead_entries(n)
+    integral = PolyMatrix.from_entries(n, n, entries)
+    sqrt2 = PolyMatrix.from_entries(n, n, {**entries, (1, 1): Scalar(3, 1)})
 
     def forbidden(*args):
-        raise AssertionError("Scalar arithmetic inside a rational rref")
+        raise AssertionError("Scalar arithmetic inside rref")
 
-    monkeypatch.setattr(Scalar, "__mul__", forbidden)
-    monkeypatch.setattr(Scalar, "inverse", forbidden)
-    got, pivots = rref(a)
-    monkeypatch.undo()
-    assert pivots == list(range(n))
-    assert got == PolyMatrix.identity(n)
+    for a in (integral, sqrt2):
+        monkeypatch.setattr(Scalar, "__mul__", forbidden)
+        monkeypatch.setattr(Scalar, "inverse", forbidden)
+        got, pivots = rref(a)
+        monkeypatch.undo()
+        assert pivots == list(range(n))
+        assert got == PolyMatrix.identity(n)
 
 
 def test_solve_linear_reads_kernel_from_one_elimination(monkeypatch):
@@ -1657,6 +1658,41 @@ def test_rref_agrees_with_sympy_on_rational_matrices():
             for j in range(a.ncols):
                 q = theirs[i, j]
                 assert got.entry(i, j) == Scalar(Fraction(int(q.p), int(q.q)))
+
+
+def test_rref_agrees_with_sympy_over_q_sqrt2():
+    # the regular-representation path against sympy's own elimination over
+    # the number field Q(sqrt2)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.QQ.algebraic_field(sympy.sqrt(2))
+    # the field's generator is sqrt2 itself, so an element is stored as its
+    # coefficients [r1, r0] in the basis sqrt2, 1, leading zeros dropped
+    assert field.to_sympy(field.new([sympy.QQ(1), sympy.QQ(0)])) == sympy.sqrt(2)
+
+    def to_field(x):
+        return field.new([sympy.QQ(x.r1), sympy.QQ(x.r0)])
+
+    def from_field(x):
+        coefficients = [Fraction(int(q.numerator), int(q.denominator)) for q in x.to_list()]
+        return Scalar(*(coefficients[::-1] + [0, 0])[:2])
+
+    sqrt2_matrices = 0
+    for a in kernel_test_matrices(seed=47):
+        if not a.nrows:
+            continue
+        sqrt2_matrices += any(x.r1 for _, _, x in a.nonzeros())
+        got, pivots = rref(a)
+        theirs, their_pivots = DomainMatrix(
+            [[to_field(x) for x in a.row(i)] for i in range(a.nrows)], (a.nrows, a.ncols), field
+        ).rref()
+        assert tuple(pivots) == tuple(their_pivots)
+        rows = theirs.to_list()
+        for i in range(a.nrows):
+            for j in range(a.ncols):
+                assert got.entry(i, j) == from_field(rows[i][j])
+    assert sqrt2_matrices > 30
 
 
 # ---------------------------------------------------------------------------
