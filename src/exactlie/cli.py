@@ -7,9 +7,11 @@ verification suite.
 Every check is declared once, as a row (name in its subcommand report or
 None, name in `exactlie check` or None, verifier).  A verifier returns its
 detail text, or raises AssertionError/ValueError when its identity fails;
-`_run` turns the rows named in one column into records.  A subcommand
-validates its input, runs its rows and adds its results; `check` runs the
-check column of each suite in `SUITES`, one suite at a time.
+`_run` turns the rows named in one column into records.  Each verifier
+computes what it reads, so a failed identity anywhere in a pipeline is a
+failed check.  A subcommand validates its input, runs its rows and then
+builds its results (`_report`); `check` runs the check column of each
+suite in `SUITES`, one suite at a time.
 
 Output is deterministic for fixed flags and seed; exit code 0 means every
 check passed, 1 flags an identity violation, 2 flags invalid input, and 3
@@ -120,6 +122,19 @@ def _emit(args, command: str, inputs: Dict, results: Dict, checks: List[Dict]) -
     return report["exit_code"]
 
 
+def _report(args, command: str, inputs: Dict, rows: Iterable[Row], results) -> int:
+    """Run a subcommand's rows, then build its results(); a failed identity
+    that a row has recorded leaves them empty, other exceptions propagate."""
+    checks = _run(rows, SUB)
+    try:
+        values = results()
+    except (AssertionError, ValueError) as exc:
+        if not any(c["detail"] == str(exc) for c in checks if c["status"] == "fail"):
+            raise
+        values = {}
+    return _emit(args, command, inputs, values, checks)
+
+
 def _fail_input(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -142,56 +157,53 @@ def _parse_partition(text: str) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-def _printed_form(f: MPoly, n: int) -> str:
-    difference = f - expected_hook_f(n)
+def _printed_form(n: int) -> str:
+    difference = hook_pipeline(n).f - expected_hook_f(n)
     if not difference.is_zero():
         raise AssertionError(f"difference {difference.to_text()}")
     return ""
 
 
-def _hook_rows(n: int, f: MPoly) -> List[Row]:
-    def factorization(detail: str):
-        return lambda: hook_factorization(n) and detail
-
+def _hook_rows(n: int) -> List[Row]:
     return [
-        ("derived-form", None, lambda: _expect(f == derived_hook_f(n))),
+        ("derived-form", None, lambda: _expect(hook_pipeline(n).f == derived_hook_f(n))),
         ("printed-reference-match", f"hook-n{n}-printed-form",
-         lambda: _printed_form(f, n)),
-        ("factorization", None, factorization(f"degree split checked at n={n}")),
-        (None, f"hook-n{n}-factorization", factorization("ok")),
+         lambda: _printed_form(n)),
+        ("factorization", None,
+         lambda: hook_factorization(n) and f"degree split checked at n={n}"),
+        (None, f"hook-n{n}-factorization", lambda: hook_factorization(n) and "ok"),
         ("normal-form", f"hook-n{n}-normal-form",
-         lambda: f"unit {normalize_to_hook_form(f, n).unit}"),
+         lambda: f"unit {normalize_to_hook_form(hook_pipeline(n).f, n).unit}"),
     ]
 
 
-def _hook_suite(args) -> Iterable[Row]:
-    # a generator, so that one pipeline result is alive at a time
-    return (row for n in (2, 3, 4, 5) for row in _hook_rows(n, hook_pipeline(n).f))
+def _hook_suite(args) -> List[Row]:
+    return [row for n in (2, 3, 4, 5) for row in _hook_rows(n)]
 
 
 def cmd_slice(args) -> int:
     if args.algebra != "sp":
         return _fail_input("only the symplectic hook family is implemented")
     n = args.rank
+    if n < 2:
+        return _fail_input(f"slice needs rank >= 2, got rank = {n}")
     if n > MAX_RANK:
         return _fail_input(f"slice is limited to rank <= {MAX_RANK}, got rank = {n}")
     try:
         orbit = _parse_partition(args.orbit)
     except ValueError as exc:
         return _fail_input(str(exc))
-    if n < 2 or orbit != [2 * n - 2, 1, 1]:
+    if orbit != [2 * n - 2, 1, 1]:
         return _fail_input(
             f"expected the hook orbit {[2 * n - 2, 1, 1]} for sp_{2 * n}, got {orbit}"
         )
-    hyp = hook_pipeline(n)
-    results = {
-        "f": hyp.f,
-        "eliminations": dict(hyp.eliminations),
-        "vars": list(HOOK_VARS),
-        "charpoly": hyp.invariants.charpoly,
-    }
     inputs = {"algebra": "sp", "rank": n, "orbit": orbit}
-    return _emit(args, "slice", inputs, results, _run(_hook_rows(n, hyp.f), SUB))
+    return _report(args, "slice", inputs, _hook_rows(n), lambda: {
+        "f": hook_pipeline(n).f,
+        "eliminations": dict(hook_pipeline(n).eliminations),
+        "vars": list(HOOK_VARS),
+        "charpoly": hook_pipeline(n).invariants.charpoly,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +287,7 @@ def _degree_bound(args) -> int:
     return 8 if args.degree_bound is None else args.degree_bound
 
 
-def _g2_rows(f: MPoly, bound: int) -> List[Row]:
+def _g2_rows(bound: int) -> List[Row]:
     weights = {v: g2mod.SLICE_DEGREES[v] for v in g2mod.VARS7}
 
     def chi6():
@@ -309,9 +321,9 @@ def _g2_rows(f: MPoly, bound: int) -> List[Row]:
         ("invariant-crosscheck", None,
          lambda: f"generic element, {g2mod.chi_crosscheck()} coordinates"),
         ("hypersurface-equals-printed-f", "g2-hypersurface",
-         lambda: _expect(f == g2mod.example_f())),
+         lambda: _expect(g2mod.g2_hypersurface() == g2mod.example_f())),
         ("quasi-homogeneous-degree-12", "g2-quasi-homogeneous-12",
-         lambda: _expect(f.quasi_homogeneous_degree(weights) == 12)),
+         lambda: _expect(g2mod.g2_hypersurface().quasi_homogeneous_degree(weights) == 12)),
         ("singular-locus-certificates", None, lambda: "bound {} for 7 partials".format(
             max(c.bound for c in certificates().values()))),
         (None, "g2-singular-locus", lambda: f"{len(certificates())} certificates"),
@@ -320,21 +332,18 @@ def _g2_rows(f: MPoly, bound: int) -> List[Row]:
 
 
 def _g2_suite(args) -> List[Row]:
-    return _g2_rows(g2mod.g2_hypersurface(), _degree_bound(args))
+    return _g2_rows(_degree_bound(args))
 
 
 def cmd_g2(args) -> int:
     bound = _degree_bound(args)
-    f = g2mod.g2_hypersurface()
-    checks = _run(_g2_rows(f, bound), SUB)
-    results = {
-        "f": f,
+    inputs = {"action": "verify", "degree_bound": bound}
+    return _report(args, "g2", inputs, _g2_rows(bound), lambda: {
+        "f": g2mod.g2_hypersurface(),
         "relations": g2mod.slice_relations(g2mod.VARS7),
         "chi6_reading": list(g2mod.CHI6_READING),
         "s3_model": g2mod.s3_invariant_model(),
-    }
-    inputs = {"action": "verify", "degree_bound": bound}
-    return _emit(args, "g2", inputs, results, checks)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +351,21 @@ def cmd_g2(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _f4_rows(system, dims: Dict[int, int]) -> List[Row]:
+def _f4_rows() -> List[Row]:
+    def dims(test):
+        return lambda: _expect(test(f4mod.f4_grading().dims))
+
     return [
-        ("48-roots", "f4-48-roots", lambda: _expect(len(system.roots) == 48)),
-        ("24-positive", None, lambda: _expect(len(system.positives()) == 24)),
+        ("48-roots", "f4-48-roots", lambda: _expect(len(f4mod.f4_roots().roots) == 48)),
+        ("24-positive", None, lambda: _expect(len(f4mod.f4_roots().positives()) == 24)),
         ("highest-root", None,
-         lambda: _expect(f4mod.highest_root(system) == (2, 3, 4, 2))),
+         lambda: _expect(f4mod.highest_root(f4mod.f4_roots()) == (2, 3, 4, 2))),
         ("reflection-closure", None,
-         lambda: f"{f4mod.reflection_closure_check(system)} pairs"),
-        ("grade-0-dim-8", None, lambda: _expect(dims[0] == 8)),
-        ("grade-2-dim-8", None, lambda: _expect(dims[2] == 8)),
-        (None, "f4-grading-dims", lambda: _expect(dims[0] == 8 and dims[2] == 8)),
-        ("grade-2-arrows", None, lambda: f4mod.grade2_arrows(system) and "5+3"),
+         lambda: f"{f4mod.reflection_closure_check(f4mod.f4_roots())} pairs"),
+        ("grade-0-dim-8", None, dims(lambda d: d[0] == 8)),
+        ("grade-2-dim-8", None, dims(lambda d: d[2] == 8)),
+        (None, "f4-grading-dims", dims(lambda d: d[0] == 8 and d[2] == 8)),
+        ("grade-2-arrows", None, lambda: f4mod.grade2_arrows() and "5+3"),
         ("biweights-match-module", None,
          lambda: _expect(f4mod.biweight_multisets_match())),
         ("invariant-hyperplanes", "f4-hyperplanes", lambda: ", ".join(
@@ -363,36 +375,33 @@ def _f4_rows(system, dims: Dict[int, int]) -> List[Row]:
     ]
 
 
-def _f4_betti_rows(betti: Dict) -> List[Row]:
+def _f4_betti_rows() -> List[Row]:
+    def betti(test):
+        return lambda: _expect(test(f4mod.f4_betti_subsubregular()))
+
     return [
-        ("two-invariant-hyperplanes", None,
-         lambda: _expect(len(betti["components"]) == 2)),
-        ("b2-is-4", None, lambda: _expect(betti["b2"] == 4)),
+        ("two-invariant-hyperplanes", None, betti(lambda b: len(b["components"]) == 2)),
+        ("b2-is-4", None, betti(lambda b: b["b2"] == 4)),
         (None, "f4-betti-2+1+1",
-         lambda: _expect(betti["b2"] == 4 and betti["decomposition"] == "2+1+1")),
+         betti(lambda b: b["b2"] == 4 and b["decomposition"] == "2+1+1")),
     ]
 
 
 def _f4_suite(args) -> List[Row]:
-    system = f4mod.f4_roots()
-    dims = f4mod.f4_grading(system).dims
-    return _f4_rows(system, dims) + _f4_betti_rows(f4mod.f4_betti_subsubregular())
+    return _f4_rows() + _f4_betti_rows()
 
 
 def cmd_f4(args) -> int:
     inputs = {"action": args.action}
     if args.action == "betti":
-        betti = f4mod.f4_betti_subsubregular()
-        results = {"b2": betti["b2"], "decomposition": betti["decomposition"]}
-        return _emit(args, "f4", inputs, results, _run(_f4_betti_rows(betti), SUB))
-    system = f4mod.f4_roots()
-    dims = f4mod.f4_grading(system).dims
-    checks = _run(_f4_rows(system, dims), SUB)
-    results = {
-        "dims": {str(k): v for k, v in sorted(dims.items())},
+        return _report(args, "f4", inputs, _f4_betti_rows(), lambda: {
+            "b2": f4mod.f4_betti_subsubregular()["b2"],
+            "decomposition": f4mod.f4_betti_subsubregular()["decomposition"],
+        })
+    return _report(args, "f4", inputs, _f4_rows(), lambda: {
+        "dims": {str(k): v for k, v in sorted(f4mod.f4_grading().dims.items())},
         "betti": f4mod.f4_betti_subsubregular()["b2"],
-    }
-    return _emit(args, "f4", inputs, results, checks)
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ not recomputed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .polymat import PolyMatrix, nullspace, solve_linear
@@ -72,6 +73,7 @@ class RootSystemF4(NamedTuple):
         return _inner(e, e) == 2
 
 
+@lru_cache(maxsize=None)
 def f4_roots() -> RootSystemF4:
     """All 48 roots in simple-root coordinates, via the Euclidean model."""
     basis = PolyMatrix(
@@ -144,10 +146,8 @@ GRADE2_DIAGRAM = (
 )
 
 
-def f4_grading(system: RootSystemF4 = None) -> GradedF4:
-    if system is None:
-        system = f4_roots()
-    grades = {r: grade(r) for r in system.roots}
+def f4_grading() -> GradedF4:
+    grades = {r: grade(r) for r in f4_roots().roots}
     dims: Dict[int, int] = {0: 4}
     for g in grades.values():
         dims[g] = dims.get(g, 0) + 1
@@ -164,13 +164,11 @@ def f4_grading(system: RootSystemF4 = None) -> GradedF4:
     return GradedF4(DIAGRAM_WEIGHTS, grades, dims)
 
 
-def grade2_arrows(system: RootSystemF4 = None) -> Dict[str, List[Tuple[Root, Root]]]:
+def grade2_arrows() -> Dict[str, List[Tuple[Root, Root]]]:
     """Arrows of the printed degree-2 diagram: adding the third simple
     root moves right, adding the first moves down; each arrow must land
     on another degree-2 root, and no arrows leave the printed pattern."""
-    if system is None:
-        system = f4_roots()
-    roots = set(system.roots)
+    roots = set(f4_roots().roots)
     layer = set(GRADE2_DIAGRAM)
     horizontals, verticals = [], []
     for r in sorted(layer):

@@ -486,6 +486,7 @@ def chi6_identity_scan() -> Tuple[str, str]:
     return winners[0]
 
 
+@lru_cache(maxsize=None)
 def g2_hypersurface() -> MPoly:
     """Eliminate u via chi2 = 0 and return -2 chi6(xi) restricted to the
     resulting chart; must reproduce the seven-variable polynomial of the

@@ -104,13 +104,14 @@ def hook_normal_form(n: int) -> MPoly:
     return a * a * x + 2 * a * b * y + b * b * z + (x * z - y * y) ** n
 
 
-def derive_hypersurface(inv: SliceInvariants) -> HookHypersurface:
+@lru_cache(maxsize=1)
+def hook_pipeline(n: int) -> HookHypersurface:
     """Eliminate the t-coordinates from the restricted characteristic
-    polynomial and return the defining equation of the slice."""
-    chart = inv.chart
-    names = chart.names
-    t_names = [s for s in names if s.startswith("t")]
-    n = len(t_names) + 1
+    polynomial of the hook slice at n and return the defining equation of
+    the slice.  The last result is kept, so the checks and
+    hook_factorization(n) share one slice and one elimination."""
+    inv = restrict_invariants(hook_slice(n))
+    t_names = inv.chart.names[:n - 1]
     cp = inv.charpoly
     equations = [cp.coefficient_in(LAMBDA, 2 * n - 2 * i) for i in range(1, n)]
     subs, _ = eliminate_triangular(equations, t_names)
@@ -119,23 +120,11 @@ def derive_hypersurface(inv: SliceInvariants) -> HookHypersurface:
     return HookHypersurface(n=n, invariants=inv, eliminations=subs, f=f)
 
 
-@lru_cache(maxsize=1)
-def hook_invariants(n: int) -> SliceInvariants:
-    """restrict_invariants of the hook slice at n.  The last result is
-    kept, so hook_pipeline(n) and hook_factorization(n) share one slice
-    and one characteristic polynomial."""
-    return restrict_invariants(hook_slice(n))
-
-
-def hook_pipeline(n: int) -> HookHypersurface:
-    return derive_hypersurface(hook_invariants(n))
-
-
 def hook_factorization(n: int) -> Tuple[MPoly, MPoly]:
     """chi_s minus its constant hook part factors through lam^2 + xz - y^2;
     the cofactor is the characteristic polynomial of the long-block slice.
     Returns (quotient, long_block_charpoly) after verifying both facts."""
-    inv = hook_invariants(n)
+    inv = hook_pipeline(n).invariants
     vars = inv.vars
     a, b, x, y, z = (MPoly.variable(s, vars) for s in HOOK_VARS)
     k = math.factorial(2 * n - 3)

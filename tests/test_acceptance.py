@@ -165,7 +165,7 @@ def test_criterion_5_classifier_tables():
 def test_criterion_6_f4_grading_and_betti():
     system = f4.f4_roots()
     assert len(system.roots) == 48
-    graded = f4.f4_grading(system)
+    graded = f4.f4_grading()
     assert graded.dims[0] == 8
     assert graded.dims[2] == 8
     layer = {root for root in system.roots if f4.grade(root) == 2}

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
+from exactlie import cli, f4, g2, slicegeom
 from exactlie import dualpair as dp
-from exactlie.cli import main
+from exactlie.cli import SUITES, build_parser, main
 from exactlie.slicegeom import MAX_RANK
 
 
@@ -65,6 +66,14 @@ def test_slice_wrong_orbit_for_rank(capsys):
     code, _, err = run(capsys, ["slice", "--algebra", "sp", "--rank", "3", "--orbit", "2,1,1"])
     assert code == 2
     assert "hook orbit" in err
+
+
+@pytest.mark.parametrize("rank", [-1, 0, 1])
+def test_slice_rank_below_two_rejected(capsys, rank):
+    argv = ["slice", "--algebra", "sp", "--rank", str(rank), "--orbit", "4,1,1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: slice needs rank >= 2, got rank = {rank}\n"
 
 
 def test_slice_rank_above_the_limit_rejected(capsys):
@@ -142,6 +151,21 @@ def run_json_digest(capsys, argv):
     return code, json.loads(out), hashlib.sha256(out.encode()).hexdigest()
 
 
+G2_VERIFY = [
+    "jacobi-identity",
+    "embedding-homomorphism",
+    "invariant-form-line",
+    "slice-structure",
+    "chi2-closed-form",
+    "chi6-identity-reading",
+    "invariant-crosscheck",
+    "hypersurface-equals-printed-f",
+    "quasi-homogeneous-degree-12",
+    "singular-locus-certificates",
+    "s3-invariant-model",
+]
+
+
 def test_g2_verify(capsys):
     code, report, digest = run_json_digest(capsys, ["g2", "verify"])
     # the s3_model values are Fractions, so JSON strings; any change to
@@ -152,19 +176,7 @@ def test_g2_verify(capsys):
     assert "jacobi-identity" in names
     assert "chi6-identity-reading" in names
     assert all(c["status"] == "pass" for c in report["checks"])
-    assert names == [
-        "jacobi-identity",
-        "embedding-homomorphism",
-        "invariant-form-line",
-        "slice-structure",
-        "chi2-closed-form",
-        "chi6-identity-reading",
-        "invariant-crosscheck",
-        "hypersurface-equals-printed-f",
-        "quasi-homogeneous-degree-12",
-        "singular-locus-certificates",
-        "s3-invariant-model",
-    ]
+    assert names == G2_VERIFY
 
 
 def test_dualpair_witness_types(capsys):
@@ -227,6 +239,51 @@ def test_global_flags_both_positions(capsys):
     assert r1 == json.loads(out2)
 
 
+CHECK_NAMES = [
+    "classify-exception-sets-n-le-8",
+    "classify-star-iff-b2-rank",
+    "classify-monotonicity",
+    "classify-dominance-axioms",
+    "dualpair-witness-3-3",
+    "dualpair-witness-4-3",
+    "dualpair-witness-4-1",
+    "dualpair-witness-5-5",
+    "dualpair-pf-locus-n3",
+    "dualpair-pf-locus-n4",
+    "dualpair-commutant-n2",
+    "dualpair-commutant-n3",
+    "dualpair-commutant-n4",
+    "dualpair-moment-identity",
+    "f4-48-roots",
+    "f4-grading-dims",
+    "f4-hyperplanes",
+    "f4-betti-2+1+1",
+    "g2-jacobi",
+    "g2-embedding",
+    "g2-slice-structure",
+    "g2-chi6-reading",
+    "g2-hypersurface",
+    "g2-quasi-homogeneous-12",
+    "g2-singular-locus",
+    "g2-s3-model",
+    "hook-n2-printed-form",
+    "hook-n2-factorization",
+    "hook-n2-normal-form",
+    "hook-n3-printed-form",
+    "hook-n3-factorization",
+    "hook-n3-normal-form",
+    "hook-n4-printed-form",
+    "hook-n4-factorization",
+    "hook-n4-normal-form",
+    "hook-n5-printed-form",
+    "hook-n5-factorization",
+    "hook-n5-normal-form",
+    "kernel-pfaffian-squares-to-det",
+    "kernel-charpoly-vs-cofactor",
+    "kernel-serialization-roundtrip",
+]
+
+
 def test_check_aggregates_all_suites(capsys):
     code, report, digest = run_json_digest(capsys, ["check"])
     assert digest == "4e895272efc100e9fd01a6bd693ac4abbc1afcd346d6fdc9def1898670527451"
@@ -245,49 +302,7 @@ def test_check_aggregates_all_suites(capsys):
     ]
     detail = next(c for c in report["checks"] if c["name"] == "hook-n3-printed-form")
     assert "difference" in detail["detail"]
-    assert [c["name"] for c in report["checks"]] == [
-        "classify-exception-sets-n-le-8",
-        "classify-star-iff-b2-rank",
-        "classify-monotonicity",
-        "classify-dominance-axioms",
-        "dualpair-witness-3-3",
-        "dualpair-witness-4-3",
-        "dualpair-witness-4-1",
-        "dualpair-witness-5-5",
-        "dualpair-pf-locus-n3",
-        "dualpair-pf-locus-n4",
-        "dualpair-commutant-n2",
-        "dualpair-commutant-n3",
-        "dualpair-commutant-n4",
-        "dualpair-moment-identity",
-        "f4-48-roots",
-        "f4-grading-dims",
-        "f4-hyperplanes",
-        "f4-betti-2+1+1",
-        "g2-jacobi",
-        "g2-embedding",
-        "g2-slice-structure",
-        "g2-chi6-reading",
-        "g2-hypersurface",
-        "g2-quasi-homogeneous-12",
-        "g2-singular-locus",
-        "g2-s3-model",
-        "hook-n2-printed-form",
-        "hook-n2-factorization",
-        "hook-n2-normal-form",
-        "hook-n3-printed-form",
-        "hook-n3-factorization",
-        "hook-n3-normal-form",
-        "hook-n4-printed-form",
-        "hook-n4-factorization",
-        "hook-n4-normal-form",
-        "hook-n5-printed-form",
-        "hook-n5-factorization",
-        "hook-n5-normal-form",
-        "kernel-pfaffian-squares-to-det",
-        "kernel-charpoly-vs-cofactor",
-        "kernel-serialization-roundtrip",
-    ]
+    assert [c["name"] for c in report["checks"]] == CHECK_NAMES
     assert report["results"]["total"] == 41
 
 
@@ -452,6 +467,92 @@ def test_internal_error_outside_checks_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: internal: RuntimeError: table lost\n"
+
+
+# the cached pipelines; a test that perturbs what they compute must empty
+# them, or it reads a result another test has left behind
+CACHED = (
+    g2.g2_hypersurface, g2.slice_invariants, f4.f4_roots, slicegeom.hook_pipeline,
+)
+
+
+@pytest.fixture
+def fresh_pipelines():
+    for cached in CACHED:
+        cached.cache_clear()
+    yield
+    for cached in CACHED:
+        cached.cache_clear()
+
+
+def off_by_one_example_f(monkeypatch):
+    printed = g2.example_f
+    monkeypatch.setattr(g2, "example_f", lambda vars=g2.VARS7: printed(vars) + 1)
+
+
+def test_a_failed_pipeline_identity_fails_its_checks(capsys, monkeypatch, fresh_pipelines):
+    # g2_hypersurface asserts its result against example_f; the checks
+    # that read the hypersurface fail, and every other check still runs
+    off_by_one_example_f(monkeypatch)
+    code, report = run_json(capsys, ["check"])
+    assert code == report["exit_code"] == 1
+    assert [c["name"] for c in report["checks"]] == CHECK_NAMES
+    fails = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+    assert fails == [
+        "g2-hypersurface", "g2-quasi-homogeneous-12", "g2-singular-locus",
+        "hook-n3-printed-form", "hook-n5-printed-form",
+    ]
+    assert all(c["status"] in ("pass", "fail") for c in report["checks"])
+    by_name = {c["name"]: c for c in report["checks"]}
+    detail = "slice hypersurface differs from the quotient model"
+    assert by_name["g2-hypersurface"]["detail"] == detail
+
+
+def test_g2_verify_reports_a_failed_pipeline_identity(capsys, monkeypatch, fresh_pipelines):
+    off_by_one_example_f(monkeypatch)
+    code, out, err = run(capsys, ["g2", "verify"])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:3] == ["command: g2", "input action: verify", "input degree_bound: 8"]
+    assert not any(line.startswith("result ") for line in lines)
+    assert [line.split(":")[0][len("check "):] for line in lines[3:-1]] == G2_VERIFY
+    failed = [line for line in lines if ": fail" in line]
+    assert failed == [
+        "check hypersurface-equals-printed-f: fail"
+        " (slice hypersurface differs from the quotient model)",
+        "check quasi-homogeneous-degree-12: fail"
+        " (slice hypersurface differs from the quotient model)",
+        "check singular-locus-certificates: fail"
+        " (slice hypersurface differs from the quotient model)",
+    ]
+    assert lines[-1] == "exit: 1"
+
+
+def test_f4_verify_reports_a_failed_grading(capsys, monkeypatch, fresh_pipelines):
+    monkeypatch.setattr(f4, "GRADE2_DIAGRAM", f4.GRADE2_DIAGRAM[1:])
+    code, report = run_json(capsys, ["f4", "verify"])
+    assert code == report["exit_code"] == 1
+    assert report["results"] == {}
+    assert [c["name"] for c in report["checks"]] == F4_VERIFY
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status["grade-0-dim-8"] == status["orbit-dimension"] == "fail"
+    assert status["48-roots"] == status["reflection-closure"] == "pass"
+
+
+def test_suites_build_their_rows_without_running_a_pipeline(monkeypatch):
+    # every pipeline runs inside a verifier, where a failure is a record
+    def refuse(*args):
+        raise RuntimeError("a pipeline ran before its check")
+
+    producers = (
+        (slicegeom, "hook_pipeline"), (cli, "hook_pipeline"), (g2, "g2_hypersurface"),
+        (f4, "f4_roots"), (f4, "f4_grading"), (f4, "f4_betti_subsubregular"),
+    )
+    for owner, name in producers:
+        monkeypatch.setattr(owner, name, refuse)
+    args = build_parser().parse_args(["check"])
+    for name, suite in SUITES.items():
+        assert list(suite(args)), name
 
 
 def test_degree_bound_zero_is_used_not_replaced(capsys, monkeypatch):

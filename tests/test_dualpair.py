@@ -111,6 +111,13 @@ def test_pfaffian_locus():
     assert not pfaffian(standard_form("sp", 8)).is_zero()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pfaffian_locus_holds_on_the_symbolic_element(n):
+    # pf(Xt G_U X) = 0 as a polynomial in the (2n-2) x 2n entries of X,
+    # so the pfaffian locus holds for every X, not only the sampled ones
+    assert pfaffian_locus_check(symbolic_element(n))
+
+
 def test_pfaffian_locus_matrix_equals_g_v_times_rho():
     # the skew matrix as formed before pfaffian_locus_check read it as
     # Xt (G_U X): G_V times rho = X*X, with X* from the adjoint

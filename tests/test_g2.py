@@ -49,6 +49,7 @@ from exactlie.polymat import PolyMatrix, charpoly, det_cofactor, rank
 from exactlie.scalar import Scalar
 from exactlie.slicegeom import slice_matrix
 from oracles import evaluate
+from sympy_oracle import to_sympy
 
 
 def random_element(rng: random.Random) -> PolyMatrix:
@@ -452,6 +453,26 @@ def test_reverse_singular_locus_certificates():
     assert not evaluate(f, point)
     assert not any(evaluate(p, point) for p in partials)
     assert not any(evaluate(r, point) for r in rel.values())
+
+
+def test_singular_locus_against_sympy_groebner_bases():
+    # an independent oracle for Sing(f) = V(t1, t2, t3, z1, z2): the
+    # partials lie in the ideal of the relations, each relation cubed lies
+    # in the Jacobian ideal, and no relation squared does
+    sympy = pytest.importorskip("sympy")
+    symbols = {v: sympy.Symbol(v) for v in VARS7}
+    gens = list(symbols.values())
+    f = g2_hypersurface()
+    partials = [to_sympy(f.derivative(v), symbols) for v in VARS7]
+    rel = slice_relations(VARS7)
+    relations = [to_sympy(rel[k], symbols) for k in ("t1", "t2", "t3", "z1", "z2")]
+    relation_basis = sympy.groebner(relations, *gens, order="grevlex")
+    jacobian_basis = sympy.groebner(partials, *gens, order="grevlex")
+    for partial in partials:
+        assert relation_basis.reduce(partial)[1] == 0
+    for relation in relations:
+        assert jacobian_basis.reduce(sympy.expand(relation ** 3))[1] == 0
+        assert jacobian_basis.reduce(sympy.expand(relation ** 2))[1] != 0
 
 
 def test_s3_model_frozen_and_relations_vanish():

@@ -12,7 +12,6 @@ from exactlie.polymat import determinant
 from exactlie.slicegeom import (
     HOOK_VARS,
     LAMBDA,
-    derive_hypersurface,
     derived_hook_f,
     expected_hook_f,
     hook_factorization,
@@ -91,9 +90,9 @@ def test_factorization_reconstructs_charpoly():
 
 
 def test_derive_hypersurface_from_invariants():
-    inv = restrict_invariants(hook_slice(2))
-    hyp = derive_hypersurface(inv)
+    hyp = hook_pipeline(2)
     assert hyp.n == 2
+    assert hyp.invariants.charpoly == restrict_invariants(hook_slice(2)).charpoly
     assert hyp.f == hook_poly("a^2*x + 2*a*b*y + b^2*z - x^2*z^2 + 2*x*y^2*z - y^4")
 
 
