@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .scalar import Scalar
+from .scalar import ONE, Rational, Scalar, _fold, _make
 
 Exponents = Tuple[int, ...]
 
@@ -79,7 +79,7 @@ class MPoly:
 
     @staticmethod
     def variable(name: str, vars: Tuple[str, ...]) -> "MPoly":
-        idx = vars.index(name)
+        idx = _position(name, vars)
         exps = tuple(1 if i == idx else 0 for i in range(len(vars)))
         return MPoly(vars, {exps: Scalar(1)})
 
@@ -164,46 +164,62 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "MPoly":
-        if type(other) is not MPoly and type(other) is not Scalar:
-            other = Scalar(other)
         return MPoly.dot(self.vars, ((self, other),))
 
     @staticmethod
     def dot(vars: Tuple[str, ...], pairs) -> "MPoly":
         """sum p * q over the pairs (p, q), each factor an MPoly over vars
-        or a Scalar (a constant).  Every product of two terms goes into one
-        term dict, and cancelled terms are dropped once, at the end, so no
+        or a constant (a Scalar, int or Fraction).  Every product of two
+        terms is summed on the raw (r0, r1) components, in one dict per
+        component keyed by exponents; the sqrt2 dict is opened only when a
+        product has a sqrt2 part.  Each surviving term gets one Scalar at
+        the end, and cancelled terms are dropped there, so no Scalar or
         polynomial is built per product or partial sum.  This is the one
         term-product loop: p * q is the one-pair case."""
-        acc: Dict[Exponents, Scalar] = {}
-        get = acc.get
+        s0: Dict[Exponents, Rational] = {}
+        s1: Optional[Dict[Exponents, Rational]] = None
+        get = s0.get
         for p, q in pairs:
-            if type(p) is MPoly is type(q):
+            if type(p) is not MPoly:
+                p, q = q, p
+            if type(p) is not MPoly:  # two constants
+                p = MPoly.constant(p, vars)
+            if type(q) is MPoly:
                 if p.vars != vars or q.vars != vars:
                     bad = p.vars if p.vars != vars else q.vars
                     raise ValueError(f"variable mismatch: {bad} vs {vars}")
                 a, b = p.terms, q.terms
                 if len(a) > len(b):  # the smaller operand outside
                     a, b = b, a
-                for ea, ca in a.items():
-                    for eb, cb in b.items():
-                        e = tuple(map(add, ea, eb))
-                        v = get(e)
-                        acc[e] = ca * cb if v is None else v + ca * cb
-                continue
-            # a constant factor: the terms of the other keep their exponents
-            if type(p) is not MPoly:
-                p, q = q, p
-            if type(p) is not MPoly:  # two constants
-                p = MPoly.constant(p, vars)
-            if p.vars != vars:
-                raise ValueError(f"variable mismatch: {p.vars} vs {vars}")
-            for e, c in p.terms.items():
-                v = get(e)
-                acc[e] = c * q if v is None else v + c * q
-        if not all(acc.values()):
-            acc = {e: c for e, c in acc.items() if c}
-        return MPoly._make(vars, acc)
+            else:
+                # a constant factor, under the empty exponent tuple: the
+                # terms of p keep their exponents
+                if p.vars != vars:
+                    raise ValueError(f"variable mismatch: {p.vars} vs {vars}")
+                a, b = {(): Scalar.coerce(q)}, p.terms
+            for ea, ca in a.items():
+                a0, a1 = ca.r0, ca.r1
+                for eb, cb in b.items():
+                    e = tuple(map(add, ea, eb)) if ea else eb
+                    b0, b1 = cb.r0, cb.r1
+                    if a1 or b1:
+                        # (a0 + a1 s)(b0 + b1 s) = (a0 b0 + 2 a1 b1) + (a0 b1 + a1 b0) s
+                        t = a0 * b1 + a1 * b0
+                        if s1 is None:
+                            s1 = {}
+                        v = s1.get(e)
+                        s1[e] = t if v is None else v + t
+                        t = a0 * b0 + 2 * a1 * b1
+                    else:
+                        t = a0 * b0
+                    v = get(e)
+                    s0[e] = t if v is None else v + t
+        terms: Dict[Exponents, Scalar] = {}
+        for e, v in s0.items():
+            w = 0 if s1 is None else _fold(s1.get(e, 0))
+            if v or w:
+                terms[e] = _make(_fold(v), w)
+        return MPoly._make(vars, terms)
 
     __rmul__ = __mul__
 
@@ -278,33 +294,46 @@ class MPoly:
     def substitute(self, mapping: Dict[str, "MPoly"]) -> "MPoly":
         """Substitute polynomials for variables.  Unmapped variables stay
         themselves.  All images must share one variable tuple, which becomes
-        the result's tuple."""
+        the result's tuple.
+
+        The terms are grouped by their exponents in the mapped variables.
+        Each group is one polynomial in the unmapped variables, placed in
+        the images' tuple, and is multiplied by one product of image
+        powers, each power built once, from the one below it; a single dot
+        sums the groups."""
         if mapping:
             target_vars = next(iter(mapping.values())).vars
         else:
             target_vars = self.vars
-        images: List[MPoly] = []
-        for v in self.vars:
-            if v in mapping:
-                img = mapping[v]
-                if img.vars != target_vars:
-                    raise ValueError("substitution images disagree on variables")
-                images.append(img)
+        mapped: List[int] = []
+        powers: List[List[MPoly]] = []  # an image ** (k + 1) at index k
+        places: List[Tuple[int, int]] = []  # unmapped: (index, index in target_vars)
+        for i, v in enumerate(self.vars):
+            img = mapping.get(v)
+            if img is None:
+                places.append((i, _position(v, target_vars)))
+            elif img.vars != target_vars:
+                raise ValueError("substitution images disagree on variables")
             else:
-                images.append(MPoly.variable(v, target_vars))
-        result = MPoly.zero(target_vars)
-        pow_cache: List[Dict[int, MPoly]] = [dict() for _ in images]
+                mapped.append(i)
+                powers.append([img])
+        groups: Dict[Exponents, Dict[Exponents, Scalar]] = {}
+        zero = [0] * len(target_vars)
         for e, c in self.terms.items():
-            prod = MPoly.constant(c, target_vars)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                cache = pow_cache[i]
-                if k not in cache:
-                    cache[k] = images[i] ** k
-                prod = prod * cache[k]
-            result = result + prod
-        return result
+            kept = zero[:]
+            for i, j in places:
+                kept[j] = e[i]
+            groups.setdefault(tuple(e[i] for i in mapped), {})[tuple(kept)] = c
+        pairs = []
+        for key, terms in groups.items():
+            factor = ONE
+            for pw, k in zip(powers, key):
+                if k:
+                    while len(pw) < k:
+                        pw.append(pw[-1] * pw[0])
+                    factor = pw[k - 1] if factor is ONE else factor * pw[k - 1]
+            pairs.append((MPoly._make(target_vars, terms), factor))
+        return MPoly.dot(target_vars, pairs)
 
     def with_vars(self, new_vars: Tuple[str, ...]) -> "MPoly":
         """Re-express over a superset (or reordering) of the variables."""
@@ -373,11 +402,22 @@ class MPoly:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MPoly":
-        vars = tuple(data["vars"])
+        """The polynomial of a dict such as to_json_dict writes.  Raises
+        ValueError unless "vars" holds distinct names, each coefficient is
+        a text "p" or "p/q" (q != 0, "coef_sqrt2" defaults to "0"), each
+        exponent is an int >= 0, and no exponent tuple repeats."""
+        vars = tuple(_field(data, "vars"))
+        if len(set(vars)) != len(vars) or not all(type(v) is str for v in vars):
+            raise ValueError(f"vars {vars} are not distinct names")
         terms: Dict[Exponents, Scalar] = {}
-        for t in data["terms"]:
-            coef = Scalar(Fraction(t["coef"]), Fraction(t.get("coef_sqrt2", "0")))
-            terms[tuple(t["exps"])] = coef
+        for t in _field(data, "terms"):
+            e = tuple(_field(t, "exps"))
+            if not all(type(k) is int and k >= 0 for k in e):
+                raise ValueError(f"exponents {e} are not ints >= 0")
+            if e in terms:
+                raise ValueError(f"exponents {e} repeat")
+            terms[e] = Scalar(_json_rational(_field(t, "coef", str)),
+                              _json_rational(_field(t, "coef_sqrt2", str, "0")))
         return MPoly(vars, terms)
 
     @staticmethod
@@ -474,6 +514,29 @@ _FACTOR = (
     r"|[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*\d+)?)"
 )
 _TERM = rf"\s*(?:(?P<sign>[+-])\s*)?(?P<body>{_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*"
+
+
+def _position(name: str, vars: Tuple[str, ...]) -> int:
+    """The index of name in vars; a ValueError that names both if absent."""
+    if name not in vars:
+        raise ValueError(f"variable {name!r} is not in {vars}")
+    return vars.index(name)
+
+
+def _field(data, key: str, kind: type = list, default=None):
+    """data[key] of a JSON object, of type kind, or ValueError."""
+    value = data.get(key, default) if type(data) is dict else None
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} of {data!r} is not a {kind.__name__}")
+    return value
+
+
+def _json_rational(text: str):
+    """The rational of a JSON coefficient, "p" or "p/q" with an optional
+    "-", as to_json writes it."""
+    if not re.fullmatch("-?[0-9]+(?:/[0-9]+)?", text):
+        raise ValueError(f"coefficient {text!r} is not p or p/q")
+    return _number(text)
 
 
 def _number(text: str):

@@ -16,9 +16,10 @@ arithmetic costs a fraction of Fraction arithmetic.  The constructor
 normalises raw input once; every arithmetic result is built by _make from
 components already in that form, folding integral Fractions back to int.
 
-Three kernels outside Scalar compute on the components and make a Scalar
+Four kernels outside Scalar compute on the components and make a Scalar
 only of each result: matrix_product, the kernel of Scalar matrix
-products, sums each entry on them, polymat.pfaffian expands a rational
+products, sums each entry on them, mpoly.MPoly.dot sums each term of a
+sum of polynomial products on them, polymat.pfaffian expands a rational
 matrix on its r0 components, and polymat.rref eliminates on ints: a
 rational matrix's r0 components cleared of denominators, and for a
 matrix with a sqrt2 part the components of its regular representation

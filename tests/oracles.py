@@ -21,6 +21,42 @@ def evaluate(poly: MPoly, point: Dict[str, Scalar]) -> Scalar:
     return total
 
 
+def term_loop_dot(vars: Tuple[str, ...], pairs) -> MPoly:
+    """sum p * q over the pairs, each factor an MPoly over vars or a
+    constant, with one Scalar product and one Scalar sum per product of two
+    terms: the oracle for MPoly.dot."""
+    acc: Dict[Tuple[int, ...], Scalar] = {}
+    for pair in pairs:
+        a, b = (f.terms if type(f) is MPoly else {(0,) * len(vars): Scalar.coerce(f)} for f in pair)
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                acc[e] = acc.get(e, ZERO) + ca * cb
+    return MPoly(tuple(vars), acc)
+
+
+def term_loop_substitute(poly: MPoly, mapping: Dict[str, MPoly]) -> MPoly:
+    """poly with polynomials substituted for variables, one term at a time:
+    each term is its coefficient times the image of each variable to its
+    power, and an unmapped variable is its own image.  The oracle for
+    MPoly.substitute; it raises ValueError where that does."""
+    target = next(iter(mapping.values())).vars if mapping else poly.vars
+    images = []
+    for v in poly.vars:
+        img = mapping[v] if v in mapping else MPoly.variable(v, target)
+        if img.vars != target:
+            raise ValueError("substitution images disagree on variables")
+        images.append(img)
+    result = MPoly.zero(target)
+    for e, c in poly.terms.items():
+        prod = MPoly.constant(c, target)
+        for img, k in zip(images, e):
+            if k:
+                prod = prod * img ** k
+        result = result + prod
+    return result
+
+
 def bracket_coords(alg: LieAlgebra, x: Sequence, y: Sequence) -> List:
     """Coordinates of [x, y] for coordinate vectors x and y, by
     bilinearity from alg.table; the entries may be Scalars or

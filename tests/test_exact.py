@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import math
 import random
 import re
@@ -38,7 +39,7 @@ from exactlie.polymat import (
     solve_linear,
 )
 from exactlie.scalar import Scalar
-from oracles import evaluate
+from oracles import evaluate, term_loop_dot, term_loop_substitute
 from sympy_oracle import sympy_charpoly_coefficients, to_sympy
 
 
@@ -272,6 +273,39 @@ def test_mpoly_roundtrip_edge_cases():
     for p in cases:
         assert MPoly.from_text(p.to_text(), vars) == p
         assert MPoly.from_json(p.to_json()) == p
+
+
+def _json_term(**changes):
+    return {"coef": "1", "coef_sqrt2": "0", "exps": [1], **changes}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vars": ["x"], "terms": [_json_term(coef="1.5")]},
+        {"vars": ["x"], "terms": [_json_term(coef="1e3")]},
+        {"vars": ["x"], "terms": [_json_term(coef_sqrt2=" 2")]},
+        {"vars": ["x"], "terms": [_json_term(exps=[1.5])]},
+        {"vars": ["x"], "terms": [_json_term(exps=[True])]},
+        {"vars": ["x"], "terms": [_json_term(exps=[-1])]},
+        {"vars": ["x"], "terms": [_json_term(), _json_term(coef="2")]},
+        {"vars": ["x", "x"], "terms": [_json_term(exps=[1, 0])]},
+        {"vars": ["x"], "terms": [_json_term(coef="1/0")]},
+        {"vars": ["x"], "terms": [{"coef_sqrt2": "0", "exps": [1]}]},
+    ],
+    ids=[
+        "decimal-coef", "exponent-coef", "spaced-sqrt2-coef", "float-exponent",
+        "bool-exponent", "negative-exponent", "repeated-exponents", "repeated-vars",
+        "zero-denominator", "missing-coef",
+    ],
+)
+def test_mpoly_from_json_rejects_what_to_json_never_writes(data):
+    with pytest.raises(ValueError):
+        MPoly.from_json_dict(data)
+    with pytest.raises(ValueError):
+        MPoly.from_json(json.dumps(data))
+    good = {"vars": ["x"], "terms": [_json_term(coef="-3/2", coef_sqrt2="1")]}
+    assert MPoly.from_json_dict(good) == MPoly.from_text("(-3/2 + sqrt2)*x", ("x",))
 
 
 @pytest.mark.parametrize(
@@ -1198,10 +1232,7 @@ def test_mpoly_dot_is_the_sum_of_products():
             for _ in range(rng.randint(0, 5))
         ]
         pairs = [pair if rng.random() < 0.5 else pair[::-1] for pair in pairs]
-        want = MPoly.zero(vars)
-        for p, q in pairs:
-            want = want + p * q
-        assert MPoly.dot(vars, pairs) == want
+        assert MPoly.dot(vars, pairs) == term_loop_dot(vars, pairs)
     p, q = poly() + MPoly.variable("x", vars), poly() + 1
     assert MPoly.dot(vars, [(p, q), (-p, q)]).terms == {}
     assert MPoly.dot(vars, [(p, Scalar(2)), (Scalar(-2), p)]).terms == {}
@@ -1211,6 +1242,114 @@ def test_mpoly_dot_is_the_sum_of_products():
     for pairs in ([(other, p)], [(p, other)], [(other, Scalar(1))], [(other, other)]):
         with pytest.raises(ValueError, match="variable mismatch"):
             MPoly.dot(vars, pairs)
+
+
+DOT_VARS = ("x", "y", "z")
+
+
+def _dot_operands(rng, kind):
+    def poly():
+        return MPoly(DOT_VARS, {
+            tuple(rng.randint(0, 2) for _ in DOT_VARS): SCALAR_KINDS[kind](rng)
+            for _ in range(rng.randint(0, 5))
+        })
+
+    constants = (SCALAR_KINDS[kind](rng), rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2))
+    pairs = [(poly(), rng.choice((poly(), poly(), *constants))) for _ in range(rng.randint(0, 6))]
+    return [pair if rng.random() < 0.5 else pair[::-1] for pair in pairs]
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_KINDS))
+def test_mpoly_dot_matches_the_term_loop(kind):
+    rng = random.Random(239)
+    for _ in range(80):
+        pairs = _dot_operands(rng, kind)
+        got = MPoly.dot(DOT_VARS, pairs)
+        assert got.terms == term_loop_dot(DOT_VARS, pairs).terms
+        for c in got.terms.values():
+            _assert_stored_form(c)
+
+
+def test_mpoly_dot_drops_each_component_that_cancels():
+    x, y = (MPoly.variable(v, DOT_VARS) for v in "xy")
+    s = Scalar.sqrt2()
+    half = Fraction(1, 2)
+    cases = [
+        ([(x, 1 + s), (x, 1 - s)], "2*x"),  # the sqrt2 part cancels across pairs
+        ([(x * (1 + s), y * (1 - s))], "-x*y"),  # ... within one product
+        ([(x, 1 + s), (x, s - 1)], "(2*sqrt2)*x"),  # the rational part cancels
+        ([(x, 1 + s), (-1 - s, x), (y, half), (half, y)], "y"),  # both cancel
+        ([(x, Scalar(half, half)), (x, Scalar(half, -half))], "x"),
+    ]
+    for pairs, text in cases:
+        got = MPoly.dot(DOT_VARS, pairs)
+        assert got == term_loop_dot(DOT_VARS, pairs) == MPoly.from_text(text, DOT_VARS)
+        for c in got.terms.values():
+            _assert_stored_form(c)
+            assert type(c.r0) is int and type(c.r1) is int
+
+
+def test_rational_mpoly_dot_makes_no_scalar_arithmetic(monkeypatch):
+    pairs = _dot_operands(random.Random(241), "fraction") * 4
+    want = term_loop_dot(DOT_VARS, pairs)
+    calls = []
+    for name in ("__mul__", "__add__"):
+        op = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name, lambda a, b, op=op: calls.append(1) or op(a, b))
+    got = MPoly.dot(DOT_VARS, pairs)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want != MPoly.zero(DOT_VARS)
+
+
+def _substitution_cases(rng):
+    """(poly, mapping) pairs over DOT_VARS: mappings of no, some and all of
+    the variables, with images over the same tuple, a superset or a
+    reordering, and unmapped variables that occur and ones that do not."""
+    def poly(vars, max_exp=3):
+        return MPoly(vars, {
+            tuple(rng.randint(0, max_exp) for _ in vars): SCALAR_KINDS["sqrt2"](rng)
+            for _ in range(rng.randint(0, 5))
+        })
+
+    for target in (DOT_VARS, ("w",) + DOT_VARS, DOT_VARS[::-1], ("z", "w", "y", "x")):
+        for mapped in ((), ("x",), ("y", "z"), DOT_VARS):
+            if not mapped and target != DOT_VARS:
+                continue
+            p = poly(DOT_VARS)
+            for v in DOT_VARS[:rng.randint(0, 3)]:  # some unmapped ones absent
+                if v not in mapped:
+                    p = p.coefficient_in(v, 0)
+            yield p, {v: poly(target, 2) for v in mapped}
+
+
+def test_mpoly_substitute_matches_the_term_loop():
+    rng = random.Random(251)
+    cases = 0
+    for _ in range(25):
+        for p, mapping in _substitution_cases(rng):
+            assert p.substitute(mapping) == term_loop_substitute(p, mapping)
+            cases += 1
+    assert cases == 25 * 13
+
+
+def test_mpoly_substitute_errors_match_the_term_loop():
+    x = MPoly.variable("x", ("x", "y"))
+    p = MPoly.from_text("x*y + z", DOT_VARS)
+    disagree = {"x": x, "y": MPoly.variable("y", ("y", "x"))}
+    for q in (p, p.coefficient_in("z", 0)):  # z unmapped, occurring or not
+        for mapping, message in (
+            ({"x": x}, r"variable 'z' is not in \('x', 'y'\)"),
+            (disagree, "substitution images disagree on variables"),
+        ):
+            for f in (q.substitute, lambda m: term_loop_substitute(q, m)):
+                with pytest.raises(ValueError, match=message):
+                    f(mapping)
+
+
+def test_mpoly_variable_names_an_unknown_variable():
+    with pytest.raises(ValueError, match=r"variable 'w' is not in \('x', 'y'\)"):
+        MPoly.variable("w", ("x", "y"))
 
 
 def test_scalar_product_sums_each_entry_once(monkeypatch):
