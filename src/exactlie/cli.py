@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from random import Random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -423,13 +423,12 @@ def _moment(n: int) -> str:
     return f"constant {dp.moment_identity_check(n)}"
 
 
-def _dualpair_rows(element, seed: int) -> List[Row]:
-    """Rows of one dualpair report; kp_find_element has already asserted
-    the witness's Jordan types, so that row only reports them."""
-    n = element.n
-    types = f"rho {list(element.rho_type)}, pi {list(element.pi_type)}"
+def _dualpair_rows(n: int, element: Callable[[], dp.KPElement], seed: int) -> List[Row]:
+    """Rows of one dualpair report; the first computes the witness, which
+    kp_find_element checks, and reports its Jordan types."""
     rows = [
-        ("witness-jordan-types", None, lambda: types),
+        ("witness-jordan-types", None,
+         lambda: f"rho {list(element().rho_type)}, pi {list(element().pi_type)}"),
         ("pfaffian-locus", None, lambda: _pf_locus_samples(n, 25, seed)),
         ("equivariance", None,
          lambda: f"{dp.equivariance_check(n, samples=5, seed=seed)} identities"),
@@ -467,20 +466,17 @@ def cmd_dualpair(args) -> int:
         return _fail_input(f"dualpair is limited to n <= {dp.MAX_N}, got n = {n}")
     inputs = {"n": n, "i": i, "seed": args.seed}
     try:
-        element = dp.kp_find_element(n, i)
+        dp.kp_validate(n, i)
     except ValueError as exc:
         return _fail_input(str(exc))
-    except AssertionError as exc:
-        rows = [("witness-element", None, partial(_expect, False, str(exc)))]
-        return _emit(args, "dualpair", inputs, {}, _run(rows, SUB))
-    results = {
-        "X0": element.X,
-        "rho_type": list(element.rho_type),
-        "pi_type": list(element.pi_type),
-        "moment_constant": dp.MOMENT_CONSTANT,
-    }
-    checks = _run(_dualpair_rows(element, args.seed), SUB)
-    return _emit(args, "dualpair", inputs, results, checks)
+    element = lru_cache(maxsize=1)(partial(dp.kp_find_element, n, i))
+
+    def results() -> Dict:
+        e = element()
+        return {"X0": e.X, "rho_type": list(e.rho_type), "pi_type": list(e.pi_type),
+                "moment_constant": dp.MOMENT_CONSTANT}
+
+    return _report(args, "dualpair", inputs, _dualpair_rows(n, element, args.seed), results)
 
 
 # ---------------------------------------------------------------------------

@@ -126,15 +126,21 @@ def _witness(n: int, i: int) -> PolyMatrix:
     return PolyMatrix.from_entries(du, dv, entries)
 
 
+def kp_validate(n: int, i: int) -> None:
+    """ValueError unless a witness exists for (n, i): n >= 2 and
+    1 <= i <= n with i odd or i = n."""
+    _forms(n)  # raises ValueError for n < 2
+    if not (1 <= i <= n) or (i % 2 == 0 and i != n):
+        raise ValueError("need 1 <= i <= n with i odd or i = n")
+
+
 def kp_find_element(n: int, i: int) -> KPElement:
     """X with jordan_type(X*X) = [2n-i, i] and jordan_type(XX*) =
     [2n-i-1, i-1] (the zero part dropped when i = 1), for i odd or
     i = n.  The witness is written in closed form; kp_maps, its rank
     and both Jordan types are then checked exactly, each raising
-    AssertionError on failure."""
-    _forms(n)  # raises ValueError for n < 2
-    if not (1 <= i <= n) or (i % 2 == 0 and i != n):
-        raise ValueError("need 1 <= i <= n with i odd or i = n")
+    AssertionError on failure; kp_validate's ValueError comes first."""
+    kp_validate(n, i)
     X0 = _witness(n, i)
     pi, rho = kp_maps(X0)
     if rank(X0) != 2 * n - 2:
@@ -273,10 +279,8 @@ def moment_identity_check(n: int) -> Fraction:
     X = symbolic_element(n)
     Xs = adjoint(X)
     alg = make_algebra("sp", du, _forms(n)[1])
-    xi_entries = []
-    for xi in alg.basis:
-        alg.coords(xi)  # raises ValueError unless xi lies in the algebra
-        xi_entries.append(list(xi.nonzeros()))
+    alg.read(alg.basis)  # raises ValueError unless each xi lies in the algebra
+    xi_entries = [list(xi.nonzeros()) for xi in alg.basis]
     constant = MOMENT_CONSTANT
     nondegenerate = False
     for c_ in range(du):

@@ -217,7 +217,8 @@ def g2_combination(coeffs: Sequence) -> PolyMatrix:
 def g2_algebra() -> LieAlgebra:
     """The model as a LieAlgebra on g2_basis().  Built on every call from
     the module's current g2_bracket and g2_coords, so a replaced bracket
-    or readout is the one the algebra uses."""
+    or readout is the one the algebra uses.  g2_coords rejects a matrix
+    outside g2 itself, so it is the member test too."""
     return LieAlgebra(BASIS_NAMES, g2_basis(), g2_bracket, g2_coords, g2_combination)
 
 

@@ -2,12 +2,15 @@
 transverse slices.
 
 LieAlgebra is the one Lie-algebra type: a named basis with its bracket, a
-coordinate readout that rejects elements outside the algebra, and the
-linear combination that inverts it.  ad(x) is read from dim brackets
-[x, b_k]; the sparse structure-constant table, on which the Jacobi
-identity is a contraction, is read on first use from one bracket of two
-generic elements, whose coordinates must be bilinear and recombine, and
-the contraction is summed once per cyclic class of basis triples.
+coordinate readout, the linear combination that inverts it, and a
+membership test.  Readouts are checked in batches (LieAlgebra.read): with
+the readouts as the rows of C, one sparse product C B, B the basis
+flattened to dim x size^2, must give the elements flattened.  coords is
+the batch of one; ad(x) reads x and its dim brackets [x, b_k] in one.
+The sparse structure-constant table, on which the Jacobi identity is a
+contraction, is read on first use from one bracket of two generic
+elements, whose coordinates must be bilinear and recombine, and the
+contraction is summed once per cyclic class of basis triples.
 The exceptional algebra (g2.g2_algebra) is one too: its elements are
 rational 7x7 PolyMatrix values like those of sl/so/sp, and its bracket is
 the printed block formula.
@@ -18,11 +21,11 @@ are the sl2-triples, the chart vectors and ad(x).  Every form here is
 monomial, one nonzero entry per row, so M^T G + G M = 0 ties each entry
 M_ij to one partner entry (or to itself) and the so/sp basis is written
 down, one isometry_element per pair (Collingwood-McGovern, Nilpotent
-Orbits in Semisimple Lie Algebras, 1993).  Membership tests
-M^T G + G M = 0 through the one product G M (or tests the trace), and a
-coordinate readout takes the entries at the basis elements' own
-positions (the diagonal partial sums for sl) and is checked by
-recombining it.
+Orbits in Semisimple Lie Algebras, 1993), all of them checked against the
+form by one product.  Membership tests M^T G + G M = 0 through the one
+product G M (or tests the trace), and a coordinate readout takes the
+entries at the basis elements' own positions (the diagonal partial sums
+for sl).
 Nilpotent elements come with adapted bases: each Jordan block gets the
 chain basis whose form is the alternating binomial antidiagonal, which
 keeps every structure constant rational and makes the printed models
@@ -31,7 +34,7 @@ downstream reproducible literally.
 SliceChart is the one slice type, for sl/so/sp and g2 alike: coordinate
 vectors at x with their weights.  check_triple is the one sl2-triple
 check and check_chart the one chart check; both use only the algebra's
-coords and bracket.
+read and bracket.
 """
 
 from __future__ import annotations
@@ -79,28 +82,27 @@ def preserves_form(x: PolyMatrix, g: PolyMatrix, symmetric: bool) -> bool:
 
 
 class LieAlgebra:
-    """A Lie algebra on a named basis b_0..b_(dim-1); immutable.
+    """A Lie algebra on a named basis b_0..b_(dim-1) of square matrices; immutable.
 
-    Elements are of whatever type the basis has.  `bracket(x, y)` is the
-    Lie bracket; `coords(x)` reads x into basis coordinates and raises
-    ValueError for an element outside the algebra; `combination(cs)` is
-    sum_k cs[k] b_k, so combination(coords(x)) == x.  All three accept
-    polynomial coefficients too, since `table` brackets two generic
-    elements."""
+    `bracket(x, y)` is the Lie bracket; `readout(x)` reads an element into
+    basis coordinates, unchecked (`read` checks); `combination(cs)` is
+    sum_k cs[k] b_k; `member(x)` raises ValueError for x outside the
+    algebra, and is the readout unless given.  All accept polynomial
+    coefficients too, since `table` brackets two generic elements."""
 
     def __init__(
         self,
         names: Tuple[str, ...],
         basis: Tuple,
         bracket: Callable,
-        coords: Callable,
+        readout: Callable,
         combination: Callable,
+        member: Optional[Callable] = None,
     ):
         # __setattr__ refuses, so fill the instance dict, where cached_property
         # also stores `table`
-        self.__dict__.update(
-            names=names, basis=basis, bracket=bracket, coords=coords, combination=combination
-        )
+        self.__dict__.update(names=names, basis=basis, bracket=bracket, readout=readout,
+                             combination=combination, member=member or readout)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -111,6 +113,37 @@ class LieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def read(self, xs: Sequence) -> PolyMatrix:
+        """The readouts of the elements xs as the rows of a len(xs) x dim
+        matrix C, checked by one sparse product: C B must be xs flattened,
+        row by row, B the dim x size^2 matrix whose row k is b_k flattened
+        (entry (r, s) at column r * size + s).  The basis lies in the
+        algebra, so each xs[i] does too.  Otherwise the first element that
+        fails its own check raises: member's ValueError, else
+        AssertionError.  B is built for each read, not kept with the
+        algebra: kept, it raised the peak RSS of a hook-scaling pass."""
+        if not xs:
+            return PolyMatrix.zeros(0, self.dim)
+        size = self.combination([ZERO] * self.dim).nrows
+        if all((x.nrows, x.ncols) == (size, size) for x in xs):
+            c = PolyMatrix([self.readout(x) for x in xs])
+            flat = {(k, r * size + s): v
+                    for k, b in enumerate(self.basis) for r, s, v in b.nonzeros()}
+            product = c * PolyMatrix.from_entries(self.dim, size * size, flat)
+            want = {(i, r * size + s): v for i, x in enumerate(xs) for r, s, v in x.nonzeros()}
+            if {(i, j): v for i, j, v in product.nonzeros()} == want:
+                return c
+        for x in xs:
+            self.member(x)
+            if self.combination(self.readout(x)) != x:
+                break
+        raise AssertionError("coordinate readout failed to reproduce the matrix")
+
+    def coords(self, x) -> List:
+        """The coordinates of x, checked as a batch of one by read's product
+        C B; polynomial entries included."""
+        return self.read([x]).row(0)
 
     def generic(self, *prefixes: str) -> Tuple:
         """One generic element sum_k p_k b_k for each prefix p, all in the
@@ -125,10 +158,12 @@ class LieAlgebra:
         )
 
     def ad_matrix(self, x) -> PolyMatrix:
-        """ad(x) in the basis: column k holds coords([x, b_k]).  Raises
-        ValueError for x outside the algebra."""
-        self.coords(x)
-        return PolyMatrix([self.coords(self.bracket(x, b)) for b in self.basis]).transpose()
+        """ad(x) in the basis: column k holds the coordinates of [x, b_k].
+        x and its brackets are checked by one product C B in `read`, which
+        raises ValueError for x outside the algebra."""
+        # an x of another shape than the basis is read alone, and rejected
+        brackets = [self.bracket(x, b) for b in self.basis if b.nrows == x.nrows == x.ncols]
+        return self.read([x, *brackets]).submatrix(1, self.dim + 1, 0, self.dim).transpose()
 
     @cached_property
     def table(self) -> Dict[Tuple[int, int], Dict[int, Scalar]]:
@@ -143,12 +178,11 @@ class LieAlgebra:
         coordinates recombine to [X, Y] exactly.  The coefficient of x_i y_j
         in that check is the check on the basis pair (i, j), so a readout
         that loses a coordinate, or a bracket that leaves the span of the
-        basis, is caught on every pair at once.  The readouts recombine
-        too, but a readout swapped in without that check (the tests drop a
-        coordinate or misread h2) is caught only here."""
+        basis, is caught on every pair at once; a bracket outside the
+        algebra raises member's ValueError first, as read would."""
         dim, names = self.dim, self.names
         value = self.bracket(*self.generic("x", "y"))
-        cs = self.coords(value)
+        cs = self.readout(value)
 
         def pair(exps) -> Optional[Tuple[int, int]]:
             # (i, j) for the monomial x_i y_j, None for any other monomial
@@ -161,6 +195,7 @@ class LieAlgebra:
 
         wrong = list((self.combination(cs) - value).nonzeros())
         if wrong:
+            self.member(value)  # a bracket outside the algebra, as read reports it
             ij = pair(next(iter(wrong[0][2].terms)))
             where = f"[{names[ij[0]]}, {names[ij[1]]}]" if ij else "the generic bracket"
             raise AssertionError(f"coordinates of {where} do not recombine to the bracket")
@@ -231,14 +266,22 @@ def _partner(g: PolyMatrix, sigma: List[int], i: int, j: int) -> Tuple[Tuple[int
     return (sj, si), -(g.entry(si, i) / g.entry(sj, j))
 
 
-def _written(
-    g: PolyMatrix, symmetric: bool, p: Tuple[int, int], partner: Tuple[int, int], c: Scalar
-) -> PolyMatrix:
-    """The matrix with 1 at p and c at partner, checked with preserves_form."""
-    m = PolyMatrix.from_entries(g.nrows, g.nrows, {partner: c, p: ONE})
-    if not preserves_form(m, g, symmetric):
+def _isometries(g: PolyMatrix, symmetric: bool, written: Sequence[Tuple]) -> List[PolyMatrix]:
+    """The matrices M_k with 1 at p and c at partner, one per (p, partner,
+    c), checked by one product g [M_0 | M_1 | ..]: as in preserves_form,
+    each block g M_k must be skew (symmetric g) or symmetric (skew g), else
+    AssertionError at the first p whose block is not."""
+    n = g.nrows
+    ms = [PolyMatrix.from_entries(n, n, {partner: c, p: ONE}) for p, partner, c in written]
+    joined = {(r, k * n + s): v for k, m in enumerate(ms) for r, s, v in m.nonzeros()}
+    y = g * PolyMatrix.from_entries(n, n * len(ms), joined)
+    # entry (r, s) of block k is at column c = k n + s, its mirror at (s, k n + r)
+    bad = [c // n for r, c, v in y.nonzeros()
+           if y.entry(c % n, c - c % n + r) != (-v if symmetric else v)]
+    if bad:
+        p = written[min(bad)][0]
         raise AssertionError(f"isometry element at {p} does not preserve the form")
-    return m
+    return ms
 
 
 def isometry_element(g: PolyMatrix, i: int, j: int) -> PolyMatrix:
@@ -251,7 +294,7 @@ def isometry_element(g: PolyMatrix, i: int, j: int) -> PolyMatrix:
     partner, c = _partner(g, sigma, i, j)
     if partner == (i, j) and c != ONE:
         raise ValueError(f"entry ({i}, {j}) is 0 on every isometry")
-    return _written(g, symmetric, (i, j), partner, c)
+    return _isometries(g, symmetric, [((i, j), partner, c)])[0]
 
 
 def _form_basis(g: PolyMatrix) -> Tuple[List[PolyMatrix], List[Tuple[int, int]]]:
@@ -260,22 +303,20 @@ def _form_basis(g: PolyMatrix) -> Tuple[List[PolyMatrix], List[Tuple[int, int]]]
     at the larger flat index p, and of each free fixed point, in flat
     order.  Each element is 1 at its own position and 0 at the others'."""
     sigma, symmetric = _involution(g)
-    basis, positions = [], []
+    written = []
     for p in ((i, j) for i in range(g.nrows) for j in range(g.nrows)):
         partner, c = _partner(g, sigma, *p)
         if partner < p or (partner == p and c == ONE):
-            basis.append(_written(g, symmetric, p, partner, c))
-            positions.append(p)
-    return basis, positions
+            written.append((p, partner, c))
+    return _isometries(g, symmetric, written), [p for p, _, _ in written]
 
 
 def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> LieAlgebra:
     """Construct sl/so/sp of the given matrix size.  For so/sp the form
     (standard_form by default) must have one nonzero entry per row, and the
     basis is _form_basis(form): the coordinates are the entries at the
-    elements' own positions.  coords rejects a matrix outside the algebra
-    (ValueError) and checks every readout by recombining it
-    (AssertionError)."""
+    elements' own positions.  member raises ValueError for a matrix outside
+    the algebra."""
     if family == "sl":
         basis = [
             PolyMatrix.from_entries(size, size, {(i, j): ONE})
@@ -285,9 +326,6 @@ def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> L
             PolyMatrix.from_entries(size, size, {(k, k): ONE, (k + 1, k + 1): -ONE})
             for k in range(size - 1)
         ]
-
-        def member(x: PolyMatrix) -> bool:
-            return not x.trace()
 
         def readout(x: PolyMatrix) -> List[Scalar]:
             # E_ij off-diagonal, then H_k = E_kk - E_(k+1)(k+1): the H
@@ -312,9 +350,6 @@ def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> L
                 f"{family}{size} basis has {len(basis)} elements, expected {expected}"
             )
 
-        def member(x: PolyMatrix) -> bool:
-            return preserves_form(x, g, family == "so")
-
         def readout(x: PolyMatrix) -> List[Scalar]:
             # the stored entries, read once; a position holding none reads
             # as zero
@@ -325,19 +360,17 @@ def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> L
         raise ValueError(f"unknown family {family!r}")
     name = f"{family}{size}"
 
-    def coords(x: PolyMatrix) -> List[Scalar]:
-        if (x.nrows, x.ncols) != (size, size) or not member(x):
+    def member(x: PolyMatrix) -> None:
+        if (x.nrows, x.ncols) != (size, size) or (
+            x.trace() if family == "sl" else not preserves_form(x, g, family == "so")
+        ):
             raise ValueError(f"matrix is not in {name}")
-        out = readout(x)
-        if combination(out) != x:
-            raise AssertionError("coordinate readout failed to reproduce the matrix")
-        return out
 
     def combination(coeffs: Sequence[Scalar]) -> PolyMatrix:
         return linear_combination(coeffs, basis, size, size)
 
     names = tuple(f"b{k}" for k in range(len(basis)))
-    return LieAlgebra(names, tuple(basis), bracket, coords, combination)
+    return LieAlgebra(names, tuple(basis), bracket, readout, combination, member)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +478,10 @@ class NilpotentModel:
 
 
 def check_triple(alg: LieAlgebra, triple: Triple) -> None:
-    """x, y, h lie in alg (else coords raises ValueError) and satisfy the
+    """x, y, h lie in alg (else read raises ValueError) and satisfy the
     sl2 relations under alg's bracket (else AssertionError)."""
-    x, y, h = triple.x, triple.y, triple.h
-    for m in (x, y, h):
-        alg.coords(m)
+    x, y, h = triple
+    alg.read(triple)
     b = alg.bracket
     if b(x, y) != h or b(h, x) != x.scale(2) or b(h, y) != y.scale(-2):
         raise AssertionError("sl2 relations fail")
@@ -524,19 +556,22 @@ class SliceChart(NamedTuple):
 def check_chart(chart: SliceChart) -> SliceChart:
     """The chart, once its vectors are shown to be a graded basis of
     ker(ad y) under the algebra's bracket (else AssertionError) lying in
-    the algebra (else coords raises ValueError)."""
+    the algebra (else read raises ValueError).  The coordinates of all the
+    vectors are checked by one product C B in `read`, and the rows of C
+    must be independent."""
     model = chart.model
     alg, y, h = model.algebra, model.triple.y, model.triple.h
-    coord_rows = []
-    for name, v, w in zip(chart.names, chart.vectors, chart.coord_weights):
-        if not alg.bracket(y, v).is_zero():
-            raise AssertionError(f"chart vector {name} is not in ker(ad y)")
-        if alg.bracket(h, v) != v.scale(2 - w):
-            raise AssertionError(f"chart vector {name} has the wrong weight")
-        coord_rows.append(alg.coords(v))
-    if rank(PolyMatrix(coord_rows)) != len(coord_rows):
+    rows = list(zip(chart.names, chart.vectors, chart.coord_weights))
+    vectors = [v for _, v, _ in rows]
+    for k, (name, v, w) in enumerate(rows):
+        in_kernel = alg.bracket(y, v).is_zero()
+        if not in_kernel or alg.bracket(h, v) != v.scale(2 - w):
+            alg.read(vectors[:k])  # an earlier vector outside the algebra is reported first
+            fault = "has the wrong weight" if in_kernel else "is not in ker(ad y)"
+            raise AssertionError(f"chart vector {name} {fault}")
+    if rank(alg.read(vectors)) != len(vectors):
         raise AssertionError("chart vectors are dependent")
-    if model.slice_dim != len(coord_rows):
+    if model.slice_dim != len(vectors):
         raise AssertionError("chart does not span ker(ad y)")
     return chart
 

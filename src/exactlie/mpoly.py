@@ -103,7 +103,7 @@ class MPoly:
         return next(iter(self.terms.values()))
 
     def degree_in(self, var: str) -> int:
-        idx = self.vars.index(var)
+        idx = _position(var, self.vars)
         if not self.terms:
             return 0
         return max(e[idx] for e in self.terms)
@@ -243,7 +243,7 @@ class MPoly:
     # ---- calculus / structure ----
 
     def derivative(self, var: str) -> "MPoly":
-        idx = self.vars.index(var)
+        idx = _position(var, self.vars)
         # e -> e - e_idx is injective on the terms kept, so each result term
         # is written once, and c * k is nonzero for c nonzero and k >= 1
         terms: Dict[Exponents, Scalar] = {}
@@ -256,7 +256,7 @@ class MPoly:
     def coefficient_in(self, var: str, power: int) -> "MPoly":
         """Coefficient of var**power, returned over the same variable tuple
         (the var slot is zeroed out)."""
-        idx = self.vars.index(var)
+        idx = _position(var, self.vars)
         terms: Dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
             if e[idx] == power:
@@ -265,7 +265,7 @@ class MPoly:
         return MPoly(self.vars, terms)
 
     def as_univariate_in(self, var: str) -> Dict[int, "MPoly"]:
-        idx = self.vars.index(var)
+        idx = _position(var, self.vars)
         buckets: Dict[int, Dict[Exponents, Scalar]] = {}
         for e, c in self.terms.items():
             k = e[idx]
@@ -274,7 +274,7 @@ class MPoly:
         return {k: MPoly(self.vars, t) for k, t in buckets.items()}
 
     def involves(self, var: str) -> bool:
-        idx = self.vars.index(var)
+        idx = _position(var, self.vars)
         return any(e[idx] for e in self.terms)
 
     def quasi_homogeneous_degree(self, weights: Dict[str, int]) -> Optional[int]:

@@ -7,7 +7,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import exactlie
 
@@ -49,3 +52,17 @@ def test_every_traced_entry_point_resolves_after_importing_cli():
         capture_output=True, text=True, env=env, check=True,
     )
     assert json.loads(done.stdout) == []
+
+
+@pytest.mark.parametrize("workload", ["check", "hook-scaling", "ideal-membership"])
+def test_a_traced_pass_records_every_expected_layer(workload):
+    # one traced pass, as ``bench/run.py --trace 1`` starts it: every
+    # outcome verifies, every metric tracing.EXPECTED names on this workload
+    # records a call, and none FORBIDDEN does
+    spec = {"root": str(BENCH.parent), "workload": workload, "seed": 1, "trace": True,
+            "setup_only": False, "spawned": time.monotonic()}
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), json.dumps(spec)],
+        capture_output=True, text=True, cwd=BENCH.parent, check=True, timeout=300,
+    )
+    assert json.loads(done.stdout.splitlines()[-1])["unexpected"] == []

@@ -13,6 +13,7 @@ import pytest
 from exactlie import cli, f4, g2, slicegeom
 from exactlie import dualpair as dp
 from exactlie.cli import SUITES, build_parser, main
+from exactlie.polymat import PolyMatrix
 from exactlie.slicegeom import MAX_RANK
 
 
@@ -537,6 +538,22 @@ def test_f4_verify_reports_a_failed_grading(capsys, monkeypatch, fresh_pipelines
     status = {c["name"]: c["status"] for c in report["checks"]}
     assert status["grade-0-dim-8"] == status["orbit-dimension"] == "fail"
     assert status["48-roots"] == status["reflection-closure"] == "pass"
+
+
+def test_dualpair_reports_a_wrong_witness_in_its_row(capsys, monkeypatch):
+    # a rank-deficient witness fails its own row, the other rows still
+    # run, and the results stay empty; input validation comes first
+    monkeypatch.setattr(dp, "_witness", lambda n, i: PolyMatrix.zeros(2 * n - 2, 2 * n))
+    code, report = run_json(capsys, ["dualpair", "--n", "3", "--i", "3"])
+    assert code == report["exit_code"] == 1
+    assert report["results"] == {}
+    checks = [(c["name"], c["status"], c["detail"]) for c in report["checks"]]
+    assert checks[0] == ("witness-jordan-types", "fail", "witness is not surjective")
+    assert [c[:2] for c in checks[1:]] == passing(
+        DUALPAIR[1:] + ["poisson-commutant", "moment-identity"]
+    )
+    code, _, err = run(capsys, ["dualpair", "--n", "4", "--i", "2"])
+    assert (code, err) == (2, "error: need 1 <= i <= n with i odd or i = n\n")
 
 
 def test_suites_build_their_rows_without_running_a_pipeline(monkeypatch):

@@ -1352,6 +1352,24 @@ def test_mpoly_variable_names_an_unknown_variable():
         MPoly.variable("w", ("x", "y"))
 
 
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda p: p.degree_in("w"),
+        lambda p: p.derivative("w"),
+        lambda p: p.coefficient_in("w", 1),
+        lambda p: p.as_univariate_in("w"),
+        lambda p: p.involves("w"),
+    ],
+    ids=["degree_in", "derivative", "coefficient_in", "as_univariate_in", "involves"],
+)
+def test_variable_lookups_name_an_unknown_variable(lookup):
+    # the zero polynomial too: the name is looked up before any term is read
+    for p in (MPoly.zero(("x",)), MPoly.from_text("x^2 + 3", ("x",))):
+        with pytest.raises(ValueError, match=r"^variable 'w' is not in \('x',\)$"):
+            lookup(p)
+
+
 def test_scalar_product_sums_each_entry_once(monkeypatch):
     # the term loop makes one Scalar product per term: 8 * 6 * 8 = 384
     # for 64 entries

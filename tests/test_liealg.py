@@ -12,6 +12,7 @@ from exactlie.classify import partitions_of
 from exactlie.g2 import g2_algebra, g2_chart
 from exactlie.liealg import (
     LieAlgebra,
+    NilpotentModel,
     block_form,
     bracket,
     chain_block,
@@ -468,6 +469,98 @@ def test_ad_matrix_matches_dense_oracle():
             elements += [triple.x, triple.y, triple.h]
         for x in elements:
             assert alg.ad_matrix(x) == _dense_ad_oracle(alg, x)
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_ad_matrix_matches_dense_oracle_on_every_jm_algebra(size):
+    rng = random.Random(size)
+    for family in ("sl", "so", "sp"):
+        for parts in partitions_of(size):
+            if valid_partition(family, size, parts):
+                model = jm_triple(family, parts)
+                alg = model.algebra
+                for x in (model.triple.y, rand_combination(alg, rng)):
+                    assert alg.ad_matrix(x) == _dense_ad_oracle(alg, x)
+
+
+def test_ad_matrix_matches_dense_oracle_on_g2():
+    model = g2_chart().model
+    alg = model.algebra
+    for x in (*model.triple, rand_combination(alg, random.Random(19))):
+        assert alg.ad_matrix(x) == _dense_ad_oracle(alg, x)
+
+
+def test_ad_matrix_reads_every_column_in_one_product(monkeypatch):
+    # 2 dim products for the brackets [x, b_k] and one for the readout
+    # check: no per-column coords call and no membership product
+    alg = make_algebra("sp", 6)
+    x = rand_combination(alg, random.Random(23))
+    want = _dense_ad_oracle(alg, x)
+    coords_calls, products = [], []
+    real_coords, real_mul = alg.coords, PolyMatrix.__mul__
+    alg.__dict__["coords"] = lambda m: coords_calls.append(m) or real_coords(m)
+    monkeypatch.setattr(PolyMatrix, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+    assert alg.ad_matrix(x) == want
+    assert coords_calls == []
+    assert len(products) == 2 * alg.dim + 1
+
+
+def test_a_bracket_that_leaves_the_algebra_fails_ad_matrix():
+    alg = make_algebra("sp", 4)
+
+    def leaky(x, y):
+        return bracket(x, y) + PolyMatrix.identity(4)
+
+    lie = LieAlgebra(alg.names, alg.basis, leaky, alg.readout, alg.combination, alg.member)
+    with pytest.raises(ValueError, match="^matrix is not in sp4$"):
+        lie.ad_matrix(alg.basis[0])
+    # x itself outside, of the wrong size: rejected before any bracket
+    with pytest.raises(ValueError, match="^matrix is not in sp4$"):
+        alg.ad_matrix(PolyMatrix.identity(5))
+
+
+def test_swapped_readout_fails_ad_matrix_and_check_chart_as_coords(monkeypatch):
+    chart = hook_slice(2)
+    model = chart.model
+    right = liealg._form_basis
+
+    def swapped(g):
+        basis, positions = right(g)
+        positions[0] = positions[1]
+        return basis, positions
+
+    monkeypatch.setattr(liealg, "_form_basis", swapped)
+    alg = make_algebra("sp", 4, model.form)
+    bad = NilpotentModel(alg, model.triple, model.partition, model.family, model.form)
+    message = "^coordinate readout failed to reproduce the matrix$"
+    with pytest.raises(AssertionError, match=message):
+        alg.coords(alg.basis[0])
+    with pytest.raises(AssertionError, match=message):
+        alg.ad_matrix(model.triple.y)
+    with pytest.raises(AssertionError, match=message):
+        check_chart(chart._replace(model=bad))
+
+
+def test_a_basis_element_that_is_not_an_isometry_fails_the_form_basis(monkeypatch):
+    g = standard_form("sp", 6)
+    positions = liealg._form_basis(g)[1]
+    sigma = liealg._involution(g)[0]
+    paired = [p for p in positions if liealg._partner(g, sigma, *p)[0] != p]
+    flipped = {paired[4], paired[2]}
+    right = liealg._partner
+
+    def wrong_sign(g, sigma, i, j):
+        partner, c = right(g, sigma, i, j)
+        return partner, -c if (i, j) in flipped else c
+
+    monkeypatch.setattr(liealg, "_partner", wrong_sign)
+    message = f"^isometry element at {re.escape(str(paired[2]))} does not preserve the form$"
+    with pytest.raises(AssertionError, match=message):
+        liealg._form_basis(g)
+    with pytest.raises(AssertionError, match=message):
+        make_algebra("sp", 6)
+    with pytest.raises(AssertionError, match=message):
+        isometry_element(g, *paired[2])
 
 
 def test_form_algebra_basis_has_free_column_structure():
