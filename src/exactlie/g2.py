@@ -35,9 +35,10 @@ choices are pinned down by the exhaustive Jacobi and commutator sweeps in
 the test suite.
 
 g2_algebra() is the model as a liealg.LieAlgebra on these matrices, like
-sl/so/sp, with g2_coords as its readout (ValueError for a matrix outside
-g2); jacobi_full sweeps its structure constants, which LieAlgebra.table
-reads from one bracket of two generic elements; chi_crosscheck proves the
+sl/so/sp: its dual basis G2_DUAL reads the entries of A, v and w, and a
+matrix outside g2 fails LieAlgebra.read's check like one outside sl/so/sp;
+jacobi_full sweeps its structure constants, which LieAlgebra.table reads
+from one bracket of two generic elements; chi_crosscheck proves the
 closed chi2/chi6 formulas on the generic element.  The minimal-orbit slice
 is a liealg.SliceChart on it, as the hook slice is on sp(2n): g2_chart()
 puts the coordinates a..u on xi_directions() at g2_triple's x,
@@ -149,10 +150,15 @@ OFF_DIAGONAL = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def g2_basis() -> Tuple[PolyMatrix, ...]:
-    """Fourteen generators, g2_combination of the unit coordinate vectors:
-    six off-diagonal sl3 units, the two simple coroots, and the standard
-    column/row vectors."""
-    return tuple(g2_combination([int(k == b) for k in range(14)]) for b in range(14))
+    """Fourteen generators in BASIS_NAMES order: the six off-diagonal sl3
+    units E_ij, the simple coroots H1 = diag(1, -1, 0) and H2 = diag(0, 1,
+    -1), and the standard column vectors v and row vectors w."""
+    a_blocks = [PolyMatrix.from_entries(3, 3, {p: 1}) for p in OFF_DIAGONAL]
+    a_blocks += [PolyMatrix.from_entries(3, 3, {(k, k): 1, (k + 1, k + 1): -1}) for k in (0, 1)]
+    units, zero = [[int(k == i) for k in range(3)] for i in range(3)], [0, 0, 0]
+    return tuple([g2_element(a, zero, zero) for a in a_blocks]
+                 + [g2_element([zero] * 3, u, zero) for u in units]
+                 + [g2_element([zero] * 3, zero, u) for u in units])
 
 
 def _cross3(a: Sequence, b: Sequence) -> List:
@@ -187,39 +193,22 @@ def g2_bracket(e: PolyMatrix, f: PolyMatrix) -> PolyMatrix:
     return g2_element(a_part, v_part, w_part)
 
 
-def g2_coords(e: PolyMatrix) -> List:
-    """Coordinates in g2_basis(): E_ij = A_ij, H1 = A11, H2 = A11 + A22,
-    then v and w.  Raises ValueError unless A is traceless and g2_element
-    rebuilds e from its blocks: A33 and the cross-product blocks are never
-    read, so these are coordinates only for an element of g2."""
-    a, v, w = g2_blocks(e)
-    if a.trace():
-        raise ValueError("element is not in g2: the A block has a trace")
-    if g2_element(a, v, w) != e:
-        raise ValueError("element is not in g2: its blocks do not rebuild it")
-    out = [a.entry(i, j) for i, j in OFF_DIAGONAL]
-    out += [a.entry(0, 0), a.entry(0, 0) + a.entry(1, 1)]
-    out += v.column(0)
-    out += w.row(0)
-    return out
-
-
-def g2_combination(coeffs: Sequence) -> PolyMatrix:
-    """The element with coordinates coeffs in BASIS_NAMES order: A has
-    off-diagonal entries E_ij and diagonal (H1, H2 - H1, -H2), v = (v1, v2,
-    v3) and w = (w1, w2, w3).  So it is sum_k coeffs[k] * g2_basis()[k];
-    the coefficients may be Scalars or polynomials."""
-    e12, e13, e21, e23, e31, e32, h1, h2 = coeffs[:8]
-    a_rows = [[h1, e12, e13], [e21, h2 - h1, e23], [e31, e32, -h2]]
-    return g2_element(a_rows, coeffs[8:11], coeffs[11:14])
+# The dual basis of g2_basis(), as (row, column, coefficient) triples per
+# coordinate: E_ij = A_ij, H1 = A11, H2 = A11 + A22, then v and w from
+# rows 0-2 and 4-6 of column 3.
+G2_DUAL = (
+    *(((i, j, 1),) for i, j in OFF_DIAGONAL),
+    ((0, 0, 1),),
+    ((0, 0, 1), (1, 1, 1)),
+    *(((r, 3, 1),) for r in (0, 1, 2, 4, 5, 6)),
+)
 
 
 def g2_algebra() -> LieAlgebra:
-    """The model as a LieAlgebra on g2_basis().  Built on every call from
-    the module's current g2_bracket and g2_coords, so a replaced bracket
-    or readout is the one the algebra uses.  g2_coords rejects a matrix
-    outside g2 itself, so it is the member test too."""
-    return LieAlgebra(BASIS_NAMES, g2_basis(), g2_bracket, g2_coords, g2_combination)
+    """The model as a LieAlgebra on g2_basis() with the dual basis G2_DUAL.
+    Built on every call from the module's current g2_bracket and G2_DUAL,
+    so a replaced bracket or dual is the one the algebra uses."""
+    return LieAlgebra("g2", 7, BASIS_NAMES, g2_basis(), g2_bracket, G2_DUAL)
 
 
 def invariant_form() -> PolyMatrix:
@@ -330,9 +319,9 @@ def jacobi_full() -> int:
     them); returns the count.
 
     The triples are summed over g2_algebra()'s structure constants, which
-    LieAlgebra.table reads through g2_coords from one g2_bracket of the
-    two generic elements of LieAlgebra.generic, checking that the readout is
-    bilinear and recombines to that bracket exactly.  So the table is
+    LieAlgebra.table reads through G2_DUAL from one g2_bracket of the two
+    generic elements of LieAlgebra.generic, checking that the coordinates
+    are bilinear and recombine to that bracket exactly.  So the table is
     g2_bracket on every input, and the contraction sum_m c_yz^m c_xm^l
     decides the same identity as [x, [y, z]] for the block bracket.
     LieAlgebra.jacobi forms each sum once per cyclic class of triples."""

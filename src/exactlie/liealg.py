@@ -1,31 +1,29 @@
 """Lie algebras on a basis, the classical matrix algebras, sl2-triples and
 transverse slices.
 
-LieAlgebra is the one Lie-algebra type: a named basis with its bracket, a
-coordinate readout, the linear combination that inverts it, and a
-membership test.  Readouts are checked in batches (LieAlgebra.read): with
-the readouts as the rows of C, one sparse product C B, B the basis
-flattened to dim x size^2, must give the elements flattened.  coords is
-the batch of one; ad(x) reads x and its dim brackets [x, b_k] in one.
-The sparse structure-constant table, on which the Jacobi identity is a
+LieAlgebra is the one Lie-algebra type: a named basis of PolyMatrix
+elements, its dual basis and its bracket, and nothing else.  Coordinates
+are data: the dual basis lists the entries each coordinate reads, so with
+F the elements flattened, D the dual and B the basis as sparse matrices,
+the coordinates of a batch are C = F D, and C B = F holds exactly for a
+batch inside the algebra, once B D = I has been checked when the algebra
+is built (LieAlgebra.read).  coords is the batch of one, ad(x) reads x and
+its dim brackets [x, b_k] in one, and combination is sum_k c_k b_k.  The
+sparse structure-constant table, on which the Jacobi identity is a
 contraction, is read on first use from one bracket of two generic
-elements, whose coordinates must be bilinear and recombine, and the
-contraction is summed once per cyclic class of basis triples.
-The exceptional algebra (g2.g2_algebra) is one too: its elements are
-rational 7x7 PolyMatrix values like those of sl/so/sp, and its bracket is
-the printed block formula.
+elements, whose coordinates must be bilinear, and the contraction is
+summed once per cyclic class of basis triples.  The exceptional algebra
+(g2.g2_algebra) is one too: its elements are rational 7x7 matrices like
+those of sl/so/sp, and its bracket is the printed block formula.
 
 make_algebra cuts sl/so/sp out of gl_m by a bilinear form (or
-tracelessness for type A).  Its elements are PolyMatrix values, and so
-are the sl2-triples, the chart vectors and ad(x).  Every form here is
-monomial, one nonzero entry per row, so M^T G + G M = 0 ties each entry
-M_ij to one partner entry (or to itself) and the so/sp basis is written
-down, one isometry_element per pair (Collingwood-McGovern, Nilpotent
-Orbits in Semisimple Lie Algebras, 1993), all of them checked against the
-form by one product.  Membership tests M^T G + G M = 0 through the one
-product G M (or tests the trace), and a coordinate readout takes the
-entries at the basis elements' own positions (the diagonal partial sums
-for sl).
+tracelessness for type A).  Every form here is monomial, one nonzero
+entry per row, so M^T G + G M = 0 ties each entry M_ij to one partner
+entry (or to itself) and the so/sp basis is written down, one
+isometry_element per pair (Collingwood-McGovern, Nilpotent Orbits in
+Semisimple Lie Algebras, 1993), all of them checked against the form by
+one product.  Each coordinate reads its basis element's own position (the
+diagonal partial sums for sl).
 Nilpotent elements come with adapted bases: each Jordan block gets the
 chain basis whose form is the alternating binomial antidiagonal, which
 keeps every structure constant rational and makes the printed models
@@ -46,7 +44,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .mpoly import MPoly
 from .polymat import PolyMatrix, linear_combination, nullspace, rank
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +80,26 @@ def preserves_form(x: PolyMatrix, g: PolyMatrix, symmetric: bool) -> bool:
 
 
 class LieAlgebra:
-    """A Lie algebra on a named basis b_0..b_(dim-1) of square matrices; immutable.
+    """The Lie algebra `name` on a named basis b_0..b_(dim-1) of size x size
+    matrices, with its bracket and its dual basis; immutable.
 
-    `bracket(x, y)` is the Lie bracket; `readout(x)` reads an element into
-    basis coordinates, unchecked (`read` checks); `combination(cs)` is
-    sum_k cs[k] b_k; `member(x)` raises ValueError for x outside the
-    algebra, and is the readout unless given.  All accept polynomial
-    coefficients too, since `table` brackets two generic elements."""
+    `dual[k]` lists the (row, column, coefficient) triples that coordinate
+    k reads: coordinate k of x is the sum of c x_rs over them.  With B the
+    basis flattened to dim x size^2 (entry (r, s) of b_k at column r * size
+    + s) and D the dual as a size^2 x dim matrix, B D = I is checked here,
+    else AssertionError("coordinate readout failed to reproduce the
+    matrix").  B and D are built from these small lists for each use, not
+    kept: a kept B raised the peak RSS of a hook-scaling pass.  Elements
+    may have polynomial entries, since `table` brackets generic elements."""
 
-    def __init__(
-        self,
-        names: Tuple[str, ...],
-        basis: Tuple,
-        bracket: Callable,
-        readout: Callable,
-        combination: Callable,
-        member: Optional[Callable] = None,
-    ):
+    def __init__(self, name: str, size: int, names: Tuple[str, ...], basis: Tuple[PolyMatrix, ...],
+                 bracket: Callable, dual: Tuple[Tuple[Tuple[int, int, object], ...], ...]):
         # __setattr__ refuses, so fill the instance dict, where cached_property
         # also stores `table`
-        self.__dict__.update(names=names, basis=basis, bracket=bracket, readout=readout,
-                             combination=combination, member=member or readout)
+        self.__dict__.update(name=name, size=size, names=names, basis=basis, bracket=bracket,
+                             dual=dual)
+        if self._flat(basis) * self._dual_matrix() != PolyMatrix.identity(len(basis)):
+            raise AssertionError("coordinate readout failed to reproduce the matrix")
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -114,36 +111,39 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def read(self, xs: Sequence) -> PolyMatrix:
-        """The readouts of the elements xs as the rows of a len(xs) x dim
-        matrix C, checked by one sparse product: C B must be xs flattened,
-        row by row, B the dim x size^2 matrix whose row k is b_k flattened
-        (entry (r, s) at column r * size + s).  The basis lies in the
-        algebra, so each xs[i] does too.  Otherwise the first element that
-        fails its own check raises: member's ValueError, else
-        AssertionError.  B is built for each read, not kept with the
-        algebra: kept, it raised the peak RSS of a hook-scaling pass."""
-        if not xs:
-            return PolyMatrix.zeros(0, self.dim)
-        size = self.combination([ZERO] * self.dim).nrows
-        if all((x.nrows, x.ncols) == (size, size) for x in xs):
-            c = PolyMatrix([self.readout(x) for x in xs])
-            flat = {(k, r * size + s): v
-                    for k, b in enumerate(self.basis) for r, s, v in b.nonzeros()}
-            product = c * PolyMatrix.from_entries(self.dim, size * size, flat)
-            want = {(i, r * size + s): v for i, x in enumerate(xs) for r, s, v in x.nonzeros()}
-            if {(i, j): v for i, j, v in product.nonzeros()} == want:
-                return c
-        for x in xs:
-            self.member(x)
-            if self.combination(self.readout(x)) != x:
-                break
-        raise AssertionError("coordinate readout failed to reproduce the matrix")
+    def _flat(self, xs: Sequence[PolyMatrix]) -> PolyMatrix:
+        return PolyMatrix.flattened(xs, self.size * self.size)
 
-    def coords(self, x) -> List:
-        """The coordinates of x, checked as a batch of one by read's product
-        C B; polynomial entries included."""
+    def _dual_matrix(self) -> PolyMatrix:
+        size = self.size
+        return PolyMatrix.from_entries(size * size, len(self.dual), {
+            (r * size + s, k): c for k, reads in enumerate(self.dual) for r, s, c in reads
+        })
+
+    def read(self, xs: Sequence[PolyMatrix]) -> PolyMatrix:
+        """The coordinates of the elements xs as the rows of the len(xs) x
+        dim matrix C = F D, F the elements flattened like B: one sparse
+        product for the whole batch.  Since B D = I, C B = F holds exactly
+        when every element lies in the span of the basis, the algebra, and
+        a second product checks it; ValueError("matrix is not in <name>")
+        otherwise, and for an element of another shape."""
+        size = self.size
+        if any((x.nrows, x.ncols) != (size, size) for x in xs):
+            raise ValueError(f"matrix is not in {self.name}")
+        f = self._flat(xs)
+        c = f * self._dual_matrix()
+        if c * self._flat(self.basis) != f:
+            raise ValueError(f"matrix is not in {self.name}")
+        return c
+
+    def coords(self, x: PolyMatrix) -> List:
+        """The coordinates of x, read and checked by `read` as a batch of
+        one; polynomial entries included."""
         return self.read([x]).row(0)
+
+    def combination(self, coeffs: Sequence) -> PolyMatrix:
+        """sum_k coeffs[k] b_k; the coefficients may be polynomials."""
+        return linear_combination(coeffs, self.basis, self.size, self.size)
 
     def generic(self, *prefixes: str) -> Tuple:
         """One generic element sum_k p_k b_k for each prefix p, all in the
@@ -151,18 +151,18 @@ class LieAlgebra:
         "y") is (sum x_i b_i, sum y_j b_j) in x0..x(dim-1), y0..y(dim-1).
         An identity of polynomials in these variables holds at every point,
         basis elements included."""
-        variables = tuple(f"{p}{k}" for p in prefixes for k in range(self.dim))
+        dim = self.dim
+        variables = tuple(f"{p}{k}" for p in prefixes for k in range(dim))
         coeffs = [MPoly.variable(v, variables) for v in variables]
-        return tuple(
-            self.combination(coeffs[i:i + self.dim]) for i in range(0, len(coeffs), self.dim)
-        )
+        return tuple(self.combination(coeffs[i * dim:(i + 1) * dim]) for i in range(len(prefixes)))
 
-    def ad_matrix(self, x) -> PolyMatrix:
+    def ad_matrix(self, x: PolyMatrix) -> PolyMatrix:
         """ad(x) in the basis: column k holds the coordinates of [x, b_k].
-        x and its brackets are checked by one product C B in `read`, which
-        raises ValueError for x outside the algebra."""
+        x and its brackets are read by one `read`, which raises ValueError
+        for x outside the algebra."""
         # an x of another shape than the basis is read alone, and rejected
-        brackets = [self.bracket(x, b) for b in self.basis if b.nrows == x.nrows == x.ncols]
+        shaped = (x.nrows, x.ncols) == (self.size, self.size)
+        brackets = [self.bracket(x, b) for b in self.basis] if shaped else []
         return self.read([x, *brackets]).submatrix(1, self.dim + 1, 0, self.dim).transpose()
 
     @cached_property
@@ -171,43 +171,25 @@ class LieAlgebra:
         [b_i, b_j] = sum_k c_ij^k b_k.  Only nonzero constants are stored,
         and a pair whose bracket vanishes has no entry.
 
-        They are read from one bracket [X, Y] of the generic elements
-        (X, Y) = generic("x", "y") in 2 dim variables: c_ij^k
-        is the coefficient of x_i y_j in coordinate k.  Raises
-        AssertionError unless every coordinate is bilinear and the
-        coordinates recombine to [X, Y] exactly.  The coefficient of x_i y_j
-        in that check is the check on the basis pair (i, j), so a readout
-        that loses a coordinate, or a bracket that leaves the span of the
-        basis, is caught on every pair at once; a bracket outside the
-        algebra raises member's ValueError first, as read would."""
+        They are read by `coords`, through the same product F D as every
+        element, from one bracket [X, Y] of the generic elements (X, Y) =
+        generic("x", "y") in 2 dim variables: c_ij^k is the coefficient of
+        x_i y_j in coordinate k.  The coefficient of x_i y_j in read's check
+        C B = F is the check on the basis pair (i, j), so a bracket that
+        leaves the algebra on any pair raises read's ValueError; then
+        AssertionError unless every coordinate is bilinear."""
         dim, names = self.dim, self.names
-        value = self.bracket(*self.generic("x", "y"))
-        cs = self.readout(value)
-
-        def pair(exps) -> Optional[Tuple[int, int]]:
-            # (i, j) for the monomial x_i y_j, None for any other monomial
-            support = [v for v, e in enumerate(exps) if e]
-            if len(support) == 2 and exps[support[0]] == exps[support[1]] == 1:
-                i, j = support
-                if i < dim <= j:
-                    return i, j - dim
-            return None
-
-        wrong = list((self.combination(cs) - value).nonzeros())
-        if wrong:
-            self.member(value)  # a bracket outside the algebra, as read reports it
-            ij = pair(next(iter(wrong[0][2].terms)))
-            where = f"[{names[ij[0]]}, {names[ij[1]]}]" if ij else "the generic bracket"
-            raise AssertionError(f"coordinates of {where} do not recombine to the bracket")
+        cs = self.coords(self.bracket(*self.generic("x", "y")))
         table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         for k, c in enumerate(cs):
             for exps, coef in c.terms.items():
-                ij = pair(exps)
-                if ij is None:
+                # the variables of the monomial, each as often as its power
+                factors = [v for v, e in enumerate(exps) for _ in range(e)]
+                if len(factors) != 2 or not factors[0] < dim <= factors[1]:
                     raise AssertionError(
                         f"coordinate {names[k]} of the generic bracket is not bilinear"
                     )
-                table.setdefault(ij, {})[k] = coef
+                table.setdefault((factors[0], factors[1] - dim), {})[k] = coef
         return dict(sorted(table.items()))
 
     def jacobi(self) -> int:
@@ -312,31 +294,21 @@ def _form_basis(g: PolyMatrix) -> Tuple[List[PolyMatrix], List[Tuple[int, int]]]
 
 
 def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> LieAlgebra:
-    """Construct sl/so/sp of the given matrix size.  For so/sp the form
-    (standard_form by default) must have one nonzero entry per row, and the
-    basis is _form_basis(form): the coordinates are the entries at the
-    elements' own positions.  member raises ValueError for a matrix outside
-    the algebra."""
+    """sl/so/sp of the given matrix size with its dual basis.  sl has the
+    units E_ij off the diagonal, each read at (i, j), then H_k = E_kk -
+    E_(k+1)(k+1), read as the diagonal partial sum x_00 + .. + x_kk.  For
+    so/sp the form (standard_form by default) must have one nonzero entry
+    per row, and the basis is _form_basis(form), each element read at its
+    own position."""
     if family == "sl":
-        basis = [
-            PolyMatrix.from_entries(size, size, {(i, j): ONE})
-            for i in range(size) for j in range(size) if i != j
-        ]
+        off = [(i, j) for i in range(size) for j in range(size) if i != j]
+        basis = [PolyMatrix.from_entries(size, size, {p: ONE}) for p in off]
         basis += [
             PolyMatrix.from_entries(size, size, {(k, k): ONE, (k + 1, k + 1): -ONE})
             for k in range(size - 1)
         ]
-
-        def readout(x: PolyMatrix) -> List[Scalar]:
-            # E_ij off-diagonal, then H_k = E_kk - E_(k+1)(k+1): the H
-            # coordinates are partial sums of the diagonal
-            out = [x.entry(i, j) for i in range(size) for j in range(size) if i != j]
-            running = ZERO
-            for k in range(size - 1):
-                running = running + x.entry(k, k)
-                out.append(running)
-            return out
-
+        dual = [((i, j, 1),) for i, j in off]
+        dual += [tuple((i, i, 1) for i in range(k + 1)) for k in range(size - 1)]
     elif family in ("so", "sp"):
         g = standard_form(family, size) if form is None else form
         if family == "so" and not g.is_symmetric():
@@ -349,28 +321,11 @@ def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> L
             raise AssertionError(
                 f"{family}{size} basis has {len(basis)} elements, expected {expected}"
             )
-
-        def readout(x: PolyMatrix) -> List[Scalar]:
-            # the stored entries, read once; a position holding none reads
-            # as zero
-            stored = {(i, j): v for i, j, v in x.nonzeros()}
-            return [stored.get(p, x.zero) for p in positions]
-
+        dual = [((i, j, 1),) for i, j in positions]
     else:
         raise ValueError(f"unknown family {family!r}")
-    name = f"{family}{size}"
-
-    def member(x: PolyMatrix) -> None:
-        if (x.nrows, x.ncols) != (size, size) or (
-            x.trace() if family == "sl" else not preserves_form(x, g, family == "so")
-        ):
-            raise ValueError(f"matrix is not in {name}")
-
-    def combination(coeffs: Sequence[Scalar]) -> PolyMatrix:
-        return linear_combination(coeffs, basis, size, size)
-
     names = tuple(f"b{k}" for k in range(len(basis)))
-    return LieAlgebra(names, tuple(basis), bracket, readout, combination, member)
+    return LieAlgebra(f"{family}{size}", size, names, tuple(basis), bracket, tuple(dual))
 
 
 # ---------------------------------------------------------------------------

@@ -44,22 +44,35 @@ def _coerce_entry(x):
     return x
 
 
+def _ring_zero(values):
+    """The zero polynomial in the variables of the first MPoly among values,
+    else ZERO: the zero of the ring that holds all of them."""
+    poly = next((x for x in values if type(x) is MPoly), None)
+    return ZERO if poly is None else MPoly.zero(poly.vars)
+
+
+def _in_ring(x, zero):
+    """The raw entry x as an element of zero's ring; in a polynomial ring
+    a constant becomes a constant MPoly."""
+    if type(zero) is MPoly and type(x) is not MPoly:
+        return MPoly.constant(x, zero.vars)
+    return _coerce_entry(x)
+
+
 class PolyMatrix:
     """An nrows x ncols matrix on sparse rows; immutable."""
 
     __slots__ = ("_rows", "ncols", "zero")
 
     def __init__(self, rows: Sequence[Sequence]):
-        """The matrix with these raw entries, one list per row."""
+        """The matrix with these raw entries, one list per row.  If any
+        entry is an MPoly, every entry is stored as one, in its variables."""
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        first = _coerce_entry(rows[0][0]) if ncols else ZERO
-        self._init(
-            [{j: _coerce_entry(x) for j, x in enumerate(r) if x} for r in rows],
-            ncols,
-            first - first,
-        )
+        zero = _ring_zero(x for r in rows for x in r)
+        self._init([{j: _in_ring(x, zero) for j, x in enumerate(r) if x} for r in rows],
+                   ncols, zero)
 
     def _init(self, rows: List[Row], ncols: int, zero) -> None:
         object.__setattr__(self, "_rows", rows)
@@ -92,10 +105,14 @@ class PolyMatrix:
         return self._rows[i].get(j, self.zero)
 
     def row(self, i: int) -> List:
+        if not 0 <= i < self.nrows:
+            raise IndexError(f"row {i} outside a {self.nrows}x{self.ncols} matrix")
         row, zero = self._rows[i], self.zero
         return [row.get(j, zero) for j in range(self.ncols)]
 
     def column(self, j: int) -> List:
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} outside a {self.nrows}x{self.ncols} matrix")
         return [r.get(j, self.zero) for r in self._rows]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "PolyMatrix":
@@ -131,6 +148,14 @@ class PolyMatrix:
             if x:
                 rows[i][j] = Scalar.coerce(x)
         return PolyMatrix._make(rows, ncols, ZERO)
+
+    @staticmethod
+    def flattened(ms: Sequence["PolyMatrix"], width: int) -> "PolyMatrix":
+        """The len(ms) x width matrix whose row k is ms[k] read row by row:
+        entry (r, s) of ms[k] at column r * ms[k].ncols + s."""
+        rows = [{r * m.ncols + s: x for r, row in enumerate(m._rows) for s, x in row.items()}
+                for m in ms]
+        return PolyMatrix._make(rows, width, _ring_zero(m.zero for m in ms))
 
     @staticmethod
     def zeros(n: int, m: int, zero=None) -> "PolyMatrix":
@@ -226,6 +251,8 @@ class PolyMatrix:
     def __pow__(self, k: int) -> "PolyMatrix":
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
+        if k < 0:
+            raise ValueError("negative power of a matrix")
         result = PolyMatrix.identity(self.nrows, one=self.one)
         base = self
         while k:
@@ -292,9 +319,11 @@ def linear_combination(
     coeffs: Sequence, matrices: Sequence[PolyMatrix], nrows: int, ncols: int
 ) -> PolyMatrix:
     """sum_k coeffs[k] * matrices[k] over nrows x ncols matrices, summed
-    entry by entry in one pass."""
+    entry by entry in one pass.  If any coefficient or matrix is
+    polynomial, so is every entry of the sum."""
     if len(coeffs) != len(matrices):
         raise ValueError("coefficient count mismatch")
+    zero = _ring_zero([*coeffs, *(m.zero for m in matrices)])
     out: List[Row] = [{} for _ in range(nrows)]
     for c, m in zip(coeffs, matrices):
         if not c:
@@ -303,8 +332,8 @@ def linear_combination(
             for j, x in r.items():
                 v = acc.get(j)
                 acc[j] = c * x if v is None else v + c * x
-    out = [acc if all(acc.values()) else {j: v for j, v in acc.items() if v} for acc in out]
-    return PolyMatrix._make(out, ncols, coeffs[0] * matrices[0].zero if matrices else ZERO)
+    out = [{j: _in_ring(v, zero) for j, v in acc.items() if v} for acc in out]
+    return PolyMatrix._make(out, ncols, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,15 @@ def bracket_coords(alg: LieAlgebra, x: Sequence, y: Sequence) -> List:
     return out
 
 
+def dual_pairing(alg: LieAlgebra) -> PolyMatrix:
+    """B D for alg's basis B and dual D, one entry at a time: entry (j, k)
+    is coordinate k read on b_j, the sum of c b_j[r, s] over alg.dual[k]."""
+    return PolyMatrix([
+        [sum((b.entry(r, s) * c for r, s, c in reads), ZERO) for reads in alg.dual]
+        for b in alg.basis
+    ])
+
+
 def kernel_form_basis(g: PolyMatrix) -> Tuple[List[PolyMatrix], List[Tuple[int, int]]]:
     """The basis of {M : M^T g + g M = 0} read from the reduced kernel of
     the size^2 x size^2 constraint system, with the position that carries

@@ -32,6 +32,7 @@ from exactlie.polymat import (
     determinant,
     exp_nilpotent,
     invert,
+    linear_combination,
     nullspace,
     pfaffian,
     rank,
@@ -953,6 +954,35 @@ def test_from_entries_takes_scalar_entries_only():
     a = PolyMatrix.from_entries(2, 3, {(1, 2): 5, (0, 1): Fraction(1, 2), (1, 0): 0})
     assert a == PolyMatrix([[0, Fraction(1, 2), 0], [0, 0, 5]])
     assert list(a.nonzeros()) == [(0, 1, Scalar(Fraction(1, 2))), (1, 2, Scalar(5))]
+
+
+def test_a_polynomial_entry_anywhere_makes_a_polynomial_matrix():
+    # the ring comes from every entry and coefficient, not from the first
+    t = MPoly.variable("t", ("t",))
+    one = MPoly.constant(1, ("t",))
+    diag = PolyMatrix([[1, 0], [0, t]])
+    assert diag.zero == MPoly.zero(("t",))
+    assert determinant(diag) == t
+    assert PolyMatrix([[t, 0], [0, 1]]) == PolyMatrix([[t, 0], [0, one]])
+    nil = PolyMatrix([[0, 1], [0, 0]])
+    m = linear_combination([Scalar(1), t], [PolyMatrix.identity(2), nil], 2, 2)
+    assert m == PolyMatrix([[one, t], [0, one]])
+    assert m * m == PolyMatrix([[one, t + t], [0, one]])
+    assert all(type(x) is MPoly for _, _, x in m.nonzeros())
+
+
+def test_matrix_indices_and_powers_are_checked():
+    m = PolyMatrix([[1, 2], [3, 4]])
+    assert m.row(1) == [Scalar(3), Scalar(4)]
+    assert m.column(1) == [Scalar(2), Scalar(4)]
+    for k in (-1, 2, 5):
+        with pytest.raises(IndexError, match="outside a 2x2 matrix"):
+            m.row(k)
+        with pytest.raises(IndexError, match="outside a 2x2 matrix"):
+            m.column(k)
+    with pytest.raises(ValueError, match="negative power"):
+        PolyMatrix.identity(2) ** -1
+    assert m ** 0 == PolyMatrix.identity(2)
 
 
 def test_empty_matrices_keep_their_shape():

@@ -27,7 +27,6 @@ from exactlie.g2 import (
     g2_algebra,
     g2_bracket,
     g2_blocks,
-    g2_combination,
     g2_element,
     g2_chart,
     g2_hypersurface,
@@ -119,16 +118,13 @@ def test_jacobi_full_catches_a_vw_pairing_without_its_factor(monkeypatch):
 
 
 def test_jacobi_full_catches_a_wrong_h2_readout(monkeypatch):
-    right = g2.g2_coords
-
-    def h2_from_a22(e):
-        # H2 = diag(0, 1, -1) carries A11 + A22, not A22
-        out = right(e)
-        out[7] = g2_blocks(e)[0].entry(1, 1)
-        return out
-
-    monkeypatch.setattr(g2, "g2_coords", h2_from_a22)
-    with pytest.raises(AssertionError, match="do not recombine"):
+    # H2 = diag(0, 1, -1) carries A11 + A22, not A22: read at A22 alone it
+    # is not dual to the basis (H1 reads -1 there), and the algebra that
+    # jacobi_full sweeps is refused when it is built
+    dual = list(g2.G2_DUAL)
+    dual[7] = ((1, 1, 1),)
+    monkeypatch.setattr(g2, "G2_DUAL", tuple(dual))
+    with pytest.raises(AssertionError, match="^coordinate readout failed to reproduce the matrix$"):
         jacobi_full()
 
 
@@ -146,9 +142,10 @@ def test_embedding_check_catches_one_perturbed_basis_bracket(monkeypatch):
     i, j, k = 0, 8, 11
 
     def perturbed(e, f):
-        c = g2.g2_coords(e)[i] * g2.g2_coords(f)[j]
+        # coordinate E12 is A_12, at (0, 1); v1 is at (0, 3) (G2_DUAL)
+        c = e.entry(0, 1) * f.entry(0, 3)
         zero = c - c
-        return right(e, f) + g2.g2_combination(
+        return right(e, f) + g2.g2_algebra().combination(
             [c if m == k else zero for m in range(14)]
         )
 
@@ -221,7 +218,7 @@ def test_model_is_the_rational_conjugate_of_the_printed_embedding():
     conj = PolyMatrix(
         [[rho.entry(i, j) * (d[j] / d[i]) for j in range(7)] for i in range(7)]
     )
-    assert conj == g2_combination(xs)
+    assert conj == g2_algebra().combination(xs)
 
 
 def test_printed_embedding_preserves_the_exchange_form():
@@ -514,10 +511,11 @@ def test_s3_model_rejects_a_normalization_off_the_cubic_coupling(monkeypatch):
 
 
 def test_combination_and_coords_on_the_basis():
+    alg = g2.g2_algebra()
     for k, b in enumerate(g2_basis()):
         unit = [Scalar(int(i == k)) for i in range(14)]
-        assert g2.g2_combination(unit) == b
-        assert g2.g2_coords(b) == unit
+        assert alg.combination(unit) == b
+        assert alg.coords(b) == unit
 
 
 def test_coords_reject_an_so7_element_outside_g2():
@@ -526,23 +524,37 @@ def test_coords_reject_an_so7_element_outside_g2():
     e = PolyMatrix.from_entries(7, 7, {(0, 5): 1, (1, 4): -1})
     g = invariant_form()
     assert (e.transpose() * g + g * e).is_zero()
-    with pytest.raises(ValueError, match="not in g2"):
-        g2.g2_coords(e)
+    with pytest.raises(ValueError, match="^matrix is not in g2$"):
+        g2.g2_algebra().coords(e)
 
 
 def test_coords_and_ad_reject_an_a_block_with_a_trace():
     # diag(1, 0, 0) would read as H1 = H2 = 1, which recombines to
     # diag(1, 0, -1): a readout for an element outside g2
     e = g2_element([[1, 0, 0], [0, 0, 0], [0, 0, 0]], (0, 0, 0), (0, 0, 0))
-    with pytest.raises(ValueError, match="not in g2"):
-        g2.g2_coords(e)
-    with pytest.raises(ValueError, match="not in g2"):
-        g2.g2_algebra().ad_matrix(e)
+    alg = g2.g2_algebra()
+    with pytest.raises(ValueError, match="^matrix is not in g2$"):
+        alg.coords(e)
+    with pytest.raises(ValueError, match="^matrix is not in g2$"):
+        alg.ad_matrix(e)
+
+
+def test_coords_and_ad_reject_a_matrix_of_another_shape():
+    alg = g2.g2_algebra()
+    x = g2_triple()[0]
+    # x padded with a zero row and column, cut to its top-left 6x6 corner,
+    # and its first six columns
+    padded = PolyMatrix.from_entries(8, 8, {(i, j): v for i, j, v in x.nonzeros()})
+    for e in (padded, x.submatrix(0, 6, 0, 6), x.submatrix(0, 7, 0, 6)):
+        with pytest.raises(ValueError, match="^matrix is not in g2$"):
+            alg.coords(e)
+        with pytest.raises(ValueError, match="^matrix is not in g2$"):
+            alg.ad_matrix(e)
 
 
 def test_flatten_roundtrip_dimension():
-    basis = g2_basis()
-    matrix = PolyMatrix([g2.g2_coords(e) for e in basis])
+    alg = g2.g2_algebra()
+    matrix = PolyMatrix([alg.coords(e) for e in g2_basis()])
     assert rank(matrix) == 14
 
 

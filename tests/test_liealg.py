@@ -12,7 +12,6 @@ from exactlie.classify import partitions_of
 from exactlie.g2 import g2_algebra, g2_chart
 from exactlie.liealg import (
     LieAlgebra,
-    NilpotentModel,
     block_form,
     bracket,
     chain_block,
@@ -33,7 +32,7 @@ from exactlie.liealg import (
 from exactlie.mpoly import MPoly
 from exactlie.polymat import PolyMatrix, invert, rank, solve_linear
 from exactlie.scalar import ONE, Scalar
-from oracles import bracket_coords, kernel_form_basis
+from oracles import bracket_coords, dual_pairing, kernel_form_basis
 
 
 def rand_combination(alg: LieAlgebra, rng: random.Random):
@@ -82,6 +81,9 @@ def test_zero_dimensional_algebras():
         assert alg.dim == 0
         assert alg.coords(PolyMatrix.zeros(size, size)) == []
         assert alg.combination([]) == PolyMatrix.zeros(size, size)
+        # one generic element per prefix, each zero; no structure constants
+        assert alg.generic("x", "y") == (PolyMatrix.zeros(size, size),) * 2
+        assert alg.table == {} and alg.jacobi() == 0
         with pytest.raises(ValueError, match="not in"):
             alg.coords(PolyMatrix.identity(size))
 
@@ -97,15 +99,8 @@ def test_bracket_closure():
             alg.coords(bracket(a, b))  # raises if outside
 
 
-def _sp4_structure_constants(coords=None) -> LieAlgebra:
-    alg = make_algebra("sp", 4)
-    if coords is None:
-        return alg
-    return LieAlgebra(alg.names, alg.basis, alg.bracket, coords, alg.combination)
-
-
 def test_structure_constants_satisfy_jacobi():
-    lie = _sp4_structure_constants()
+    lie = make_algebra("sp", 4)
     assert lie.dim == 10
     assert lie.jacobi() == 10 ** 3
     # the table is the commutator on generic coordinate vectors too
@@ -149,24 +144,11 @@ def test_bracket_that_is_not_bilinear_fails_the_build():
         return bracket(x, y) + bracket(x, bracket(x, y))
 
     with pytest.raises(AssertionError, match="not bilinear"):
-        LieAlgebra(alg.names, alg.basis, quadratic_in_x, alg.coords, alg.combination).table
-
-
-def test_recombination_failure_names_a_failing_basis_pair():
-    alg = make_algebra("sl", 3)
-
-    def drop_first(m):
-        return [Scalar(0)] + alg.coords(m)[1:]
-
-    with pytest.raises(AssertionError, match="do not recombine") as err:
-        LieAlgebra(alg.names, alg.basis, alg.bracket, drop_first, alg.combination).table
-    # the named pair is one whose bracket has the dropped coordinate
-    i, j = map(int, re.search(r"\[b(\d+), b(\d+)\]", str(err.value)).groups())
-    assert alg.coords(bracket(alg.basis[i], alg.basis[j]))[0]
+        LieAlgebra(alg.name, alg.size, alg.names, alg.basis, quadratic_in_x, alg.dual).table
 
 
 def test_flipped_structure_constant_breaks_jacobi():
-    lie = _sp4_structure_constants()
+    lie = make_algebra("sp", 4)
     (i, j), row = next(iter(lie.table.items()))
     k, c = next(iter(row.items()))
     lie.table[(i, j)][k] = -c
@@ -174,14 +156,43 @@ def test_flipped_structure_constant_breaks_jacobi():
         lie.jacobi()
 
 
+READOUT_FAILED = "^coordinate readout failed to reproduce the matrix$"
+
+
+def _with_dual(alg: LieAlgebra, dual) -> LieAlgebra:
+    return LieAlgebra(alg.name, alg.size, alg.names, alg.basis, alg.bracket, tuple(dual))
+
+
 def test_readout_dropping_a_coordinate_fails_the_build():
-    alg = make_algebra("sp", 4)
+    # a coordinate that reads nothing is 0 on its own basis element
+    for alg in (make_algebra("sp", 4), make_algebra("sl", 3)):
+        for k in (0, alg.dim - 1):
+            dual = list(alg.dual)
+            dual[k] = ()
+            with pytest.raises(AssertionError, match=READOUT_FAILED):
+                _with_dual(alg, dual)
 
-    def drop_last(m):
-        return alg.coords(m)[:-1] + [Scalar(0)]
 
-    with pytest.raises(AssertionError, match="do not recombine"):
-        _sp4_structure_constants(drop_last).table
+def test_a_wrong_dual_fails_the_build():
+    sl3, sp4 = make_algebra("sl", 3), make_algebra("sp", 4)
+    h1 = sl3.dim - 1  # H_1 reads x_00 + x_11
+    (r, s, _), = sp4.dual[0]
+    wrong = {
+        "a doubled coefficient": (sp4, {0: ((r, s, 2),)}),
+        "two coordinates swapped": (sp4, {0: sp4.dual[1], 1: sp4.dual[0]}),
+        "a partial sum cut short": (sl3, {h1: ((1, 1, 1),)}),
+        "a partial sum run long": (sl3, {h1: ((0, 0, 1), (1, 1, 1), (2, 2, 1))}),
+    }
+    for alg, changes in wrong.values():
+        dual = [changes.get(k, reads) for k, reads in enumerate(alg.dual)]
+        with pytest.raises(AssertionError, match=READOUT_FAILED):
+            _with_dual(alg, dual)
+    # one coordinate too few or too many
+    for dual in (sp4.dual[:-1], sp4.dual + (((0, 0, 1),),)):
+        with pytest.raises(AssertionError, match=READOUT_FAILED):
+            _with_dual(sp4, dual)
+    # the right dual, rebuilt, reads as before
+    assert _with_dual(sp4, sp4.dual).table == sp4.table
 
 
 def test_jordan_type_by_rank_sequence():
@@ -491,8 +502,8 @@ def test_ad_matrix_matches_dense_oracle_on_g2():
 
 
 def test_ad_matrix_reads_every_column_in_one_product(monkeypatch):
-    # 2 dim products for the brackets [x, b_k] and one for the readout
-    # check: no per-column coords call and no membership product
+    # 2 dim products for the brackets [x, b_k], one for the readout C = F D
+    # and one for its check C B = F: no per-column coords call
     alg = make_algebra("sp", 6)
     x = rand_combination(alg, random.Random(23))
     want = _dense_ad_oracle(alg, x)
@@ -502,7 +513,7 @@ def test_ad_matrix_reads_every_column_in_one_product(monkeypatch):
     monkeypatch.setattr(PolyMatrix, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
     assert alg.ad_matrix(x) == want
     assert coords_calls == []
-    assert len(products) == 2 * alg.dim + 1
+    assert len(products) == 2 * alg.dim + 2
 
 
 def test_a_bracket_that_leaves_the_algebra_fails_ad_matrix():
@@ -511,34 +522,15 @@ def test_a_bracket_that_leaves_the_algebra_fails_ad_matrix():
     def leaky(x, y):
         return bracket(x, y) + PolyMatrix.identity(4)
 
-    lie = LieAlgebra(alg.names, alg.basis, leaky, alg.readout, alg.combination, alg.member)
+    lie = LieAlgebra(alg.name, alg.size, alg.names, alg.basis, leaky, alg.dual)
     with pytest.raises(ValueError, match="^matrix is not in sp4$"):
         lie.ad_matrix(alg.basis[0])
+    # the structure constants are read through the same check
+    with pytest.raises(ValueError, match="^matrix is not in sp4$"):
+        lie.table
     # x itself outside, of the wrong size: rejected before any bracket
     with pytest.raises(ValueError, match="^matrix is not in sp4$"):
         alg.ad_matrix(PolyMatrix.identity(5))
-
-
-def test_swapped_readout_fails_ad_matrix_and_check_chart_as_coords(monkeypatch):
-    chart = hook_slice(2)
-    model = chart.model
-    right = liealg._form_basis
-
-    def swapped(g):
-        basis, positions = right(g)
-        positions[0] = positions[1]
-        return basis, positions
-
-    monkeypatch.setattr(liealg, "_form_basis", swapped)
-    alg = make_algebra("sp", 4, model.form)
-    bad = NilpotentModel(alg, model.triple, model.partition, model.family, model.form)
-    message = "^coordinate readout failed to reproduce the matrix$"
-    with pytest.raises(AssertionError, match=message):
-        alg.coords(alg.basis[0])
-    with pytest.raises(AssertionError, match=message):
-        alg.ad_matrix(model.triple.y)
-    with pytest.raises(AssertionError, match=message):
-        check_chart(chart._replace(model=bad))
 
 
 def test_a_basis_element_that_is_not_an_isometry_fails_the_form_basis(monkeypatch):
@@ -656,11 +648,9 @@ def test_isometry_test_sees_a_violation_on_the_diagonal_only():
 
 def test_coords_recombination_catches_a_wrong_readout(monkeypatch):
     # membership alone does not vouch for the readout: read one coordinate
-    # at another coordinate's position and only the recombination check
-    # can tell
-    good = make_algebra("sp", 4)
-    m = rand_combination(good, random.Random(2))
-    good.coords(m)  # m is in the algebra
+    # at another coordinate's position and the basis no longer recombines
+    # from its own coordinates, B D != I.  The algebra is refused when it
+    # is built, so no coords, ad_matrix or chart check ever reads with it.
     right = liealg._form_basis
 
     def swapped(g):
@@ -669,9 +659,10 @@ def test_coords_recombination_catches_a_wrong_readout(monkeypatch):
         return basis, positions
 
     monkeypatch.setattr(liealg, "_form_basis", swapped)
-    alg = make_algebra("sp", 4)
-    with pytest.raises(AssertionError, match="failed to reproduce"):
-        alg.coords(m)
+    for build in (lambda: make_algebra("sp", 4), lambda: jm_triple("sp", [2, 1, 1]),
+                  lambda: hook_slice(2)):
+        with pytest.raises(AssertionError, match=READOUT_FAILED):
+            build()
 
 
 def _monomial_forms():
@@ -690,16 +681,22 @@ def _monomial_forms():
 
 def test_form_basis_equals_the_constraint_kernel_basis():
     # the written-down basis is the one the reduced kernel of
-    # M^T G + G M = 0 gives, element by element and position by position
+    # M^T G + G M = 0 gives, element by element and position by position,
+    # and the dual basis is dual to it, B D = I, read entry by entry; so
+    # is every sl dual of size 1..8, and g2's
     count = 0
     for family, g in _monomial_forms():
         basis, positions = liealg._form_basis(g)
         want_basis, want_positions = kernel_form_basis(g)
         assert basis == want_basis
         assert positions == want_positions
-        assert make_algebra(family, g.nrows, g).basis == tuple(want_basis)
+        alg = make_algebra(family, g.nrows, g)
+        assert alg.basis == tuple(want_basis)
+        assert dual_pairing(alg) == PolyMatrix.identity(alg.dim)
         count += 1
     assert count == 21 + 113
+    for alg in (*(make_algebra("sl", n) for n in range(1, 9)), g2_algebra()):
+        assert dual_pairing(alg) == PolyMatrix.identity(alg.dim)
 
 
 def test_isometry_element_pairs_each_entry_with_one_partner():

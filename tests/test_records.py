@@ -57,13 +57,13 @@ def test_structure_constants_are_computed_once_per_instance():
         calls.append(1)
         return alg.bracket(x, y)
 
-    lie = LieAlgebra(alg.names, alg.basis, counted, alg.coords, alg.combination)
+    lie = LieAlgebra(alg.name, alg.size, alg.names, alg.basis, counted, alg.dual)
     table = lie.table
     assert lie.jacobi() == 8 ** 3
     assert lie.table is table
     assert len(calls) == 1
     # a second instance reads its own table, from its own bracket
-    again = LieAlgebra(alg.names, alg.basis, counted, alg.coords, alg.combination)
+    again = LieAlgebra(alg.name, alg.size, alg.names, alg.basis, counted, alg.dual)
     assert again.table == table
     assert len(calls) == 2
 
