@@ -34,9 +34,10 @@ from .polymat import PolyMatrix, exp_nilpotent, pfaffian, rank
 MOMENT_CONSTANT = Fraction(1)
 
 # Largest n the dualpair report accepts.  Its sampled rows (pfaffian locus,
-# equivariance, rank chains) dominate: in-process, one report took 1.6-1.8 s
-# at n = 6, 6.4-7.3 s at n = 8, 14 s at n = 9 and 28-29 s at n = 10.  The
-# witness itself has no limit.
+# equivariance, rank chains) dominate: in-process, one report with i = 1
+# took 0.35-0.42 s of CPU time at n = 6, 1.7-1.8 s at n = 8, 3.1-4.0 s at
+# n = 9 and 6.8-9.4 s at n = 10 on a shared 2-core x86-64 virtual machine.
+# The witness itself has no limit.
 MAX_N = 8
 
 
@@ -209,8 +210,8 @@ def _bracket_table(n: int, polys_a: List[MPoly], polys_b: List[MPoly]) -> List[M
         tensor_rows.setdefault(alpha, []).append((beta, coef))
 
     def gradient(p: MPoly) -> Dict[int, MPoly]:
-        used = {k for e in p.terms for k, x in enumerate(e) if x}
-        return {k: p.derivative(names[k]) for k in used}
+        used = p.variables_used()
+        return {k: p.derivative(v) for k, v in enumerate(names) if v in used}
 
     hamiltonians = []
     for f in polys_a:

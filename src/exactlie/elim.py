@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .mpoly import MPoly
+from .mpoly import MPoly, _pack
 from .polymat import PolyMatrix, solve_linear
 from .scalar import Scalar
 
@@ -132,20 +132,21 @@ def ideal_membership_bounded(
     if not columns:
         return None
 
-    # row index: every monomial that can appear in any product or in target;
-    # column (gi, mono) holds g_gi's coefficients shifted by mono, and
-    # distinct terms of g_gi land on distinct rows
-    row_of: Dict[Tuple[int, ...], int] = {}
+    # row index: every monomial that can appear in any product or in target,
+    # as packed exponents; column (gi, mono) holds g_gi's coefficients
+    # shifted by mono, one integer addition each, and distinct terms of
+    # g_gi land on distinct rows
+    row_of: Dict[int, int] = {}
     entries: Dict[Tuple[int, int], Scalar] = {}
     for j, (gi, mono) in enumerate(columns):
-        for e, c in generators[gi].terms.items():
-            prod = tuple(a + b for a, b in zip(e, mono))
-            entries[(row_of.setdefault(prod, len(row_of)), j)] = c
-    for e in target.terms:
+        shift = _pack(mono)
+        for e, c in generators[gi]._terms.items():
+            entries[(row_of.setdefault(e + shift, len(row_of)), j)] = c
+    for e in target._terms:
         row_of.setdefault(e, len(row_of))
 
     rhs = [Scalar(0)] * len(row_of)
-    for e, c in target.terms.items():
+    for e, c in target._terms.items():
         rhs[row_of[e]] = c
 
     sol = solve_linear(PolyMatrix.from_entries(len(row_of), len(columns), entries), rhs)

@@ -59,7 +59,7 @@ from .liealg import (
     transversality_check,
 )
 from .mpoly import MPoly
-from .polymat import PolyMatrix, charpoly_coefficients, det_cofactor, nullspace
+from .polymat import PolyMatrix, _rows_in_ring, charpoly_coefficients, det_cofactor, nullspace
 from .scalar import ZERO, Scalar
 from .slicegeom import slice_matrix
 
@@ -96,7 +96,8 @@ def g2_element(a_rows, v, w) -> PolyMatrix:
     """The 7x7 matrix of the blocks (A, v, w), built from their nonzero
     entries.  A is given as rows or as a 3x3 matrix, v and w as entry
     sequences or as a column and a row matrix; entries may be Scalars or
-    polynomials.  Raises ValueError on a wrong block shape."""
+    polynomials, and every entry of the result lies in the ring of all
+    three blocks.  Raises ValueError on a wrong block shape."""
     a = a_rows if isinstance(a_rows, PolyMatrix) else PolyMatrix(a_rows)
     if not isinstance(v, PolyMatrix):
         v = PolyMatrix([[x] for x in v])
@@ -127,7 +128,8 @@ def g2_element(a_rows, v, w) -> PolyMatrix:
         rows[3][k] = -half
         rows[j][4 + i] = half
         rows[i][4 + j] = -half
-    return PolyMatrix._make(rows, 7, a.zero + v.zero + w.zero)
+    zero = a.zero + v.zero + w.zero
+    return PolyMatrix._make(_rows_in_ring(rows, zero), 7, zero)
 
 
 def g2_blocks(x: PolyMatrix) -> Tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
@@ -548,7 +550,7 @@ def s3_polarizations() -> Dict[str, MPoly]:
 
 
 def _poly_kernel(polys: Sequence[MPoly]) -> List[List[Scalar]]:
-    exps = sorted({e for p in polys for e in p.terms})
+    exps = sorted({e for p in polys for e, _ in p.sorted_terms()})
     matrix = PolyMatrix(
         [[p.coefficient(e) for p in polys] for e in exps]
     )

@@ -182,7 +182,7 @@ class LieAlgebra:
         cs = self.coords(self.bracket(*self.generic("x", "y")))
         table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         for k, c in enumerate(cs):
-            for exps, coef in c.terms.items():
+            for exps, coef in c.sorted_terms():
                 # the variables of the monomial, each as often as its power
                 factors = [v for v, e in enumerate(exps) for _ in range(e)]
                 if len(factors) != 2 or not factors[0] < dim <= factors[1]:

@@ -1,11 +1,22 @@
 """Multivariate polynomials over Q(sqrt 2), stored sparsely.
 
-Terms live in a dict mapping exponent tuples to nonzero Scalars.  The
-canonical term order used everywhere (printing, JSON) is
+Terms live in a dict mapping packed exponents to nonzero Scalars.  The
+exponent of variable i sits in bits [16 i, 16 i + 16) of one int, so the
+exponents of a product of two terms are the sum of their two ints, and a
+term is hashed as one int.  Every exponent is at most MAX_EXPONENT =
+32,767, which leaves the top bit of each field clear: a sum of two fields
+never carries into the next one, and a product whose exponent crosses the
+bound sets that guard bit and raises ValueError.  The bound is checked
+wherever exponents come in, too: the constructor, monomial, from_text and
+from_json.  Exponent tuples are what the public interface speaks:
+``terms`` is a view keyed by them, and sorted_terms lists them.
+
+The canonical term order used everywhere (printing, JSON) is
 graded reverse lexicographic, descending: higher total degree first, ties
 broken so that e precedes e' when the last nonzero entry of e - e' is
 negative.  Sorting ascending by the key (-total_degree, reversed exponent
-tuple) realizes exactly that order.
+tuple) realizes exactly that order.  It orders exponent tuples; the order
+of the packed ints is not that order.
 
 Two wire formats round-trip bit-exactly:
 
@@ -21,12 +32,51 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from operator import add
-from typing import Dict, List, Optional, Tuple
+from operator import mul
+from struct import Struct, error as StructError
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .scalar import ONE, Rational, Scalar, _fold, _make
+from .scalar import ONE, ZERO, Rational, Scalar, _fold, _make
 
 Exponents = Tuple[int, ...]
+
+_BITS = 16  # the width of one exponent's field
+_MASK = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1  # 32,767: the top bit of a field is its guard
+
+
+class _Layouts(dict):
+    """_LAYOUTS[nvars]: the struct of nvars little-endian 16-bit fields,
+    and the guard, the int with the top bit of each field set; made on
+    first use."""
+
+    def __missing__(self, nvars: int) -> Tuple[Struct, int]:
+        layout = self[nvars] = (
+            Struct(f"<{nvars}H"), int.from_bytes(b"\x00\x80" * nvars, "little")
+        )
+        return layout
+
+
+_LAYOUTS = _Layouts()
+
+
+def _pack(exps) -> int:
+    """The packed int of an exponent tuple; ValueError unless each entry is
+    an int in 0..MAX_EXPONENT."""
+    fields, guard = _LAYOUTS[len(exps)]
+    try:
+        e = int.from_bytes(fields.pack(*exps), "little")
+    except StructError:  # negative, above 65,535 or not an int
+        e = guard
+    if e & guard:
+        raise ValueError(f"exponents {tuple(exps)} are not ints in 0..{MAX_EXPONENT}")
+    return e
+
+
+def _unpack(e: int, nvars: int) -> Exponents:
+    """The exponent tuple of a packed int over nvars variables."""
+    return _LAYOUTS[nvars][0].unpack(e.to_bytes(2 * nvars, "little"))
 
 
 def grevlex_key(exps: Exponents) -> tuple:
@@ -35,10 +85,12 @@ def grevlex_key(exps: Exponents) -> tuple:
 
 
 class MPoly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_terms")
 
     def __init__(self, vars: Tuple[str, ...], terms: Dict[Exponents, Scalar]):
-        cleaned: Dict[Exponents, Scalar] = {}
+        """The polynomial over vars with the given coefficient under each
+        exponent tuple; zero coefficients are dropped."""
+        packed: Dict[int, Scalar] = {}
         nvars = len(vars)
         for exps, coef in terms.items():
             coef = Scalar.coerce(coef)
@@ -46,42 +98,48 @@ class MPoly:
                 continue
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not match vars {vars}")
-            cleaned[tuple(exps)] = coef
-        self._init(tuple(vars), cleaned)
-
-    def _init(self, vars: Tuple[str, ...], terms: Dict[Exponents, Scalar]) -> None:
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+            packed[_pack(exps)] = coef
+        _set_vars(self, tuple(vars))
+        _set_terms(self, packed)
 
     @staticmethod
-    def _make(vars: Tuple[str, ...], terms: Dict[Exponents, Scalar]) -> "MPoly":
-        """Wrap terms that already hold only nonzero Scalars under exponent
-        tuples of the right length."""
-        p = object.__new__(MPoly)
-        p._init(vars, terms)
+    def _make(vars: Tuple[str, ...], terms: Dict[int, Scalar]) -> "MPoly":
+        """Wrap terms that already hold only nonzero Scalars under packed
+        exponents within the bound."""
+        p = _new(MPoly)
+        _set_vars(p, vars)
+        _set_terms(p, terms)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
+    @property
+    def terms(self) -> Mapping[Exponents, Scalar]:
+        """The terms keyed by exponent tuples: a read-only view, built on
+        each access."""
+        return MappingProxyType(dict(self._unpacked()))
+
+    def _unpacked(self) -> List[Tuple[Exponents, Scalar]]:
+        """(exponent tuple, coefficient) of each term, in storage order."""
+        fields = _LAYOUTS[len(self.vars)][0]
+        size = fields.size
+        return [(fields.unpack(e.to_bytes(size, "little")), c) for e, c in self._terms.items()]
+
     # ---- constructors ----
 
     @staticmethod
     def zero(vars: Tuple[str, ...]) -> "MPoly":
-        return MPoly(vars, {})
+        return MPoly._make(tuple(vars), {})
 
     @staticmethod
     def constant(value, vars: Tuple[str, ...]) -> "MPoly":
         c = Scalar.coerce(value)
-        if c.is_zero():
-            return MPoly.zero(vars)
-        return MPoly(vars, {(0,) * len(vars): c})
+        return MPoly._make(tuple(vars), {} if c.is_zero() else {0: c})
 
     @staticmethod
     def variable(name: str, vars: Tuple[str, ...]) -> "MPoly":
-        idx = _position(name, vars)
-        exps = tuple(1 if i == idx else 0 for i in range(len(vars)))
-        return MPoly(vars, {exps: Scalar(1)})
+        return MPoly._make(tuple(vars), {1 << _BITS * _position(name, vars): Scalar(1)})
 
     @staticmethod
     def monomial(vars: Tuple[str, ...], exps: Exponents, coef=1) -> "MPoly":
@@ -90,40 +148,51 @@ class MPoly:
     # ---- basic queries ----
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self._terms)
 
     def constant_value(self) -> Scalar:
-        if not self.terms:
+        if not self._terms:
             return Scalar(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return next(iter(self._terms.values()))
 
     def degree_in(self, var: str) -> int:
-        idx = _position(var, self.vars)
-        if not self.terms:
-            return 0
-        return max(e[idx] for e in self.terms)
+        shift = _BITS * _position(var, self.vars)
+        return max((e >> shift & _MASK for e in self._terms), default=0)
 
     def sorted_terms(self) -> List[Tuple[Exponents, Scalar]]:
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=grevlex_key)]
+        terms = dict(self._unpacked())
+        return [(e, terms[e]) for e in sorted(terms, key=grevlex_key)]
 
     def coefficient(self, exps: Exponents) -> Scalar:
-        return self.terms.get(tuple(exps), Scalar(0))
+        if len(exps) == len(self.vars):
+            try:
+                return self._terms.get(_pack(exps), ZERO)
+            except ValueError:  # no term has these exponents
+                pass
+        return ZERO
+
+    def variables_used(self) -> Tuple[str, ...]:
+        """The variables that occur in some term, in the order of vars."""
+        used = 0
+        for e in self._terms:
+            used |= e
+        return tuple(v for v, k in zip(self.vars, _unpack(used, len(self.vars))) if k)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self._terms.items())))
 
     # ---- arithmetic ----
 
@@ -132,11 +201,11 @@ class MPoly:
             other = MPoly.constant(other, self.vars)
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        # built from empty, not from a copy of self.terms: a copy keeps its
+        # built from empty, not from a copy of self._terms: a copy keeps its
         # source's table, deleted slots included, and reusing one raised the
         # peak memory of `check` by about 0.4 MiB
-        a, b = self.terms, other.terms
-        terms: Dict[Exponents, Scalar] = {}
+        a, b = self._terms, other._terms
+        terms: Dict[int, Scalar] = {}
         for e, c in a.items():
             d = b.get(e)
             if d is None:
@@ -153,7 +222,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -170,14 +239,16 @@ class MPoly:
     def dot(vars: Tuple[str, ...], pairs) -> "MPoly":
         """sum p * q over the pairs (p, q), each factor an MPoly over vars
         or a constant (a Scalar, int or Fraction).  Every product of two
-        terms is summed on the raw (r0, r1) components, in one dict per
-        component keyed by exponents; the sqrt2 dict is opened only when a
-        product has a sqrt2 part.  Each surviving term gets one Scalar at
-        the end, and cancelled terms are dropped there, so no Scalar or
-        polynomial is built per product or partial sum.  This is the one
-        term-product loop: p * q is the one-pair case."""
-        s0: Dict[Exponents, Rational] = {}
-        s1: Optional[Dict[Exponents, Rational]] = None
+        terms is one addition of packed exponents, summed on the raw
+        (r0, r1) components, in one dict per component; the sqrt2 dict is
+        opened only when a product has a sqrt2 part.  Each surviving term
+        gets one Scalar at the end, and cancelled terms are dropped there,
+        so no Scalar or polynomial is built per product or partial sum.
+        Each product's exponents are a key of the first dict, so one guard
+        test per key there finds every exponent above MAX_EXPONENT.  This
+        is the one term-product loop: p * q is the one-pair case."""
+        s0: Dict[int, Rational] = {}
+        s1: Optional[Dict[int, Rational]] = None
         get = s0.get
         for p, q in pairs:
             if type(p) is not MPoly:
@@ -188,19 +259,19 @@ class MPoly:
                 if p.vars != vars or q.vars != vars:
                     bad = p.vars if p.vars != vars else q.vars
                     raise ValueError(f"variable mismatch: {bad} vs {vars}")
-                a, b = p.terms, q.terms
+                a, b = p._terms, q._terms
                 if len(a) > len(b):  # the smaller operand outside
                     a, b = b, a
             else:
-                # a constant factor, under the empty exponent tuple: the
-                # terms of p keep their exponents
+                # a constant factor, under the zero exponents: the terms of
+                # p keep their exponents
                 if p.vars != vars:
                     raise ValueError(f"variable mismatch: {p.vars} vs {vars}")
-                a, b = {(): Scalar.coerce(q)}, p.terms
+                a, b = {0: Scalar.coerce(q)}, p._terms
             for ea, ca in a.items():
                 a0, a1 = ca.r0, ca.r1
                 for eb, cb in b.items():
-                    e = tuple(map(add, ea, eb)) if ea else eb
+                    e = ea + eb
                     b0, b1 = cb.r0, cb.r1
                     if a1 or b1:
                         # (a0 + a1 s)(b0 + b1 s) = (a0 b0 + 2 a1 b1) + (a0 b1 + a1 b0) s
@@ -214,8 +285,11 @@ class MPoly:
                         t = a0 * b0
                     v = get(e)
                     s0[e] = t if v is None else v + t
-        terms: Dict[Exponents, Scalar] = {}
+        guard = _LAYOUTS[len(vars)][1]
+        terms: Dict[int, Scalar] = {}
         for e, v in s0.items():
+            if e & guard:
+                raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
             w = 0 if s1 is None else _fold(s1.get(e, 0))
             if v or w:
                 terms[e] = _make(_fold(v), w)
@@ -243,51 +317,42 @@ class MPoly:
     # ---- calculus / structure ----
 
     def derivative(self, var: str) -> "MPoly":
-        idx = _position(var, self.vars)
-        # e -> e - e_idx is injective on the terms kept, so each result term
+        shift = _BITS * _position(var, self.vars)
+        one = 1 << shift
+        # e -> e - e_var is injective on the terms kept, so each result term
         # is written once, and c * k is nonzero for c nonzero and k >= 1
-        terms: Dict[Exponents, Scalar] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
+        terms: Dict[int, Scalar] = {}
+        for e, c in self._terms.items():
+            k = e >> shift & _MASK
             if k:
-                terms[e[:idx] + (k - 1,) + e[idx + 1:]] = c * k
+                terms[e - one] = c * k
         return MPoly._make(self.vars, terms)
 
     def coefficient_in(self, var: str, power: int) -> "MPoly":
         """Coefficient of var**power, returned over the same variable tuple
         (the var slot is zeroed out)."""
-        idx = _position(var, self.vars)
-        terms: Dict[Exponents, Scalar] = {}
-        for e, c in self.terms.items():
-            if e[idx] == power:
-                ne = e[:idx] + (0,) + e[idx + 1:]
-                terms[ne] = c
-        return MPoly(self.vars, terms)
+        shift = _BITS * _position(var, self.vars)
+        drop = power << shift
+        terms = {e - drop: c for e, c in self._terms.items() if e >> shift & _MASK == power}
+        return MPoly._make(self.vars, terms)
 
     def as_univariate_in(self, var: str) -> Dict[int, "MPoly"]:
-        idx = _position(var, self.vars)
-        buckets: Dict[int, Dict[Exponents, Scalar]] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            ne = e[:idx] + (0,) + e[idx + 1:]
-            buckets.setdefault(k, {})[ne] = c
-        return {k: MPoly(self.vars, t) for k, t in buckets.items()}
+        shift = _BITS * _position(var, self.vars)
+        buckets: Dict[int, Dict[int, Scalar]] = {}
+        for e, c in self._terms.items():
+            k = e >> shift & _MASK
+            buckets.setdefault(k, {})[e - (k << shift)] = c
+        return {k: MPoly._make(self.vars, t) for k, t in buckets.items()}
 
     def involves(self, var: str) -> bool:
-        idx = _position(var, self.vars)
-        return any(e[idx] for e in self.terms)
+        field = _MASK << _BITS * _position(var, self.vars)
+        return any(e & field for e in self._terms)
 
     def quasi_homogeneous_degree(self, weights: Dict[str, int]) -> Optional[int]:
         """The common weighted degree of all terms, or None if mixed/zero."""
         w = [weights[v] for v in self.vars]
-        degree: Optional[int] = None
-        for e in self.terms:
-            d = sum(k * wk for k, wk in zip(e, w))
-            if degree is None:
-                degree = d
-            elif d != degree:
-                return None
-        return degree
+        degrees = {sum(map(mul, e, w)) for e, _ in self._unpacked()}
+        return degrees.pop() if len(degrees) == 1 else None
 
     # ---- substitution / evaluation ----
 
@@ -296,38 +361,42 @@ class MPoly:
         themselves.  All images must share one variable tuple, which becomes
         the result's tuple.
 
-        The terms are grouped by their exponents in the mapped variables.
-        Each group is one polynomial in the unmapped variables, placed in
-        the images' tuple, and is multiplied by one product of image
-        powers, each power built once, from the one below it; a single dot
-        sums the groups."""
+        The terms are grouped by their exponents in the mapped variables,
+        the fields those variables hold in the packed exponents.  Each group
+        is one polynomial in the unmapped variables, whose fields move to
+        their places in the images' tuple, and is multiplied by one product
+        of image powers, each power built once, from the one below it; a
+        single dot sums the groups."""
         if mapping:
             target_vars = next(iter(mapping.values())).vars
         else:
             target_vars = self.vars
         mapped: List[int] = []
         powers: List[List[MPoly]] = []  # an image ** (k + 1) at index k
-        places: List[Tuple[int, int]] = []  # unmapped: (index, index in target_vars)
+        moves: List[Tuple[int, int]] = []  # unmapped: (shift, shift in target_vars)
+        fields = 0  # the fields of the mapped variables
         for i, v in enumerate(self.vars):
             img = mapping.get(v)
             if img is None:
-                places.append((i, _position(v, target_vars)))
+                moves.append((_BITS * i, _BITS * _position(v, target_vars)))
             elif img.vars != target_vars:
                 raise ValueError("substitution images disagree on variables")
             else:
                 mapped.append(i)
                 powers.append([img])
-        groups: Dict[Exponents, Dict[Exponents, Scalar]] = {}
-        zero = [0] * len(target_vars)
-        for e, c in self.terms.items():
-            kept = zero[:]
-            for i, j in places:
-                kept[j] = e[i]
-            groups.setdefault(tuple(e[i] for i in mapped), {})[tuple(kept)] = c
+                fields |= _MASK << _BITS * i
+        groups: Dict[int, Dict[int, Scalar]] = {}
+        for e, c in self._terms.items():
+            kept = 0
+            for here, there in moves:
+                kept |= (e >> here & _MASK) << there
+            groups.setdefault(e & fields, {})[kept] = c
         pairs = []
         for key, terms in groups.items():
+            exps = _unpack(key, len(self.vars))
             factor = ONE
-            for pw, k in zip(powers, key):
+            for pw, i in zip(powers, mapped):
+                k = exps[i]
                 if k:
                     while len(pw) < k:
                         pw.append(pw[-1] * pw[0])
@@ -337,27 +406,25 @@ class MPoly:
 
     def with_vars(self, new_vars: Tuple[str, ...]) -> "MPoly":
         """Re-express over a superset (or reordering) of the variables."""
-        pos = []
-        for v in self.vars:
-            if v not in new_vars:
-                if self.involves(v):
-                    raise ValueError(f"variable {v} is used but absent from {new_vars}")
-                pos.append(None)
-            else:
-                pos.append(new_vars.index(v))
-        terms: Dict[Exponents, Scalar] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(new_vars)
-            for k, p in zip(e, pos):
-                if p is not None:
-                    ne[p] = k
-            terms[tuple(ne)] = c
-        return MPoly(tuple(new_vars), terms)
+        new_vars = tuple(new_vars)
+        moves = []  # (shift, shift in new_vars)
+        for i, v in enumerate(self.vars):
+            if v in new_vars:
+                moves.append((_BITS * i, _BITS * new_vars.index(v)))
+            elif self.involves(v):
+                raise ValueError(f"variable {v} is used but absent from {new_vars}")
+        terms: Dict[int, Scalar] = {}
+        for e, c in self._terms.items():
+            ne = 0
+            for here, there in moves:
+                ne |= (e >> here & _MASK) << there
+            terms[ne] = c
+        return MPoly._make(new_vars, terms)
 
     # ---- rendering ----
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts: List[str] = []
         for e, c in self.sorted_terms():
@@ -405,7 +472,8 @@ class MPoly:
         """The polynomial of a dict such as to_json_dict writes.  Raises
         ValueError unless "vars" holds distinct names, each coefficient is
         a text "p" or "p/q" (q != 0, "coef_sqrt2" defaults to "0"), each
-        exponent is an int >= 0, and no exponent tuple repeats."""
+        exponent is an int in 0..MAX_EXPONENT, and no exponent tuple
+        repeats."""
         vars = tuple(_field(data, "vars"))
         if len(set(vars)) != len(vars) or not all(type(v) is str for v in vars):
             raise ValueError(f"vars {vars} are not distinct names")
@@ -440,8 +508,9 @@ class MPoly:
             part   := number ["*" "sqrt2"] | "sqrt2"
             number := digits ["/" digits]
 
-        A blank text is 0.  A denominator may not be 0 and each name must be
-        one of ``vars``.  A term is the product of its factors, so it may
+        A blank text is 0.  A denominator may not be 0, each name must be
+        one of ``vars``, and the powers of a name in one term may sum to at
+        most MAX_EXPONENT.  A term is the product of its factors, so it may
         repeat a name or a coefficient (``x*x``, ``2*3*x``, ``x*2``,
         ``(1)*x``) and have a zero exponent or coefficient (``x^0``,
         ``0*x``); like terms are summed (``x - x`` is 0).  This is wider
@@ -455,11 +524,11 @@ class MPoly:
         if not text.strip():
             return MPoly.zero(vars)
         vars = tuple(vars)
-        nvars = len(vars)
+        guard = _LAYOUTS[len(vars)][1]
         # compiled on first use and then taken from re's cache, so that an
         # import compiles no pattern
         match = re.compile(_TERM).match
-        acc: Dict[Exponents, Tuple] = {}
+        acc: Dict[int, Tuple] = {}
         pos, end = 0, len(text)
         while pos < end:
             m = match(text, pos)
@@ -473,7 +542,7 @@ class MPoly:
                 raise ValueError(f"missing sign before {body!r}")
             pos = m.end()
             r0, r1 = (-1 if sign == "-" else 1), 0
-            exps = [0] * nvars
+            e = 0  # the packed exponents
             # parentheses do not nest: split off each "(coef)" with the
             # factors before it
             for piece in "".join(body.split()).split(")"):
@@ -491,7 +560,12 @@ class MPoly:
                             raise ValueError("sqrt2 takes no power")
                         r0, r1 = 2 * r1, r0
                     elif name in vars:
-                        exps[vars.index(name)] += int(power) if power else 1
+                        k = int(power) if power else 1
+                        e += k << _BITS * vars.index(name)
+                        # below the bound before, so no carry out of the
+                        # field unless k is above it too
+                        if k > MAX_EXPONENT or e & guard:
+                            raise ValueError(f"exponent of {name} above {MAX_EXPONENT}")
                     else:
                         raise ValueError(f"unknown variable {name!r}")
                 if coef:
@@ -500,11 +574,14 @@ class MPoly:
                         r0, r1 = r0 * a + 2 * r1 * b, r0 * b + r1 * a
                     else:
                         r0, r1 = r0 * a, r0 * b
-            e = tuple(exps)
             old = acc.get(e)
             acc[e] = (r0, r1) if old is None else (old[0] + r0, old[1] + r1)
         return MPoly._make(vars, {e: Scalar(a, b) for e, (a, b) in acc.items() if a or b})
 
+
+_new = object.__new__
+_set_vars = MPoly.vars.__set__
+_set_terms = MPoly._terms.__set__
 
 # The grammar of MPoly.from_text, one term per match
 _NUMBER = r"\d+(?:/\d+)?"

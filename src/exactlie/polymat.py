@@ -59,6 +59,11 @@ def _in_ring(x, zero):
     return _coerce_entry(x)
 
 
+def _rows_in_ring(rows: Sequence[Row], zero) -> List[Row]:
+    """Sparse rows with each entry moved into zero's ring by _in_ring."""
+    return [{j: _in_ring(x, zero) for j, x in r.items()} for r in rows]
+
+
 class PolyMatrix:
     """An nrows x ncols matrix on sparse rows; immutable."""
 
@@ -168,18 +173,21 @@ class PolyMatrix:
 
     @staticmethod
     def block_diag(blocks: Sequence["PolyMatrix"]) -> "PolyMatrix":
+        """The blocks along the diagonal, in the ring that holds them all."""
+        zero = _ring_zero(b.zero for b in blocks)
         rows: List[Row] = []
         c0 = 0
         for b in blocks:
-            rows += [{c0 + j: x for j, x in r.items()} for r in b._rows]
+            rows += [{c0 + j: _in_ring(x, zero) for j, x in r.items()} for r in b._rows]
             c0 += b.ncols
-        return PolyMatrix._make(rows, c0, blocks[0].zero if blocks else ZERO)
+        return PolyMatrix._make(rows, c0, zero)
 
     @staticmethod
     def vstack(top: "PolyMatrix", bottom: "PolyMatrix") -> "PolyMatrix":
         if top.ncols != bottom.ncols:
             raise ValueError("shape mismatch in vertical stack")
-        return PolyMatrix._make(top._rows + bottom._rows, top.ncols, top.zero + bottom.zero)
+        zero = top.zero + bottom.zero
+        return PolyMatrix._make(_rows_in_ring(top._rows + bottom._rows, zero), top.ncols, zero)
 
     # ---- arithmetic ----
 

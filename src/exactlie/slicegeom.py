@@ -26,8 +26,9 @@ LAMBDA = "lam"
 HOOK_VARS = ("a", "b", "x", "y", "z")
 
 # Largest rank n the slice report accepts.  In-process, one report (cold
-# caches) took 0.29 s at n = 12, 1.5 s at n = 16, 3.4 s at n = 18 and
-# 7.4 s at n = 20, about doubling per step of 2.  The pipeline itself has
+# caches) took 0.2-0.3 s of CPU time at n = 12, 0.9-1.2 s at n = 16,
+# 2.0-2.2 s at n = 18 and 4.3-4.6 s at n = 20 on a shared 2-core x86-64
+# virtual machine, about doubling per step of 2.  The pipeline itself has
 # no limit.
 MAX_RANK = 20
 

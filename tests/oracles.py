@@ -57,6 +57,42 @@ def term_loop_substitute(poly: MPoly, mapping: Dict[str, MPoly]) -> MPoly:
     return result
 
 
+def term_loop_derivative(poly: MPoly, var: str) -> MPoly:
+    """d poly / d var, one exponent tuple at a time: the oracle for
+    MPoly.derivative."""
+    i = poly.vars.index(var)
+    return MPoly(poly.vars, {
+        e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in poly.terms.items() if e[i]
+    })
+
+
+def term_loop_coefficient_in(poly: MPoly, var: str, power: int) -> MPoly:
+    """The coefficient of var**power over poly's variables, one exponent
+    tuple at a time: the oracle for MPoly.coefficient_in."""
+    i = poly.vars.index(var)
+    return MPoly(poly.vars, {
+        e[:i] + (0,) + e[i + 1:]: c for e, c in poly.terms.items() if e[i] == power
+    })
+
+
+def term_loop_as_univariate_in(poly: MPoly, var: str) -> Dict[int, MPoly]:
+    """{k: coefficient of var**k} over the powers k that occur: the oracle
+    for MPoly.as_univariate_in."""
+    i = poly.vars.index(var)
+    powers = {e[i] for e in poly.terms}
+    return {k: term_loop_coefficient_in(poly, var, k) for k in powers}
+
+
+def term_loop_with_vars(poly: MPoly, new_vars: Tuple[str, ...]) -> MPoly:
+    """poly over new_vars, each exponent tuple rebuilt by variable name: the
+    oracle for MPoly.with_vars on a superset or reordering of the variables
+    that occur."""
+    return MPoly(tuple(new_vars), {
+        tuple(dict(zip(poly.vars, e)).get(v, 0) for v in new_vars): c
+        for e, c in poly.terms.items()
+    })
+
+
 def bracket_coords(alg: LieAlgebra, x: Sequence, y: Sequence) -> List:
     """Coordinates of [x, y] for coordinate vectors x and y, by
     bilinearity from alg.table; the entries may be Scalars or

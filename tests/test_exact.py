@@ -1932,3 +1932,19 @@ def test_ideal_membership_found_and_not_found():
         _poly("x", vars), [_poly("x^2", vars), _poly("x*y", vars)], w, bound=4
     )
     assert missing is None
+
+
+def test_stacked_blocks_share_the_ring_of_all_blocks():
+    # a Scalar block first and a polynomial one after: the matrix is a
+    # polynomial matrix with constant polynomials for the Scalar entries
+    t = MPoly.variable("t", ("t",))
+    one, t_block = PolyMatrix([[1]]), PolyMatrix([[t]])
+    diag = PolyMatrix.block_diag([one, t_block])
+    assert diag == PolyMatrix([[1, 0], [0, t]])
+    assert determinant(diag) == t
+    assert all(type(x) is MPoly for _, _, x in diag.nonzeros())
+    assert PolyMatrix.block_diag([t_block, one]) == PolyMatrix([[t, 0], [0, 1]])
+    assert PolyMatrix.block_diag([one, one]) == PolyMatrix.identity(2)
+    stacked = PolyMatrix.vstack(PolyMatrix([[1, 0]]), PolyMatrix([[0, t]]))
+    assert stacked == diag
+    assert all(type(x) is MPoly for _, _, x in stacked.nonzeros())

@@ -565,3 +565,17 @@ def test_g2_element_shape_validation():
         g2_element(PolyMatrix.zeros(3, 3), PolyMatrix.zeros(1, 3), PolyMatrix.zeros(1, 3))
     with pytest.raises(ValueError):
         g2_element([[0] * 3] * 3, (0, 0), (0, 0, 0))
+
+
+def test_g2_element_puts_every_entry_in_the_ring_of_its_blocks():
+    # a Scalar A block beside a polynomial v block: the Scalar entries
+    # become constant polynomials, so the element equals the one built
+    # from polynomial constants and computes like it
+    t = MPoly.variable("t", ("t",))
+    c = lambda k: MPoly.constant(k, ("t",))  # noqa: E731
+    diag = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
+    mixed = g2_element(diag, (t, 0, 0), (0, 0, 0))
+    polys = g2_element([[c(k) for k in row] for row in diag], (t, c(0), c(0)), (c(0),) * 3)
+    assert mixed == polys
+    assert all(type(x) is MPoly for _, _, x in mixed.nonzeros())
+    assert mixed * mixed == polys * polys
