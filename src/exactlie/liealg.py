@@ -6,9 +6,12 @@ elements, its dual basis and its bracket, and nothing else.  Coordinates
 are data: the dual basis lists the entries each coordinate reads, so with
 F the elements flattened, D the dual and B the basis as sparse matrices,
 the coordinates of a batch are C = F D, and C B = F holds exactly for a
-batch inside the algebra, once B D = I has been checked when the algebra
-is built (LieAlgebra.read).  coords is the batch of one, ad(x) reads x and
-its dim brackets [x, b_k] in one, and combination is sum_k c_k b_k.  The
+batch inside the algebra, once B D = I has been checked.  B and D are
+built and checked once, when the algebra is built, and every read uses
+the two it keeps (LieAlgebra.read).  coords is the batch of one, ad(x)
+reads x and its dim brackets [x, b_k] in one, and combination is
+sum_k c_k b_k.  The bracket of sl/so/sp is the commutator, x y - y x
+summed in one pass (polymat.product_sum).  The
 sparse structure-constant table, on which the Jacobi identity is a
 contraction, is read on first use from one bracket of two generic
 elements, whose coordinates must be bilinear, and the contraction is
@@ -43,7 +46,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .mpoly import MPoly
-from .polymat import PolyMatrix, linear_combination, nullspace, rank
+from .polymat import PolyMatrix, linear_combination, nullspace, product_sum, rank
 from .scalar import ONE, Scalar
 
 
@@ -67,7 +70,8 @@ def standard_form(family: str, size: int) -> PolyMatrix:
 
 
 def bracket(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
-    return x * y - y * x
+    """The commutator x y - y x, summed entry by entry in one pass."""
+    return product_sum(((1, x, y), (-1, y, x)))
 
 
 def preserves_form(x: PolyMatrix, g: PolyMatrix, symmetric: bool) -> bool:
@@ -88,18 +92,23 @@ class LieAlgebra:
     basis flattened to dim x size^2 (entry (r, s) of b_k at column r * size
     + s) and D the dual as a size^2 x dim matrix, B D = I is checked here,
     else AssertionError("coordinate readout failed to reproduce the
-    matrix").  B and D are built from these small lists for each use, not
-    kept: a kept B raised the peak RSS of a hook-scaling pass.  Elements
-    may have polynomial entries, since `table` brackets generic elements."""
+    matrix").  B and D are built once, here, and kept for every `read`;
+    they hold one stored entry per basis entry and per dual triple.
+    Elements may have polynomial entries, since `table` brackets generic
+    elements."""
 
     def __init__(self, name: str, size: int, names: Tuple[str, ...], basis: Tuple[PolyMatrix, ...],
                  bracket: Callable, dual: Tuple[Tuple[Tuple[int, int, object], ...], ...]):
+        flat = PolyMatrix.flattened(basis, size * size)
+        readout = PolyMatrix.from_entries(size * size, len(dual), {
+            (r * size + s, k): c for k, reads in enumerate(dual) for r, s, c in reads
+        })
+        if flat * readout != PolyMatrix.identity(len(basis)):
+            raise AssertionError("coordinate readout failed to reproduce the matrix")
         # __setattr__ refuses, so fill the instance dict, where cached_property
         # also stores `table`
         self.__dict__.update(name=name, size=size, names=names, basis=basis, bracket=bracket,
-                             dual=dual)
-        if self._flat(basis) * self._dual_matrix() != PolyMatrix.identity(len(basis)):
-            raise AssertionError("coordinate readout failed to reproduce the matrix")
+                             dual=dual, _flat_basis=flat, _readout=readout)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -111,28 +120,20 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _flat(self, xs: Sequence[PolyMatrix]) -> PolyMatrix:
-        return PolyMatrix.flattened(xs, self.size * self.size)
-
-    def _dual_matrix(self) -> PolyMatrix:
-        size = self.size
-        return PolyMatrix.from_entries(size * size, len(self.dual), {
-            (r * size + s, k): c for k, reads in enumerate(self.dual) for r, s, c in reads
-        })
-
     def read(self, xs: Sequence[PolyMatrix]) -> PolyMatrix:
         """The coordinates of the elements xs as the rows of the len(xs) x
         dim matrix C = F D, F the elements flattened like B: one sparse
-        product for the whole batch.  Since B D = I, C B = F holds exactly
-        when every element lies in the span of the basis, the algebra, and
-        a second product checks it; ValueError("matrix is not in <name>")
-        otherwise, and for an element of another shape."""
+        product for the whole batch, with the D kept since construction.
+        Since B D = I, C B = F holds exactly when every element lies in the
+        span of the basis, the algebra, and a second product with the kept
+        B checks it; ValueError("matrix is not in <name>") otherwise, and
+        for an element of another shape."""
         size = self.size
         if any((x.nrows, x.ncols) != (size, size) for x in xs):
             raise ValueError(f"matrix is not in {self.name}")
-        f = self._flat(xs)
-        c = f * self._dual_matrix()
-        if c * self._flat(self.basis) != f:
+        f = PolyMatrix.flattened(xs, size * size)
+        c = f * self._readout
+        if c * self._flat_basis != f:
             raise ValueError(f"matrix is not in {self.name}")
         return c
 
@@ -258,8 +259,9 @@ def _isometries(g: PolyMatrix, symmetric: bool, written: Sequence[Tuple]) -> Lis
     joined = {(r, k * n + s): v for k, m in enumerate(ms) for r, s, v in m.nonzeros()}
     y = g * PolyMatrix.from_entries(n, n * len(ms), joined)
     # entry (r, s) of block k is at column c = k n + s, its mirror at (s, k n + r)
-    bad = [c // n for r, c, v in y.nonzeros()
-           if y.entry(c % n, c - c % n + r) != (-v if symmetric else v)]
+    stored = {(r, c): v for r, c, v in y.nonzeros()}
+    bad = [c // n for (r, c), v in stored.items()
+           if stored.get((c % n, c - c % n + r)) != (-v if symmetric else v)]
     if bad:
         p = written[min(bad)][0]
         raise AssertionError(f"isometry element at {p} does not preserve the form")
@@ -283,14 +285,17 @@ def _form_basis(g: PolyMatrix) -> Tuple[List[PolyMatrix], List[Tuple[int, int]]]
     """The basis of the isometry algebra of a monomial form g and the
     position of each element: the isometry_element of each pair {p, tau(p)}
     at the larger flat index p, and of each free fixed point, in flat
-    order.  Each element is 1 at its own position and 0 at the others'."""
+    order.  Each element is 1 at its own position and 0 at the others'.
+
+    The positions are chosen on sigma alone: at a fixed point of tau,
+    c = -g_j / g_i with j = sigma(i), which is 1 for a skew form and -1 for
+    a symmetric one, so the fixed points are free exactly when g is skew.
+    _partner gives (tau(p), c) at the positions kept, and only there."""
     sigma, symmetric = _involution(g)
-    written = []
-    for p in ((i, j) for i in range(g.nrows) for j in range(g.nrows)):
-        partner, c = _partner(g, sigma, *p)
-        if partner < p or (partner == p and c == ONE):
-            written.append((p, partner, c))
-    return _isometries(g, symmetric, written), [p for p, _, _ in written]
+    kept = [(i, j) for i in range(g.nrows) for j in range(g.nrows)
+            if (sigma[j], sigma[i]) < (i, j) or (sigma[j] == i and not symmetric)]
+    written = [(p, *_partner(g, sigma, *p)) for p in kept]
+    return _isometries(g, symmetric, written), kept
 
 
 def make_algebra(family: str, size: int, form: Optional[PolyMatrix] = None) -> LieAlgebra:

@@ -7,14 +7,18 @@ that zero, and a 0 x m matrix keeps its m columns.  Entries are Scalars
 or MPolys.  Ints and Fractions become Scalars once, when raw entries come
 in through PolyMatrix(rows) or, for Scalar matrices,
 PolyMatrix.from_entries; every other operation touches only stored entries
-and drops the ones that cancel.  A product sums each entry once, in the
-kernel of its ring.  Other modules read entries through entry, row, column
-and nonzeros, never through the row storage.
+and drops the ones that cancel; a sum of a Scalar and a polynomial
+matrix is polynomial in every entry.  A product, and a signed sum of
+products such as a commutator (product_sum), sums each entry once, in
+the kernel of its ring.  Other modules read entries through entry, row,
+column and nonzeros, never through the row storage.
 
 Characteristic polynomials come from Berkowitz's division-free algorithm
 (Inf. Process. Lett. 18, 1984), which uses only ring operations and so is
-exact over any coefficient ring; the cofactor determinant is kept as an
-independent cross-check for small sizes.  Row reduction, kernels and
+exact over any coefficient ring, run on rows cut from the stored ones by
+the product kernel; the cofactor determinant is kept as an independent
+cross-check for small sizes.  Every determinant of a 0 x 0 matrix is the
+one of its ring.  Row reduction, kernels and
 linear solving are implemented for Scalar entries only: rref is sparse,
 fraction-free Gauss-Jordan elimination on rows of ints that takes, for
 each column, the sparsest row still free as the pivot row, which keeps
@@ -197,8 +201,9 @@ class PolyMatrix:
                 f"shape mismatch: {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}"
             )
         zero = op(self.zero, other.zero)
+        rows = self._rows if type(self.zero) is type(zero) else _rows_in_ring(self._rows, zero)
         out: List[Row] = []
-        for ra, rb in zip(self._rows, other._rows):
+        for ra, rb in zip(rows, other._rows):
             row = dict(ra)
             for j, b in rb.items():
                 v = op(row.get(j, zero), b)
@@ -232,29 +237,11 @@ class PolyMatrix:
         )
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """The matrix product, by one kernel per ring: scalar.matrix_product
-        for two Scalar matrices, else one MPoly.dot per entry (a Scalar is a
-        constant there).  A factor that is not a matrix scales."""
+        """The matrix product, product_sum of the one term (1, self,
+        other).  A factor that is not a matrix scales."""
         if not isinstance(other, PolyMatrix):
             return self.scale(other)
-        if other.nrows != self.ncols:
-            raise ValueError("shape mismatch in matrix product")
-        brows = other._rows
-        # the ring zero, taken rather than multiplied: a polynomial one wins
-        zero = self.zero if type(self.zero) is MPoly else other.zero
-        if type(other.zero) is MPoly and other.zero.vars != zero.vars:
-            raise ValueError(f"variable mismatch: {other.zero.vars} vs {zero.vars}")
-        if type(zero) is Scalar:
-            return PolyMatrix._make(matrix_product(self._rows, brows), other.ncols, zero)
-        vars, dot = zero.vars, MPoly.dot
-        out = []
-        for arow in self._rows:
-            pairs: Dict[int, list] = {}
-            for t, a in arow.items():
-                for j, b in brows[t].items():
-                    pairs.setdefault(j, []).append((a, b))
-            out.append({j: v for j, ps in pairs.items() if (v := dot(vars, ps))})
-        return PolyMatrix._make(out, other.ncols, zero)
+        return product_sum(((1, self, other),))
 
     def __pow__(self, k: int) -> "PolyMatrix":
         if not self.is_square():
@@ -344,6 +331,52 @@ def linear_combination(
     return PolyMatrix._make(out, ncols, zero)
 
 
+def product_sum(terms: Sequence[Tuple[int, PolyMatrix, PolyMatrix]]) -> PolyMatrix:
+    """sum s A B over the terms (s, A, B), s = 1 or -1, every A B of one
+    shape, in one pass of _product_rows: the commutator x y - y x is
+    product_sum(((1, x, y), (-1, y, x))).  The ring zero is taken from the
+    factors, not multiplied: a polynomial one wins, and every polynomial
+    factor must have the same variables."""
+    nrows, ncols = len(terms[0][1]._rows), terms[0][2].ncols
+    zero = ZERO
+    for _, a, b in terms:
+        if a.ncols != len(b._rows) or len(a._rows) != nrows or b.ncols != ncols:
+            raise ValueError("shape mismatch in matrix product")
+        for f in (a.zero, b.zero):
+            if type(f) is MPoly:
+                if type(zero) is MPoly and f.vars != zero.vars:
+                    raise ValueError(f"variable mismatch: {f.vars} vs {zero.vars}")
+                zero = f
+    rows = _product_rows([(s, a._rows, b._rows) for s, a, b in terms], zero)
+    return PolyMatrix._make(rows, ncols, zero)
+
+
+def _product_rows(terms: Sequence[Tuple[int, Sequence[Row], Sequence[Row]]], zero) -> List[Row]:
+    """The sparse rows of sum s A B over the terms (s, A rows, B rows) in
+    zero's ring, each entry summed once by the kernel of the ring:
+    scalar.matrix_product for Scalar rows, else one MPoly.dot over the
+    entry's pairs (a Scalar is a constant there, and s = -1 negates each
+    entry of A once)."""
+    if type(zero) is Scalar:
+        return matrix_product(terms)
+    vars, dot = zero.vars, MPoly.dot
+    out = []
+    for i in range(len(terms[0][1])):
+        pairs: Dict[int, list] = {}
+        for sign, a_rows, b_rows in terms:
+            for t, a in a_rows[i].items():
+                if sign < 0:
+                    a = -a
+                for j, b in b_rows[t].items():
+                    ps = pairs.get(j)
+                    if ps is None:
+                        pairs[j] = [(a, b)]
+                    else:
+                        ps.append((a, b))
+        out.append({j: v for j, ps in pairs.items() if (v := dot(vars, ps))})
+    return out
+
+
 # ---------------------------------------------------------------------------
 # determinants and characteristic polynomials
 # ---------------------------------------------------------------------------
@@ -356,7 +389,7 @@ def det_cofactor(matrix: PolyMatrix):
         raise ValueError("determinant of a non-square matrix")
     n = matrix.nrows
     if n == 0:
-        return Scalar(1)
+        return matrix.one
     return _expand_det(matrix._rows, tuple(range(n)), tuple(range(n)), matrix.zero)
 
 
@@ -388,26 +421,31 @@ def charpoly_coefficients(matrix: PolyMatrix) -> List:
     Step k borders the leading k x k block A_k by the row R and column C
     left of and above a = A[k][k].  The Toeplitz column (1, -a, -R C,
     -R A_k C, ..., -R A_k^(k-1) C) times the coefficients of A_k gives
-    those of A_(k+1); the Krylov vectors A_k^j C are matrix products."""
+    those of A_(k+1).  Every Krylov vector A_k^j C, every -R A_k^j C and
+    every Toeplitz product is formed on sparse rows cut from the stored
+    ones by _product_rows, the kernel of PolyMatrix products, so each of
+    their entries is one sum in its ring and no step builds a matrix."""
     if not matrix.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    one, zero = matrix.one, matrix.zero
-    coeffs = PolyMatrix._make([{0: one}], 1, zero)
+    rows, one, zero = matrix._rows, matrix.one, matrix.zero
+    coeffs: List[Row] = [{0: one}]  # a column, one row per coefficient
     for k in range(matrix.nrows):
-        toeplitz = [one, -matrix.entry(k, k)]
+        a = rows[k].get(k)
+        toeplitz = [one, zero if a is None else -a]
         if k:
-            block = matrix.submatrix(0, k, 0, k)
-            row = matrix.submatrix(k, k + 1, 0, k)
-            krylov = [matrix.submatrix(0, k, k, k + 1)]
-            for _ in range(k - 1):
-                krylov.append(block * krylov[-1])
-            toeplitz += [-(row * v).entry(0, 0) for v in krylov]
+            block = [{t: x for t, x in r.items() if t < k} for r in rows[:k]]
+            border = [{t: -x for t, x in rows[k].items() if t < k}]  # -R
+            krylov = [{0: x} if (x := r.get(k)) is not None else {} for r in rows[:k]]
+            for j in range(k):
+                if j:
+                    krylov = _product_rows(((1, block, krylov),), zero)
+                toeplitz.append(_product_rows(((1, border, krylov),), zero)[0].get(0, zero))
         lower = [
             {j: toeplitz[i - j] for j in range(min(i, k) + 1) if toeplitz[i - j]}
             for i in range(k + 2)
         ]
-        coeffs = PolyMatrix._make(lower, k + 1, zero) * coeffs
-    return coeffs.column(0)
+        coeffs = _product_rows(((1, lower, coeffs),), zero)
+    return [r.get(0, zero) for r in coeffs]
 
 
 def charpoly(matrix: PolyMatrix, var: str) -> MPoly:
@@ -437,8 +475,6 @@ def determinant(matrix: PolyMatrix):
     det A = (-1)^n c_n."""
     coeffs = charpoly_coefficients(matrix)
     n = matrix.nrows
-    if n == 0:
-        return Scalar(1)
     return coeffs[n] if n % 2 == 0 else -coeffs[n]
 
 

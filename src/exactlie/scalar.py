@@ -18,18 +18,19 @@ components already in that form, folding integral Fractions back to int.
 
 Four kernels outside Scalar compute on the components and make a Scalar
 only of each result: matrix_product, the kernel of Scalar matrix
-products, sums each entry on them, mpoly.MPoly.dot sums each term of a
-sum of polynomial products on them, polymat.pfaffian expands a rational
-matrix on its r0 components, and polymat.rref eliminates on ints: a
-rational matrix's r0 components cleared of denominators, and for a
-matrix with a sqrt2 part the components of its regular representation
-over Q, each entry a + b sqrt2 written as the block [[a, 2b], [b, a]].
+products and of signed sums of them such as a commutator, sums each
+entry on them, mpoly.MPoly.dot sums each term of a sum of polynomial
+products on them, polymat.pfaffian expands a rational matrix on its r0
+components, and polymat.rref eliminates on ints: a rational matrix's r0
+components cleared of denominators, and for a matrix with a sqrt2 part
+the components of its regular representation over Q, each entry
+a + b sqrt2 written as the block [[a, 2b], [b, a]].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 Rational = Union[int, Fraction]
@@ -237,30 +238,35 @@ def _make(r0: Rational, r1: Rational) -> Scalar:
     return s
 
 
-def matrix_product(a_rows: Sequence[Dict], b_rows: Sequence[Dict]) -> List[Dict]:
-    """The sparse rows (column -> nonzero Scalar) of A B from those of A
-    and B.  Each entry is summed once on the components, from its first
-    product (0 + Fraction takes the slow reflected path), with a sqrt 2
-    sum only where an operand has a sqrt 2 part."""
+def matrix_product(terms: Sequence[Tuple[int, Sequence[Dict], Sequence[Dict]]]) -> List[Dict]:
+    """The sparse rows (column -> nonzero Scalar) of sum s A B over the
+    terms (s, A, B), s = 1 or -1, from the rows of each A and B; A B is
+    the one term (1, A, B).  Each entry is summed once on the components,
+    over every term, from its first product (0 + Fraction takes the slow
+    reflected path), with a sqrt 2 sum only where an operand has a sqrt 2
+    part; a term with s = -1 negates each entry of its A once."""
     out = []
-    for a_row in a_rows:
+    for i in range(len(terms[0][1])):
         s0: Dict[int, Rational] = {}
         s1 = None
-        for t, a in a_row.items():
-            a0, a1 = a.r0, a.r1
-            for j, b in b_rows[t].items():
-                b0, b1 = b.r0, b.r1
-                if a1 or b1:
-                    # (a0 + a1 s)(b0 + b1 s) = (a0 b0 + 2 a1 b1) + (a0 b1 + a1 b0) s
-                    p, q = a0 * b0 + 2 * a1 * b1, a0 * b1 + a1 * b0
-                    if s1 is None:
-                        s1 = {}
-                    v = s1.get(j)
-                    s1[j] = q if v is None else v + q
-                else:
-                    p = a0 * b0
-                v = s0.get(j)
-                s0[j] = p if v is None else v + p
+        for sign, a_rows, b_rows in terms:
+            for t, a in a_rows[i].items():
+                a0, a1 = a.r0, a.r1
+                if sign < 0:
+                    a0, a1 = -a0, -a1
+                for j, b in b_rows[t].items():
+                    b0, b1 = b.r0, b.r1
+                    if a1 or b1:
+                        # (a0 + a1 s)(b0 + b1 s) = (a0 b0 + 2 a1 b1) + (a0 b1 + a1 b0) s
+                        p, q = a0 * b0 + 2 * a1 * b1, a0 * b1 + a1 * b0
+                        if s1 is None:
+                            s1 = {}
+                        v = s1.get(j)
+                        s1[j] = q if v is None else v + q
+                    else:
+                        p = a0 * b0
+                    v = s0.get(j)
+                    s0[j] = p if v is None else v + p
         if not s0:
             out.append(s0)
             continue

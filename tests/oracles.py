@@ -145,3 +145,31 @@ def kernel_form_basis(g: PolyMatrix) -> Tuple[List[PolyMatrix], List[Tuple[int, 
         raise AssertionError("kernel basis lost its free-column structure")
     basis = [PolyMatrix.from_entries(size, size, e) for e in entries]
     return basis, [divmod(p, size) for p in owner]
+
+
+def dense_berkowitz(a: PolyMatrix) -> List:
+    """c_0..c_n of det(lam*I - A) by Berkowitz's recurrence on dense lists
+    of entries, one ring operation at a time: at step k the Toeplitz column
+    (1, -a_kk, -R C, -R A_k C, ..., -R A_k^(k-1) C) of the leading block
+    A_k, its bordering row R and column C, times the coefficients of A_k.
+    The formulation charpoly_coefficients had on PolyMatrix products; the
+    oracle for the one on stored rows."""
+    n, one, zero = a.nrows, a.one, a.zero
+    rows = [a.row(i) for i in range(n)]
+
+    def dot(xs, ys):
+        total = zero
+        for x, y in zip(xs, ys):
+            total = total + x * y
+        return total
+
+    coeffs = [one]
+    for k in range(n):
+        toeplitz = [one, -rows[k][k]]
+        krylov = [rows[i][k] for i in range(k)]
+        for _ in range(k):
+            toeplitz.append(-dot(rows[k][:k], krylov))
+            krylov = [dot(rows[i][:k], krylov) for i in range(k)]
+        coeffs = [dot([toeplitz[i - j] for j in range(min(i, k) + 1)], coeffs)
+                  for i in range(k + 2)]
+    return coeffs

@@ -1934,6 +1934,32 @@ def test_ideal_membership_found_and_not_found():
     assert missing is None
 
 
+def test_sums_of_a_scalar_and_a_polynomial_matrix_are_polynomial():
+    # the entries of either operand that the other does not touch move into
+    # the polynomial ring too, whichever operand is the Scalar one
+    t = MPoly.variable("t", ("t",))
+    q, i2 = PolyMatrix([[t, 0], [0, 0]]), PolyMatrix.identity(2)
+    total = PolyMatrix([[t + 1, 0], [0, 1]])
+    assert i2 + q == total
+    assert q + i2 == total
+    assert i2 - q == PolyMatrix([[1 - t, 0], [0, 1]])
+    assert q - i2 == PolyMatrix([[t - 1, 0], [0, -1]])
+    for m in (i2 + q, q + i2, i2 - q, q - i2):
+        assert type(m.zero) is MPoly
+        assert all(type(x) is MPoly for _, _, x in m.nonzeros())
+
+
+def test_empty_determinants_are_the_one_of_their_ring():
+    for zero in (Scalar(0), MPoly.zero(("t",))):
+        empty = PolyMatrix.zeros(0, 0, zero)
+        one = zero ** 0
+        assert charpoly_coefficients(empty) == [one]
+        for det in (determinant, det_cofactor):
+            got = det(empty)
+            assert got == one
+            assert type(got) is type(zero)
+
+
 def test_stacked_blocks_share_the_ring_of_all_blocks():
     # a Scalar block first and a polynomial one after: the matrix is a
     # polynomial matrix with constant polynomials for the Scalar entries

@@ -1,13 +1,14 @@
 """Tests for the matrix Lie algebra layer: algebras cut out by forms,
 sl2-triples with adapted bases, Jordan types, and slice charts."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from exactlie import liealg
+from exactlie import liealg, polymat
 from exactlie.classify import partitions_of
 from exactlie.g2 import g2_algebra, g2_chart
 from exactlie.liealg import (
@@ -502,18 +503,31 @@ def test_ad_matrix_matches_dense_oracle_on_g2():
 
 
 def test_ad_matrix_reads_every_column_in_one_product(monkeypatch):
-    # 2 dim products for the brackets [x, b_k], one for the readout C = F D
-    # and one for its check C B = F: no per-column coords call
+    # one kernel pass per bracket [x, b_k], x b_k - b_k x summed at once,
+    # one for the readout C = F D and one for its check C B = F: no
+    # per-column coords call, and the read builds neither B nor D, which
+    # the algebra keeps since it was built
     alg = make_algebra("sp", 6)
     x = rand_combination(alg, random.Random(23))
     want = _dense_ad_oracle(alg, x)
-    coords_calls, products = [], []
-    real_coords, real_mul = alg.coords, PolyMatrix.__mul__
+    coords_calls, passes, built, flattened = [], [], [], []
+    real_coords, real_pass = alg.coords, polymat._product_rows
+    real_from_entries, real_flattened = PolyMatrix.from_entries, PolyMatrix.flattened
     alg.__dict__["coords"] = lambda m: coords_calls.append(m) or real_coords(m)
-    monkeypatch.setattr(PolyMatrix, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+    monkeypatch.setattr(
+        polymat, "_product_rows", lambda terms, zero: passes.append(len(terms)) or real_pass(terms, zero)
+    )
+    monkeypatch.setattr(PolyMatrix, "from_entries", staticmethod(
+        lambda *args: built.append(args) or real_from_entries(*args)
+    ))
+    monkeypatch.setattr(PolyMatrix, "flattened", staticmethod(
+        lambda ms, width: flattened.append(tuple(ms)) or real_flattened(ms, width)
+    ))
     assert alg.ad_matrix(x) == want
     assert coords_calls == []
-    assert len(products) == 2 * alg.dim + 2
+    assert passes == [2] * alg.dim + [1, 1]
+    assert built == []
+    assert len(flattened) == 1 and flattened[0] != alg.basis and flattened[0][0] == x
 
 
 def test_a_bracket_that_leaves_the_algebra_fails_ad_matrix():
@@ -697,6 +711,33 @@ def test_form_basis_equals_the_constraint_kernel_basis():
     assert count == 21 + 113
     for alg in (*(make_algebra("sl", n) for n in range(1, 9)), g2_algebra()):
         assert dual_pairing(alg) == PolyMatrix.identity(alg.dim)
+
+
+# sha256 of every (family, key, positions, elements) the form basis gave
+# before it chose its positions on sigma alone, for the 132 forms below
+FORM_BASIS_DIGEST = "f4a161a51cfe5f4089d4b237dc487768a8a7224e28d41b9d0fd2a25b1b7c5597"
+
+
+def test_form_basis_matches_the_digest_of_its_earlier_output():
+    # every so/sp standard form of size <= 12 and every jm_triple form of
+    # size <= 10; each element as its sorted nonzero entries, as text
+    forms = []
+    for size in range(1, 13):
+        forms.append(("so", size, standard_form("so", size)))
+        if size % 2 == 0:
+            forms.append(("sp", size, standard_form("sp", size)))
+    for family in ("so", "sp"):
+        for size in range(1, 11):
+            for parts in partitions_of(size):
+                if valid_partition(family, size, parts):
+                    forms.append((family, parts, jm_triple(family, parts).form))
+    digest = hashlib.sha256()
+    for family, key, g in forms:
+        basis, positions = liealg._form_basis(g)
+        elements = [sorted((i, j, str(v)) for i, j, v in b.nonzeros()) for b in basis]
+        digest.update(repr((family, key, positions, elements)).encode())
+    assert len(forms) == 132
+    assert digest.hexdigest() == FORM_BASIS_DIGEST
 
 
 def test_isometry_element_pairs_each_entry_with_one_partner():
